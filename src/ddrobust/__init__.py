@@ -13,7 +13,7 @@ from .linalg import (
     vec,
     vec_inverse,
 )
-from .lti import LtiSystem, Selector, TrainingData, collect, simulate, snapshot_matrices, vehicle_model
+from .lti import LtiSystem, TrainingData, collect, simulate, snapshot_matrices, vehicle_model
 from .ctrlmaps import (
     CeLqrMap,
     ControllerMap,

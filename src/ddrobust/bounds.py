@@ -59,16 +59,26 @@ def _require_bj(bundle: JacobianBundle) -> np.ndarray:
     return bundle.bj
 
 
+def _checked(bundle: JacobianBundle, sigmas) -> tuple[np.ndarray, np.ndarray]:
+    """The B J_i stack and the sigmas as a vector, one per support entry."""
+    sigmas = np.asarray(sigmas, dtype=float).ravel()
+    if sigmas.size != bundle.size:
+        raise ValueError(f"need {bundle.size} sigmas, got {sigmas.size}")
+    return _require_bj(bundle), sigmas
+
+
+def j_max(bundle: JacobianBundle) -> float:
+    """Worst-case sensitivity J_max = max_i ||B J_i|| over the support."""
+    return float(np.max(np.linalg.svd(_require_bj(bundle), compute_uv=False)[:, 0]))
+
+
 def variance_params(bundle: JacobianBundle, sigmas) -> tuple[float, float]:
     """Variance proxies of the perturbation as seen by the closed loop.
 
     Returns (v_bar, v_lower): the matrix-variance norm driving the upper
     bound and the scalar trace variance driving the lower bound.
     """
-    bj = _require_bj(bundle)
-    sigmas = np.asarray(sigmas, dtype=float).ravel()
-    if sigmas.size != bundle.size:
-        raise ValueError(f"need {bundle.size} sigmas, got {sigmas.size}")
+    bj, sigmas = _checked(bundle, sigmas)
     s2 = sigmas**2
     left = np.tensordot(s2, np.matmul(bj, np.transpose(bj, (0, 2, 1))), axes=1)
     right = np.tensordot(s2, np.matmul(np.transpose(bj, (0, 2, 1)), bj), axes=1)
@@ -169,10 +179,8 @@ def theorem2_rate(bundle: JacobianBundle, sigmas) -> RateBound:
     gamma = min_i sigma_i * (min of diag(B J_i)); the bound grows to one
     as the support grows, independently of the state dimension.
     """
-    bj = _require_bj(bundle)
-    sigmas = np.asarray(sigmas, dtype=float).ravel()
-    if sigmas.size != bundle.size:
-        raise ValueError(f"need {bundle.size} sigmas, got {sigmas.size}")
+    bj, sigmas = _checked(bundle, sigmas)
+    _, v_lower = variance_params(bundle, sigmas)
     alphas = np.min(np.diagonal(bj, axis1=1, axis2=2), axis=1)
     gamma = float(np.min(sigmas * alphas))
     k = bundle.size
@@ -181,8 +189,6 @@ def theorem2_rate(bundle: JacobianBundle, sigmas) -> RateBound:
     else:
         bound = 2.0 * q_function(2.0 / math.sqrt(gamma**2 * k))
     n = bj.shape[1]
-    traces = np.trace(bj, axis1=1, axis2=2)
-    v_lower = float(np.sum(sigmas**2 * traces**2))
     chain_holds = bool(v_lower >= n**2 * gamma**2 * k)
     if not chain_holds:
         logger.info(
@@ -207,19 +213,15 @@ def jmax_envelope(bundle: JacobianBundle, sigmas) -> JmaxEnvelope:
     The containment v_bar <= envelope is a theorem; a numerical violation
     beyond 1e-10 indicates a broken bundle and raises.
     """
-    bj = _require_bj(bundle)
-    sigmas = np.asarray(sigmas, dtype=float).ravel()
-    if sigmas.size != bundle.size:
-        raise ValueError(f"need {bundle.size} sigmas, got {sigmas.size}")
-    j_max = max(spectral_norm(bj[i]) for i in range(bundle.size))
-    sigma_max = float(np.max(sigmas))
-    envelope = sigma_max**2 * bundle.size * j_max**2
     v_bar, _ = variance_params(bundle, sigmas)
+    worst = j_max(bundle)
+    sigma_max = float(np.max(sigmas))
+    envelope = sigma_max**2 * bundle.size * worst**2
     if v_bar > envelope + 1e-10:
         raise ArithmeticError(
             f"envelope violated: v_bar = {v_bar!r} > envelope = {envelope!r}"
         )
-    return JmaxEnvelope(sigma_max=sigma_max, j_max=float(j_max), envelope=float(envelope), v_bar=v_bar)
+    return JmaxEnvelope(sigma_max=sigma_max, j_max=worst, envelope=float(envelope), v_bar=v_bar)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .linalg import EPS_FLOOR, EigensolverError, spectral_norm
+from .linalg import EPS_FLOOR, EigensolverError
 from .lti import LtiSystem, TrainingData, collect, vehicle_model
 from .ctrlmaps import ControllerMap, DareError, check_a1, identify, map_from_descriptor
 from .sensitivity import (
@@ -31,8 +31,10 @@ from .sensitivity import (
     PerturbationModel,
     fd_jacobian,
 )
-from .bounds import StabilityError, jmax_envelope, theorem1_bounds, variance_params
-from .mc import MODE_EXACT, MODE_FIRST_ORDER, estimate_instability, random_support
+from .bounds import (BoundsReport, StabilityError, j_max, jmax_envelope, theorem1_bounds,
+                     variance_params)
+from .mc import (MODE_EXACT, MODE_FIRST_ORDER, MonteCarloReport, estimate_instability,
+                 random_support)
 
 # Seed-derivation domains: every random decision hangs off the master seed
 # through a distinct spawn key, so commands agree on shared upstream draws
@@ -265,6 +267,11 @@ def _load_data(out: Path) -> TrainingData:
     return TrainingData.load(path)
 
 
+def _collect(cfg: ExperimentConfig, system: LtiSystem) -> TrainingData:
+    return collect(system, cfg.n_experiments, cfg.t_steps,
+                   seed=_child_seed(cfg.seed, _DOM_COLLECT))
+
+
 def _resolve_support(cfg: ExperimentConfig, data: TrainingData) -> np.ndarray:
     dim = data.p * data.n_experiments
     if cfg.support_indices is not None:
@@ -283,10 +290,39 @@ def _attach_b(bundle: JacobianBundle, cfg: ExperimentConfig, system: LtiSystem,
     return bundle.with_b(identify(data).b, B_SOURCE_IDENTIFIED)
 
 
+def _fd_bundle(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
+               cmap: ControllerMap, support) -> JacobianBundle:
+    """FD Jacobian of the map on the support, with the configured B attached."""
+    return _attach_b(fd_jacobian(cmap, data, support), cfg, system, data)
+
+
+def _load_bundle(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
+                 cmap: ControllerMap, out: Path) -> JacobianBundle:
+    path = out / _JACOBIAN_FILE
+    if path.exists():
+        return _attach_b(JacobianBundle.load(path), cfg, system, data)
+    return _fd_bundle(cfg, system, data, cmap, _resolve_support(cfg, data))
+
+
+def _bounds_at(a_cl: np.ndarray, bundle: JacobianBundle, sigma: float) -> BoundsReport:
+    """Theorem-1 bounds with every support entry at noise level sigma."""
+    sigmas = np.full(bundle.size, float(sigma))
+    v_bar, v_lower = variance_params(bundle, sigmas)
+    jmax_envelope(bundle, sigmas)  # raises if the variance envelope fails
+    return theorem1_bounds(a_cl, v_bar, v_lower, b_source=bundle.b_source)
+
+
+def _mc_at(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
+           cmap: ControllerMap, support: np.ndarray, bundle: JacobianBundle | None,
+           idx: int, sigma: float) -> MonteCarloReport:
+    """Monte Carlo estimate at grid point idx, every support entry at sigma."""
+    model = PerturbationModel(support, np.full(len(support), float(sigma)))
+    return estimate_instability(system, data, cmap, model, cfg.trials, mode=cfg.mode,
+                                seed=_child_seed(cfg.seed, _DOM_MC, idx), bundle=bundle)
+
+
 def cmd_collect(cfg: ExperimentConfig) -> list[Path]:
-    system = cfg.build_system()
-    data = collect(system, cfg.n_experiments, cfg.t_steps,
-                   seed=_child_seed(cfg.seed, _DOM_COLLECT))
+    data = _collect(cfg, cfg.build_system())
     out = _out_dir(cfg)
     data.save(out / _DATA_FILE)
     _write_csv(out / "collect.csv",
@@ -318,25 +354,13 @@ def cmd_design(cfg: ExperimentConfig) -> list[Path]:
 def cmd_jacobian(cfg: ExperimentConfig) -> list[Path]:
     out = _out_dir(cfg)
     data = _load_data(out)
-    system = cfg.build_system()
-    cmap = cfg.build_map()
-    support = _resolve_support(cfg, data)
-    bundle = _attach_b(fd_jacobian(cmap, data, support), cfg, system, data)
+    bundle = _fd_bundle(cfg, cfg.build_system(), data, cfg.build_map(),
+                        _resolve_support(cfg, data))
     bundle.save(out / _JACOBIAN_FILE)
-    j_max = max(spectral_norm(bundle.bj[i]) for i in range(bundle.size))
     _write_csv(out / "jacobian.csv",
                ["k", "j_max", "b_source", "failed_columns"],
-               [[bundle.size, j_max, bundle.b_source, len(bundle.failures)]])
+               [[bundle.size, j_max(bundle), bundle.b_source, len(bundle.failures)]])
     return [out / _JACOBIAN_FILE, out / "jacobian.csv"]
-
-
-def _load_bundle(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
-                 cmap: ControllerMap, out: Path) -> JacobianBundle:
-    path = out / _JACOBIAN_FILE
-    if path.exists():
-        return _attach_b(JacobianBundle.load(path), cfg, system, data)
-    support = _resolve_support(cfg, data)
-    return _attach_b(fd_jacobian(cmap, data, support), cfg, system, data)
 
 
 def cmd_bounds(cfg: ExperimentConfig) -> list[Path]:
@@ -349,10 +373,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> list[Path]:
     rows = []
     reports = []
     for sigma in cfg.sigma_grid:
-        sigmas = np.full(bundle.size, float(sigma))
-        v_bar, v_lower = variance_params(bundle, sigmas)
-        jmax_envelope(bundle, sigmas)  # raises if the variance envelope fails
-        report = theorem1_bounds(a_cl, v_bar, v_lower, b_source=bundle.b_source)
+        report = _bounds_at(a_cl, bundle, sigma)
         reports.append(report.to_json() | {"sigma_scale": sigma})
         rows.append([sigma, report.v_bar, report.v_lower, report.kappa, report.mu,
                      report.rho_nominal, report.lower, report.upper_raw,
@@ -379,10 +400,7 @@ def cmd_mc(cfg: ExperimentConfig) -> list[Path]:
     rows = []
     reports = []
     for idx, sigma in enumerate(cfg.sigma_grid):
-        model = PerturbationModel(support, np.full(len(support), float(sigma)))
-        point_seed = _child_seed(cfg.seed, _DOM_MC, idx)
-        report = estimate_instability(system, data, cmap, model, cfg.trials,
-                                      mode=cfg.mode, seed=point_seed, bundle=bundle)
+        report = _mc_at(cfg, system, data, cmap, support, bundle, idx, sigma)
         reports.append(report.to_json() | {"sigma_scale": sigma})
         rows.append([sigma, report.trials, report.p_hat, report.ci_low,
                      report.ci_high, report.mode, report.seed])
@@ -396,37 +414,28 @@ def cmd_mc(cfg: ExperimentConfig) -> list[Path]:
 def cmd_fig1(cfg: ExperimentConfig) -> list[Path]:
     """Bounds-versus-Monte-Carlo sweep over the sigma grid (one CSV row per sigma).
 
-    Self-contained: collects data, designs the controller, differentiates,
-    then evaluates Theorem-1 bounds and the instability estimate per grid
-    point. Bound columns are floored at 2.2e-16 so the curves stay positive
-    on a log axis; the empirical columns are written exactly as estimated.
-    Per-point failures become NaN rows and the sweep continues.
+    Self-contained: runs the collect, design and jacobian stages in memory,
+    then the bounds and mc stages per grid point. Bound columns are floored
+    at 2.2e-16 so the curves stay positive on a log axis; the empirical
+    columns are written exactly as estimated. Per-point failures become NaN
+    rows and the sweep continues.
     """
     out = _out_dir(cfg)
     system = cfg.build_system()
     cmap = cfg.build_map()
-    data = collect(system, cfg.n_experiments, cfg.t_steps,
-                   seed=_child_seed(cfg.seed, _DOM_COLLECT))
+    data = _collect(cfg, system)
     k_nom = cmap.evaluate(data)
     chk = check_a1(system, k_nom)
     if not chk.stable:
         raise StabilityError(
             f"nominal closed loop unstable (rho = {chk.rho:.6g}); fig1 needs A1")
     a_cl = system.a + system.b @ k_nom
-    support = _resolve_support(cfg, data)
-    bundle = _attach_b(fd_jacobian(cmap, data, support), cfg, system, data)
+    bundle = _fd_bundle(cfg, system, data, cmap, _resolve_support(cfg, data))
     rows = []
     for idx, sigma in enumerate(cfg.sigma_grid):
         try:
-            sigmas = np.full(bundle.size, float(sigma))
-            v_bar, v_lower = variance_params(bundle, sigmas)
-            jmax_envelope(bundle, sigmas)
-            report = theorem1_bounds(a_cl, v_bar, v_lower, b_source=bundle.b_source)
-            model = PerturbationModel(support, sigmas)
-            mc = estimate_instability(system, data, cmap, model, cfg.trials,
-                                      mode=cfg.mode,
-                                      seed=_child_seed(cfg.seed, _DOM_MC, idx),
-                                      bundle=bundle)
+            report = _bounds_at(a_cl, bundle, sigma)
+            mc = _mc_at(cfg, system, data, cmap, bundle.support, bundle, idx, sigma)
             rows.append([sigma, max(report.lower, EPS_FLOOR), mc.p_hat,
                          mc.ci_low, mc.ci_high,
                          max(report.upper_clamped, EPS_FLOOR)])
@@ -461,8 +470,7 @@ def cmd_fig2(cfg: ExperimentConfig) -> list[Path]:
                            seed=_child_seed(cfg.seed, _DOM_FIG2, t_idx, trial, 0))
             rng = np.random.default_rng(_child_seed(cfg.seed, _DOM_FIG2, t_idx, trial, 1))
             support = random_support(data.p * data.n_experiments, k_support, rng)
-            bundle = _attach_b(fd_jacobian(cmap, data, support), cfg, system, data)
-            j_maxes.append(max(spectral_norm(bundle.bj[i]) for i in range(bundle.size)))
+            j_maxes.append(j_max(_fd_bundle(cfg, system, data, cmap, support)))
         mean = float(np.mean(j_maxes))
         std = float(np.std(j_maxes, ddof=1)) if len(j_maxes) > 1 else 0.0
         rows.append([t_steps, mean, std])

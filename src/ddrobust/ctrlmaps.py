@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, matrix_rank_svd, pseudoinverse, spectral_radius
+from .linalg import as_matrix, pseudoinverse, spectral_radius
 from .lti import LtiSystem, TrainingData, snapshot_matrices
 
 
@@ -64,7 +64,6 @@ class GainResult:
 class IdentifiedModel:
     a: np.ndarray
     b: np.ndarray
-    rank: int
     rank_deficient: bool
 
 
@@ -77,9 +76,8 @@ class StabilityCheck:
 def pinv_map(data: TrainingData) -> GainResult:
     """K = U0 pinv(X0); with full-row-rank X0 the closed loop is X1 pinv(X0)."""
     x0, _, u0 = snapshot_matrices(data)
-    k = u0 @ pseudoinverse(x0)
-    deficient = matrix_rank_svd(x0) < x0.shape[0]
-    return GainResult(k=k, rank_deficient=deficient)
+    x0_pinv, rank = pseudoinverse(x0)
+    return GainResult(k=u0 @ x0_pinv, rank_deficient=rank < x0.shape[0])
 
 
 def identify(data: TrainingData) -> IdentifiedModel:
@@ -90,15 +88,10 @@ def identify(data: TrainingData) -> IdentifiedModel:
     """
     x0, x1, u0 = snapshot_matrices(data)
     w = np.vstack([x0, u0])
-    ab = x1 @ pseudoinverse(w)
+    w_pinv, rank = pseudoinverse(w)
+    ab = x1 @ w_pinv
     n = data.n
-    rank = matrix_rank_svd(w)
-    return IdentifiedModel(
-        a=ab[:, :n],
-        b=ab[:, n:],
-        rank=rank,
-        rank_deficient=rank < w.shape[0],
-    )
+    return IdentifiedModel(a=ab[:, :n], b=ab[:, n:], rank_deficient=rank < w.shape[0])
 
 
 def dare_solve(

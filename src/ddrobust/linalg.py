@@ -61,7 +61,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     spectral_radius: float
     diagonalizable: bool
-    eigenvectors: np.ndarray
     kappa_v: float
 
 
@@ -88,7 +87,6 @@ def eigenvalues(m) -> Spectrum:
         eigenvalues=vals,
         spectral_radius=float(np.max(np.abs(vals))),
         diagonalizable=bool(nonsingular),
-        eigenvectors=vecs,
         kappa_v=kappa_v,
     )
 
@@ -121,28 +119,17 @@ def condition_number_spectral(m) -> float:
     return float(sv[0] / sv[-1])
 
 
-def pseudoinverse(m, rank_tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD truncation.
+def pseudoinverse(m) -> tuple[np.ndarray, int]:
+    """Moore-Penrose pseudoinverse via SVD truncation, with its numerical rank.
 
-    Singular values below ``rank_tol * sigma_max`` are treated as zero;
-    the default tolerance is ``max(shape) * machine_eps``.
+    Singular values at or below ``max(shape) * machine_eps * sigma_max`` are
+    treated as zero; the rank counts the ones kept.
     """
     m = as_matrix(m)
-    if rank_tol is None:
-        rank_tol = max(m.shape) * np.finfo(float).eps
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    cutoff = rank_tol * s[0] if s.size else 0.0
-    s_inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return (vt.T * s_inv) @ u.T
-
-
-def matrix_rank_svd(m, rank_tol: float | None = None) -> int:
-    """Numerical rank under the same truncation rule as :func:`pseudoinverse`."""
-    m = as_matrix(m)
-    if rank_tol is None:
-        rank_tol = max(m.shape) * np.finfo(float).eps
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > rank_tol * s[0]))
+    keep = s > max(m.shape) * np.finfo(float).eps * s[0]
+    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    return (vt.T * s_inv) @ u.T, int(np.sum(keep))
 
 
 def q_function(x: float) -> float:

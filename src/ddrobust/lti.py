@@ -1,9 +1,9 @@
 """Plant definition, trajectory simulation and training-data collection.
 
 A training record holds the stacked input sequences ``U`` (mT x N), the
-selected state samples ``X`` (p x N) and the initial states of each
+stacked state trajectories ``X`` (nT x N) and the initial states of each
 experiment. ``X`` stores the states x(1..T); x(0) is kept separately in
-``x0s`` so that a full-trajectory record has exactly p = n*T rows.
+``x0s`` so that X has exactly p = n*T rows.
 """
 
 from __future__ import annotations
@@ -17,6 +17,28 @@ import numpy as np
 from .linalg import as_matrix, vec, vec_inverse
 
 InputLaw = Callable[[np.random.Generator, int, int], np.ndarray]
+
+# The only sample selection the controller maps accept. data.json records
+# it, and the loader rejects any other.
+_FULL_TRAJECTORY = {"kind": "full_trajectory"}
+
+
+def check_fields(doc, keys, what: str) -> None:
+    """Reject a loaded artifact that is not a JSON object holding ``keys``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{what} lacks key(s): {', '.join(missing)}")
+
+
+def load_json(cls, path):
+    """``cls.from_json`` of a JSON file; every parse error names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return cls.from_json(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -46,73 +68,11 @@ class LtiSystem:
 
 
 @dataclass(frozen=True)
-class Selector:
-    """Which state samples enter X: the whole trajectory, the final state,
-    or an arbitrary p x nT selection matrix."""
-
-    kind: str
-    c: np.ndarray | None = None
-
-    FULL = "full_trajectory"
-    FINAL = "final_state"
-    CUSTOM = "custom"
-
-    @classmethod
-    def full_trajectory(cls) -> "Selector":
-        return cls(kind=cls.FULL)
-
-    @classmethod
-    def final_state(cls) -> "Selector":
-        return cls(kind=cls.FINAL)
-
-    @classmethod
-    def custom(cls, c) -> "Selector":
-        return cls(kind=cls.CUSTOM, c=as_matrix(c, "C"))
-
-    def output_dim(self, n: int, t: int) -> int:
-        if self.kind == self.FULL:
-            return n * t
-        if self.kind == self.FINAL:
-            return n
-        if self.c.shape[1] != n * t:
-            raise ValueError(
-                f"selector C has {self.c.shape[1]} columns, expected n*T = {n * t}"
-            )
-        return self.c.shape[0]
-
-    def apply(self, stacked: np.ndarray, n: int, t: int) -> np.ndarray:
-        """Map the stacked trajectory [x(1); ...; x(T)] to the measured samples."""
-        if stacked.size != n * t:
-            raise ValueError(f"stacked trajectory has length {stacked.size}, expected {n * t}")
-        if self.kind == self.FULL:
-            return stacked
-        if self.kind == self.FINAL:
-            return stacked[-n:]
-        self.output_dim(n, t)
-        return self.c @ stacked
-
-    def to_json(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        if self.c is not None:
-            doc["c"] = self.c.tolist()
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Selector":
-        kind = doc["kind"]
-        if kind == cls.CUSTOM:
-            return cls.custom(np.asarray(doc["c"], dtype=float))
-        if kind not in (cls.FULL, cls.FINAL):
-            raise ValueError(f"unknown selector kind {kind!r}")
-        return cls(kind=kind)
-
-
-@dataclass(frozen=True)
 class TrainingData:
     """Record of N control experiments of length T.
 
     ``u`` stacks each experiment's inputs column-wise (u(0..T-1), length mT);
-    ``x`` holds the selected state samples; ``x0s`` the initial states.
+    ``x`` its states (x(1..T), length nT); ``x0s`` the initial states.
     """
 
     u: np.ndarray
@@ -121,7 +81,6 @@ class TrainingData:
     t: int
     n: int
     m: int
-    selector: Selector
     seed: int | None = None
 
     def __post_init__(self):
@@ -134,10 +93,8 @@ class TrainingData:
             raise ValueError("U, X and x0s must have the same number of columns")
         if x0s.shape[0] != self.n:
             raise ValueError(f"x0s has {x0s.shape[0]} rows, expected n = {self.n}")
-        if x.shape[0] != self.selector.output_dim(self.n, self.t):
-            raise ValueError(
-                f"X has {x.shape[0]} rows, selector expects {self.selector.output_dim(self.n, self.t)}"
-            )
+        if x.shape[0] != self.n * self.t:
+            raise ValueError(f"X has {x.shape[0]} rows, expected n*T = {self.n * self.t}")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "x0s", x0s)
@@ -169,7 +126,7 @@ class TrainingData:
             "m": self.m,
             "t": self.t,
             "n_experiments": self.n_experiments,
-            "selector": self.selector.to_json(),
+            "selector": dict(_FULL_TRAJECTORY),
             "u": self.u.tolist(),
             "x": self.x.tolist(),
             "x0s": self.x0s.tolist(),
@@ -177,17 +134,17 @@ class TrainingData:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "TrainingData":
-        return cls(
-            u=np.asarray(doc["u"], dtype=float),
-            x=np.asarray(doc["x"], dtype=float),
-            x0s=np.asarray(doc["x0s"], dtype=float),
-            t=int(doc["t"]),
-            n=int(doc["n"]),
-            m=int(doc["m"]),
-            selector=Selector.from_json(doc["selector"]),
-            seed=doc.get("seed"),
-        )
+    def from_json(cls, doc) -> "TrainingData":
+        check_fields(doc, ("u", "x", "x0s", "t", "n", "m", "selector"), "training record")
+        if doc["selector"] != _FULL_TRAJECTORY:
+            raise ValueError(f"unsupported selector {doc['selector']!r}; "
+                             "only full-trajectory records are supported")
+        try:
+            fields = {key: np.asarray(doc[key], dtype=float) for key in ("u", "x", "x0s")}
+            fields |= {key: int(doc[key]) for key in ("t", "n", "m")}
+        except TypeError as exc:
+            raise ValueError(f"training record has a malformed field: {exc}") from exc
+        return cls(**fields, seed=doc.get("seed"))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -196,8 +153,7 @@ class TrainingData:
 
     @classmethod
     def load(cls, path) -> "TrainingData":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return load_json(cls, path)
 
 
 def simulate(sys: LtiSystem, x0, u_seq) -> np.ndarray:
@@ -206,14 +162,8 @@ def simulate(sys: LtiSystem, x0, u_seq) -> np.ndarray:
     if x0.size != sys.n:
         raise ValueError(f"x0 has length {x0.size}, expected {sys.n}")
     u = np.asarray(u_seq, dtype=float)
-    if u.ndim == 1:
-        u = u.reshape(1, -1) if sys.m == 1 else u.reshape(-1, 1)
-    if u.shape[0] != sys.m:
-        # accept a T x m list of input vectors as well
-        if u.shape[1] == sys.m:
-            u = u.T
-        else:
-            raise ValueError(f"input sequence has shape {u.shape}, expected {sys.m} x T")
+    if u.ndim != 2 or u.shape[0] != sys.m:
+        raise ValueError(f"input sequence has shape {u.shape}, expected {sys.m} x T")
     t_steps = u.shape[1]
     states = np.empty((sys.n, t_steps))
     x = x0
@@ -232,7 +182,6 @@ def collect(
     sys: LtiSystem,
     n_experiments: int,
     t_steps: int,
-    selector: Selector | None = None,
     input_law: InputLaw = gaussian_inputs,
     seed: int | None = 0,
     x0: np.ndarray | None = None,
@@ -245,19 +194,17 @@ def collect(
     """
     if n_experiments < 1 or t_steps < 1:
         raise ValueError("collect requires N >= 1 and T >= 1")
-    selector = selector or Selector.full_trajectory()
     rng = np.random.default_rng(seed)
     x0 = np.zeros(sys.n) if x0 is None else np.asarray(x0, dtype=float).ravel()
 
-    p = selector.output_dim(sys.n, t_steps)
     u_cols = np.empty((sys.m * t_steps, n_experiments))
-    x_cols = np.empty((p, n_experiments))
+    x_cols = np.empty((sys.n * t_steps, n_experiments))
     x0_cols = np.empty((sys.n, n_experiments))
     for i in range(n_experiments):
         u = input_law(rng, sys.m, t_steps)
         states = simulate(sys, x0, u)
         u_cols[:, i] = u.flatten(order="F")
-        x_cols[:, i] = selector.apply(states.flatten(order="F"), sys.n, t_steps)
+        x_cols[:, i] = states.flatten(order="F")
         x0_cols[:, i] = x0
     return TrainingData(
         u=u_cols,
@@ -266,27 +213,23 @@ def collect(
         t=t_steps,
         n=sys.n,
         m=sys.m,
-        selector=selector,
         seed=seed,
     )
 
 
 def snapshot_matrices(data: TrainingData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split a single full-trajectory record into (X0, X1, U0) snapshots.
+    """Split a record into (X0, X1, U0) snapshots, experiments side by side.
 
-    X0 = [x0, x(1..T-1)], X1 = [x(1..T)], U0 = [u(0..T-1)]; on noiseless data
-    these satisfy X1 = A X0 + B U0 exactly.
+    Per experiment X0 = [x0, x(1..T-1)], X1 = [x(1..T)], U0 = [u(0..T-1)];
+    experiment i fills columns i*T .. (i+1)*T - 1. On noiseless data these
+    satisfy X1 = A X0 + B U0 exactly.
     """
-    if data.selector.kind != Selector.FULL:
-        raise ValueError("snapshot matrices require a full-trajectory selector")
-    if data.n_experiments != 1:
-        raise ValueError("snapshot matrices require a single experiment (N = 1)")
     n, t = data.n, data.t
-    states = data.x[:, 0].reshape((n, t), order="F")
-    x1 = states
-    x0 = np.column_stack([data.x0s[:, 0], states[:, : t - 1]])
-    u0 = data.u[:, 0].reshape((data.m, t), order="F")
-    return x0, x1, u0
+    states = data.x.reshape((n, t, data.n_experiments), order="F")
+    x0 = np.concatenate([data.x0s[:, None, :], states[:, : t - 1, :]], axis=1)
+    x1 = states.reshape((n, -1), order="F")
+    u0 = data.u.reshape((data.m, -1), order="F")
+    return x0.reshape((n, -1), order="F"), x1, u0
 
 
 def vehicle_model(ts: float = 0.1) -> LtiSystem:

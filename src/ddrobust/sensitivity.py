@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lti import LtiSystem, TrainingData
+from .lti import LtiSystem, TrainingData, check_fields, load_json
 from .linalg import as_matrix, spectral_norm, vec_inverse
 
 # Optimal central-difference step scale for O(h^2) schemes.
@@ -36,7 +36,6 @@ class PerturbationModel:
 
     support: np.ndarray
     sigmas: np.ndarray
-    dim: int | None = None
 
     def __post_init__(self):
         support = np.asarray(self.support, dtype=int).ravel()
@@ -51,8 +50,6 @@ class PerturbationModel:
             raise ValueError("support indices must be unique")
         if np.any(support < 0):
             raise ValueError("support indices must be nonnegative")
-        if self.dim is not None and np.any(support >= self.dim):
-            raise ValueError(f"support indices must lie below dim = {self.dim}")
         if np.any(sigmas <= 0.0) or not np.all(np.isfinite(sigmas)):
             raise ValueError("all sigmas must be positive and finite")
         object.__setattr__(self, "support", support)
@@ -92,9 +89,6 @@ class JacobianBundle:
         """The m x n sensitivity matrix at support position j."""
         return vec_inverse(self.columns[:, j], self.m, self.n)
 
-    def j_matrices(self) -> np.ndarray:
-        return np.stack([self.j_matrix(j) for j in range(self.size)])
-
     def with_b(self, b, source: str) -> "JacobianBundle":
         """Attach an input matrix and cache the B J_i products."""
         if source not in (B_SOURCE_TRUE, B_SOURCE_IDENTIFIED):
@@ -122,15 +116,19 @@ class JacobianBundle:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "JacobianBundle":
-        return cls(
-            support=np.asarray(doc["support"], dtype=int),
-            columns=np.asarray(doc["columns"], dtype=float),
-            fd_steps=np.asarray(doc["fd_steps"], dtype=float),
-            m=int(doc["m"]),
-            n=int(doc["n"]),
-            failures={int(k): v for k, v in doc.get("failures", {}).items()},
-        )
+    def from_json(cls, doc) -> "JacobianBundle":
+        check_fields(doc, ("support", "columns", "fd_steps", "m", "n"), "Jacobian bundle")
+        try:
+            return cls(
+                support=np.asarray(doc["support"], dtype=int),
+                columns=np.asarray(doc["columns"], dtype=float),
+                fd_steps=np.asarray(doc["fd_steps"], dtype=float),
+                m=int(doc["m"]),
+                n=int(doc["n"]),
+                failures={int(k): v for k, v in doc.get("failures", {}).items()},
+            )
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"Jacobian bundle has a malformed field: {exc}") from exc
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -139,8 +137,7 @@ class JacobianBundle:
 
     @classmethod
     def load(cls, path) -> "JacobianBundle":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return load_json(cls, path)
 
 
 def fd_jacobian(cmap, data: TrainingData, support, step: float | None = None) -> JacobianBundle:

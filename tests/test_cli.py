@@ -134,6 +134,26 @@ class TestCommandChain:
         assert "FileNotFoundError" in err and "data.json" in err
 
 
+class TestMalformedArtifacts:
+    @pytest.mark.parametrize("command, name, content, expected", [
+        ("design", "data.json", '{"n": 4}', "training record lacks key(s): u, x"),
+        ("bounds", "jacobian.json", '{"support": [1, 2]}',
+         "Jacobian bundle lacks key(s): columns"),
+        ("mc", "jacobian.json", "[1, 2]", "Jacobian bundle must be a JSON object"),
+    ], ids=["data-missing-keys", "jacobian-missing-keys", "jacobian-not-object"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, command, name, content,
+                                   expected):
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        out = tmp_path / "run"
+        assert run(["collect", "--config", cfg, "--out", str(out)]) == 0
+        (out / name).write_text(content)
+        capsys.readouterr()
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"ddrobust: error: ValueError: {out / name}: {expected}")
+
+
 class TestOverrides:
     def test_sigma_override_collapses_grid(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)
@@ -216,6 +236,32 @@ class TestFigures:
             assert row[1] == "2.2e-16"
             assert row[2] == "0.0"
             assert float(row[5]) >= 2.2e-16
+
+    @pytest.mark.parametrize("overrides", [
+        {"mode": "exact"},
+        {"b_source": "identified"},
+        {"n_experiments": 2},
+    ], ids=["exact", "first-order-identified-b", "two-experiments"])
+    def test_fig1_joins_bounds_and_mc_stages(self, tmp_path, overrides):
+        # fig1 runs the same stages in memory: each row is the bounds row
+        # (bound columns floored at 2.2e-16) joined with the mc row.
+        doc = FAST_CONFIG | {"sigma": {"grid": [0.01, 3.0, 30.0]}} | overrides
+        cfg = write_config(tmp_path, doc)
+        stages, sweep = tmp_path / "stages", tmp_path / "sweep"
+        for command in ("collect", "design", "jacobian", "bounds", "mc"):
+            assert run([command, "--config", cfg, "--out", str(stages)]) == 0
+        assert run(["fig1", "--config", cfg, "--out", str(sweep)]) == 0
+        bounds = read_csv(stages / "bounds.csv")[1:]
+        mc = read_csv(stages / "mc.csv")[1:]
+        fig1 = read_csv(sweep / "fig1.csv")[1:]
+        assert len(fig1) == len(bounds) == len(mc) == 3
+
+        def floored(cell):
+            return repr(max(float(cell), 2.2e-16))
+
+        for row, b, m in zip(fig1, bounds, mc):
+            assert row == [b[0], floored(b[6]), m[2], m[3], m[4], floored(b[8])]
+        assert float(fig1[-1][1]) > 0.1 and float(fig1[-1][2]) > 0.5
 
     def test_fig1_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)

@@ -69,6 +69,15 @@ class TestIdentify:
         model = identify(collect(vehicle_model(0.1), 1, 5, seed=0))
         assert model.rank_deficient
 
+    def test_recovers_ground_truth_from_three_experiments(self):
+        # Each 4-step experiment alone is too short (4 < n + m columns);
+        # side by side the three give 12 columns and an exact fit.
+        sys = vehicle_model(0.1)
+        model = identify(collect(sys, 3, 4, seed=0))
+        assert not model.rank_deficient
+        assert np.abs(model.a - sys.a).max() <= 1e-10
+        assert np.abs(model.b - sys.b).max() <= 1e-10
+
     def test_difference_quotients_converge(self):
         data = collect(vehicle_model(0.1), 1, 30, seed=1)
         idx = 7

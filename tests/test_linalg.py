@@ -130,17 +130,22 @@ class TestNorms:
 
 class TestPseudoinverse:
     def test_identity(self):
-        assert np.allclose(pseudoinverse(np.eye(3)), np.eye(3), atol=1e-14)
+        pinv, rank = pseudoinverse(np.eye(3))
+        assert np.allclose(pinv, np.eye(3), atol=1e-14)
+        assert rank == 3
 
     def test_rank_deficient_diagonal(self):
-        assert np.allclose(pseudoinverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-14)
+        pinv, rank = pseudoinverse(np.diag([2.0, 0.0]))
+        assert np.allclose(pinv, np.diag([0.5, 0.0]), atol=1e-14)
+        assert rank == 1
 
     def test_moore_penrose_identities(self):
         rng = np.random.default_rng(13)
         shapes = [(5, 3, 3), (3, 5, 2), (4, 4, 2), (6, 2, 2)]
         for rows, cols, rank in shapes:
             m = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
-            p = pseudoinverse(m)
+            p, r = pseudoinverse(m)
+            assert r == rank
             assert np.allclose(m @ p @ m, m, atol=1e-8)
             assert np.allclose(p @ m @ p, p, atol=1e-8)
             assert np.allclose((m @ p).T, m @ p, atol=1e-8)
@@ -151,7 +156,7 @@ class TestPseudoinverse:
         for _ in range(20):
             m = rng.standard_normal((5, 3))
             oracle = gauss_inverse(m.T @ m) @ m.T
-            assert np.allclose(pseudoinverse(m), oracle, atol=1e-7)
+            assert np.allclose(pseudoinverse(m)[0], oracle, atol=1e-7)
 
 
 class TestQFunction:

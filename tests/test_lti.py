@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ddrobust import (
     LtiSystem,
-    Selector,
     TrainingData,
     collect,
     simulate,
@@ -76,34 +77,10 @@ class TestSimulate:
         sys = vehicle_model(0.1)
         with pytest.raises(ValueError):
             simulate(sys, np.zeros(3), np.zeros((2, 4)))
-
-
-class TestSelector:
-    def test_full_trajectory_dim(self):
-        sel = Selector.full_trajectory()
-        assert sel.output_dim(4, 500) == 2000
-
-    def test_final_state(self):
-        sel = Selector.final_state()
-        stacked = np.arange(12.0)  # n=3, t=4 stacked trajectory
-        assert np.array_equal(sel.apply(stacked, 3, 4), [9.0, 10.0, 11.0])
-        assert sel.output_dim(3, 4) == 3
-
-    def test_custom_matrix(self):
-        c = np.zeros((2, 6))
-        c[0, 0] = 1.0
-        c[1, 5] = 1.0
-        sel = Selector.custom(c)
-        stacked = np.arange(6.0)
-        assert np.array_equal(sel.apply(stacked, 2, 3), [0.0, 5.0])
-
-    def test_json_round_trip(self):
-        for sel in [Selector.full_trajectory(), Selector.final_state(),
-                    Selector.custom(np.eye(4)[:2])]:
-            back = Selector.from_json(sel.to_json())
-            assert back.kind == sel.kind
-            stacked = np.arange(4.0)
-            assert np.array_equal(back.apply(stacked, 2, 2), sel.apply(stacked, 2, 2))
+        # Inputs are m x T only; a T x m or flat sequence is rejected.
+        for u in (np.zeros((4, 2)), np.zeros(4)):
+            with pytest.raises(ValueError):
+                simulate(sys, np.zeros(4), u)
 
 
 class TestCollect:
@@ -111,10 +88,6 @@ class TestCollect:
         data = collect(vehicle_model(0.1), 1, 500, seed=0)
         assert data.p == 2000
         assert data.x_vec.shape == (2000,)
-
-    def test_final_state_selector_shape(self):
-        data = collect(vehicle_model(0.1), 3, 50, selector=Selector.final_state(), seed=0)
-        assert data.x.shape == (4, 3)
 
     def test_seed_determinism(self):
         a = collect(vehicle_model(0.1), 2, 40, seed=9)
@@ -138,6 +111,12 @@ class TestCollect:
         assert np.array_equal(back.x, data.x)
         assert np.array_equal(back.x0s, data.x0s)
         assert (back.t, back.n, back.m) == (data.t, data.n, data.m)
+
+    def test_json_rejects_other_selectors(self):
+        doc = collect(vehicle_model(0.1), 1, 5, seed=0).to_json()
+        assert doc["selector"] == {"kind": "full_trajectory"}
+        with pytest.raises(ValueError, match="selector"):
+            TrainingData.from_json(doc | {"selector": {"kind": "final_state"}})
 
     def test_save_load_round_trip(self, tmp_path):
         data = collect(vehicle_model(0.1), 1, 25, seed=8)
@@ -181,10 +160,16 @@ class TestSnapshots:
         assert x1[0, 1] - x1_ref[0, 1] == 1.0
         assert x0[0, 2] - x0_ref[0, 2] == 1.0
 
-    def test_requires_full_trajectory_single_experiment(self):
-        with pytest.raises(ValueError):
-            snapshot_matrices(collect(vehicle_model(0.1), 2, 5, seed=0))
-        with pytest.raises(ValueError):
-            snapshot_matrices(
-                collect(vehicle_model(0.1), 1, 5, selector=Selector.final_state(), seed=0)
-            )
+    def test_experiments_side_by_side(self):
+        t = 6
+        data = collect(vehicle_model(0.1), 3, t, seed=3)
+        data = replace(data, x0s=np.arange(12.0).reshape(4, 3))
+        x0, x1, u0 = snapshot_matrices(data)
+        assert x0.shape == x1.shape == (4, 3 * t) and u0.shape == (2, 3 * t)
+        assert np.array_equal(x0[:, [0, t, 2 * t]], data.x0s)
+        for i in range(3):
+            cols = slice(i * t, (i + 1) * t)
+            states = data.x[:, i].reshape((4, t), order="F")
+            assert np.array_equal(x1[:, cols], states)
+            assert np.array_equal(x0[:, cols][:, 1:], states[:, :-1])
+            assert np.array_equal(u0[:, cols], data.u[:, i].reshape((2, t), order="F"))
