@@ -50,6 +50,7 @@ from .mc import (
     MODE_EXACT,
     MODE_FIRST_ORDER,
     MonteCarloReport,
+    NoEstimateError,
     estimate_instability,
     random_support,
     sample_z,

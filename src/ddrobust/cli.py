@@ -33,8 +33,8 @@ from .sensitivity import (
 )
 from .bounds import (BoundsReport, StabilityError, j_max, jmax_envelope, theorem1_bounds,
                      variance_params)
-from .mc import (MODE_EXACT, MODE_FIRST_ORDER, MonteCarloReport, estimate_instability,
-                 random_support)
+from .mc import (MODE_EXACT, MODE_FIRST_ORDER, MonteCarloReport, NoEstimateError,
+                 estimate_instability, random_support)
 
 # Seed-derivation domains: every random decision hangs off the master seed
 # through a distinct spawn key, so commands agree on shared upstream draws
@@ -313,11 +313,11 @@ def _bounds_at(a_cl: np.ndarray, bundle: JacobianBundle, sigma: float) -> Bounds
 
 
 def _mc_at(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
-           cmap: ControllerMap, support: np.ndarray, bundle: JacobianBundle | None,
-           idx: int, sigma: float) -> MonteCarloReport:
+           cmap: ControllerMap, k_nom: np.ndarray, support: np.ndarray,
+           bundle: JacobianBundle | None, idx: int, sigma: float) -> MonteCarloReport:
     """Monte Carlo estimate at grid point idx, every support entry at sigma."""
     model = PerturbationModel(support, np.full(len(support), float(sigma)))
-    return estimate_instability(system, data, cmap, model, cfg.trials, mode=cfg.mode,
+    return estimate_instability(system, data, cmap, k_nom, model, cfg.trials, mode=cfg.mode,
                                 seed=_child_seed(cfg.seed, _DOM_MC, idx), bundle=bundle)
 
 
@@ -397,10 +397,11 @@ def cmd_mc(cfg: ExperimentConfig) -> list[Path]:
         support = bundle.support
     else:
         support = _resolve_support(cfg, data)
+    k_nom = cmap.evaluate(data)
     rows = []
     reports = []
     for idx, sigma in enumerate(cfg.sigma_grid):
-        report = _mc_at(cfg, system, data, cmap, support, bundle, idx, sigma)
+        report = _mc_at(cfg, system, data, cmap, k_nom, support, bundle, idx, sigma)
         reports.append(report.to_json() | {"sigma_scale": sigma})
         rows.append([sigma, report.trials, report.p_hat, report.ci_low,
                      report.ci_high, report.mode, report.seed])
@@ -435,12 +436,12 @@ def cmd_fig1(cfg: ExperimentConfig) -> list[Path]:
     for idx, sigma in enumerate(cfg.sigma_grid):
         try:
             report = _bounds_at(a_cl, bundle, sigma)
-            mc = _mc_at(cfg, system, data, cmap, bundle.support, bundle, idx, sigma)
+            mc = _mc_at(cfg, system, data, cmap, k_nom, bundle.support, bundle, idx, sigma)
             rows.append([sigma, max(report.lower, EPS_FLOOR), mc.p_hat,
                          mc.ci_low, mc.ci_high,
                          max(report.upper_clamped, EPS_FLOOR)])
-        except (StabilityError, DareError, EigensolverError, ArithmeticError,
-                ValueError) as exc:
+        except (StabilityError, DareError, EigensolverError, NoEstimateError,
+                ArithmeticError, ValueError) as exc:
             print(f"fig1: sigma={sigma:g} failed: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
             rows.append([sigma, math.nan, math.nan, math.nan, math.nan, math.nan])
@@ -534,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args)
         written = _COMMANDS[args.command](cfg)
-    except (ConfigError, StabilityError, DareError, EigensolverError,
+    except (ConfigError, StabilityError, DareError, EigensolverError, NoEstimateError,
             ArithmeticError, ValueError, OSError) as exc:
         print(f"ddrobust: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,10 @@ Two concrete maps are provided:
   infinite-horizon LQR design on the identified pair.
 
 Both are deterministic and defined on a neighborhood of the nominal data,
-which is what the sensitivity analysis needs from them.
+which is what the sensitivity analysis needs from them. Every caller that
+evaluates a map on many perturbed records (Monte Carlo, finite differences,
+the Lemma-1 residual) goes through :func:`evaluate_perturbed`, which hands
+chunks of records to :meth:`ControllerMap.evaluate_batch`.
 """
 
 from __future__ import annotations
@@ -17,12 +20,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, pseudoinverse, spectral_radius
-from .lti import LtiSystem, TrainingData, snapshot_matrices
+from .linalg import EigensolverError, as_matrix, pseudoinverse, spectral_radius
+from .lti import LtiSystem, TrainingData, snapshot_batch, snapshot_matrices
 
 
 class DareError(RuntimeError):
-    """Riccati fixed-point iteration did not converge."""
+    """The Riccati solve diverged, did not converge or failed its residual gate."""
+
+
+# Numerical failures of a map on a perturbed record. A batched evaluation
+# masks the items that raise one of these; any other exception is a bug and
+# propagates.
+_TRIAL_FAILURES = (DareError, EigensolverError, np.linalg.LinAlgError, ValueError)
+
+# Floats per probe stack in evaluate_perturbed (256 kB): each evaluate_batch
+# call gets as many whole records as fit, and at least one. A batched map's
+# work arrays are a few times that. On the vehicle, 40 records of T = 200 fit,
+# and 5 of T = 1600.
+_BATCH_FLOATS = 2**15
+
+# A converged doubling iterate P is accepted only when the largest entry of
+# its Riccati residual is at most this fraction of the largest entry of P.
+# Accurate solutions land near 1e-15.
+_DARE_RESIDUAL_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -86,12 +106,25 @@ def identify(data: TrainingData) -> IdentifiedModel:
     Exact on noiseless data when the regressor has full row rank; otherwise
     the minimum-norm solution is returned and flagged.
     """
-    x0, x1, u0 = snapshot_matrices(data)
-    w = np.vstack([x0, u0])
-    w_pinv, rank = pseudoinverse(w)
-    ab = x1 @ w_pinv
+    [a], [b], [rank] = identify_batch(data, data.x_vec[None])
+    return IdentifiedModel(a=a, b=b, rank_deficient=bool(rank < data.n + data.m))
+
+
+def identify_batch(data: TrainingData, x_vecs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`identify` for each state record vec(X) in the rows of ``x_vecs``.
+
+    Returns the (N, n, n) and (N, n, m) stacks of identified A and B and
+    the rank of each regressor [X0; U0].
+    """
+    x0, x1, u0 = snapshot_batch(data, x_vecs)
     n = data.n
-    return IdentifiedModel(a=ab[:, :n], b=ab[:, n:], rank_deficient=rank < w.shape[0])
+    # The regressors [X0; U0], laid out column by column like X0.
+    w = np.empty((len(x0), x0.shape[2], n + data.m))
+    w[..., :n] = _t(x0)
+    w[..., n:] = u0.T
+    w_pinv, rank = pseudoinverse(_t(w))
+    ab = x1 @ w_pinv
+    return ab[..., :n], ab[..., n:], rank
 
 
 def dare_solve(
@@ -99,50 +132,127 @@ def dare_solve(
     b,
     q,
     r,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
+    tol: float = 1e-12,
+    max_iter: int = 100,
 ) -> np.ndarray:
-    """Fixed-point solution of the discrete algebraic Riccati equation.
+    """Stabilizing solution P of the discrete algebraic Riccati equation
 
-    Iterates P <- Q + A'PA - A'PB (R + B'PB)^-1 B'PA from P0 = Q until the
-    update is below ``tol`` in spectral norm. Divergence or hitting the
-    iteration cap raises :class:`DareError` (the identified pair is then not
-    stabilizable as far as this design is concerned).
+        P = Q + A'PA - A'PB (R + B'PB)^-1 B'PA,
+
+    by the doubling iteration of :func:`dare_solve_batch`. Divergence, no
+    convergence in ``max_iter`` doubling steps or a failed residual gate
+    raises :class:`DareError` (the pair is then not stabilizable as far as
+    this design is concerned).
     """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
     q = as_matrix(q, "Q")
     r = as_matrix(r, "R")
-    p = q.copy()
-    # Divergence is detected and raised explicitly, so the transient overflow
-    # that precedes it is not worth a numpy warning.
+    [p], [ok] = dare_solve_batch(a[None], b[None], q, r, tol, max_iter)
+    if not ok:
+        raise DareError(f"Riccati doubling iteration diverged, did not converge in "
+                        f"{max_iter} steps or failed its residual gate")
+    return p
+
+
+def dare_solve_batch(a, b, q, r, tol: float = 1e-12, max_iter: int = 100):
+    """Riccati solutions for (N, n, n) and (N, n, m) stacks of pairs (A, B).
+
+    Structure-preserving doubling (Chu, Fan, Lin et al., 2004-05): from
+    A0 = A, G0 = B R^-1 B', H0 = Q, each step solves W = I + G H against
+    [A | G] once and sets
+
+        A+ = A W^-1 A,  G+ = G + A W^-1 G A',  H+ = H + A' H W^-1 A.
+
+    H converges quadratically to P when (A, B) is stabilizable. An item
+    stops when its relative step max|H+ - H| <= tol max|H+| (entrywise), and
+    its P is accepted only if the Riccati residual passes
+    (``_DARE_RESIDUAL_RTOL``).
+    ``q`` and ``r`` are one weight pair or one per item. Returns the
+    (N, n, n) solutions and a success mask; failed items are NaN. Each item
+    is iterated alone until it stops, so its result does not depend on the
+    rest of the stack.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    count, n, m = len(a), a.shape[-1], b.shape[-1]
+    q = np.broadcast_to(np.asarray(q, dtype=float), (count, n, n))
+    r = np.broadcast_to(np.asarray(r, dtype=float), (count, m, m))
+    p = np.full((count, n, n), np.nan)
+    ok = np.zeros(count, dtype=bool)
+    eye = np.eye(n)
+    active = np.arange(count)
+    ak, gk, hk = a, _sym(b @ np.linalg.inv(r) @ _t(b)), q
+    # Divergence shows as non-finite iterates and fails the item, so the
+    # overflow that precedes it is not worth a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            bpb = r + b.T @ p @ b
-            if not np.all(np.isfinite(bpb)):
-                raise DareError("Riccati iteration diverged (non-finite iterate)")
+            if not active.size:
+                break
+            w = eye + gk @ hk
+            rhs = np.concatenate([ak, gk], axis=-1)
             try:
-                gain_term = np.linalg.solve(bpb, b.T @ p @ a)
-            except np.linalg.LinAlgError as exc:
-                raise DareError(f"R + B'PB became singular: {exc}") from exc
-            p_next = q + a.T @ p @ a - a.T @ p @ b @ gain_term
-            p_next = 0.5 * (p_next + p_next.T)
-            if not np.all(np.isfinite(p_next)):
-                raise DareError("Riccati iteration diverged (non-finite iterate)")
-            delta = float(np.linalg.norm(p_next - p, 2))
-            p = p_next
-            if delta <= tol:
-                return p
-    raise DareError(f"Riccati iteration did not converge in {max_iter} steps")
+                x = np.linalg.solve(w, rhs)
+            except np.linalg.LinAlgError:
+                # W is nonsingular for PSD G and H; numpy fails the whole
+                # stack for one singular item, so fail that item alone.
+                singular = ~(np.abs(np.linalg.det(w)) > 0.0)
+                w[singular] = eye
+                x = np.linalg.solve(w, rhs)
+                x[singular] = np.nan
+            w_inv_a, w_inv_g = x[..., :n], x[..., n:]
+            a_next = ak @ w_inv_a
+            g_next = _sym(gk + ak @ w_inv_g @ _t(ak))
+            h_next = _sym(hk + _t(ak) @ hk @ w_inv_a)
+            finite = np.all(np.isfinite(a_next) & np.isfinite(g_next) & np.isfinite(h_next),
+                            axis=(-2, -1))
+            size = _max_abs(h_next)
+            done = finite & (_max_abs(h_next - hk) <= tol * size)
+            if np.any(done):
+                idx = active[done]
+                resid = _riccati_residual(a[idx], b[idx], q[idx], r[idx], h_next[done])
+                passed = resid <= _DARE_RESIDUAL_RTOL * size[done]
+                p[idx[passed]] = h_next[done][passed]
+                ok[idx[passed]] = True
+            keep = finite & ~done
+            active = active[keep]
+            ak, gk, hk = a_next[keep], g_next[keep], h_next[keep]
+    return p, ok
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack."""
+    return np.swapaxes(m, -1, -2)
+
+
+def _sym(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + _t(m))
+
+
+def _max_abs(m: np.ndarray) -> np.ndarray:
+    """Largest entry magnitude of each matrix in a stack; unlike a Frobenius
+    norm it cannot overflow on finite entries."""
+    return np.max(np.abs(m), axis=(-2, -1))
+
+
+def _riccati_residual(a, b, q, r, p) -> np.ndarray:
+    """Largest entry of |Q + A'PA - A'PB (R + B'PB)^-1 B'PA - P| per item."""
+    pa = p @ a
+    gain_term = np.linalg.inv(r + _t(b) @ p @ b) @ (_t(b) @ pa)
+    resid = q + _t(a) @ pa - _t(a) @ p @ b @ gain_term - p
+    return _max_abs(resid)
+
+
+def _gain(a, b, r, p) -> np.ndarray:
+    """K = -(R + B'PB)^-1 B'PA for one pair or a stack of pairs."""
+    return -np.linalg.solve(r + _t(b) @ p @ b, _t(b) @ p @ a)
 
 
 def lqr_gain(a, b, q, r) -> np.ndarray:
     """Stationary LQR gain, sign convention u = K x (closed loop A + BK)."""
     p = dare_solve(a, b, q, r)
-    b = np.asarray(b, dtype=float)
-    a = np.asarray(a, dtype=float)
-    r = np.asarray(r, dtype=float)
-    return -np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
+    return _gain(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                 np.asarray(r, dtype=float), p)
 
 
 def ce_lqr_map(data: TrainingData, weights: LqrWeights) -> GainResult:
@@ -173,11 +283,66 @@ class ControllerMap(ABC):
     def evaluate(self, data: TrainingData) -> np.ndarray:
         """Return the m x n gain for these (possibly perturbed) data."""
 
+    def evaluate_batch(self, data: TrainingData, x_vecs) -> tuple[np.ndarray, np.ndarray]:
+        """Gains for the state records vec(X) in the rows of ``x_vecs``.
+
+        Item i is the gain for ``data`` with vec(X) replaced by row i; the
+        caller may overwrite ``x_vecs`` once the call returns.
+        Returns the (N, m, n) gains and a success mask: an item on which the
+        map fails numerically (raises one of ``_TRIAL_FAILURES`` or returns
+        non-finite entries) is NaN with ok False, and its neighbours are
+        unaffected. Any other exception propagates. This fallback calls
+        :meth:`evaluate` item by item; a map may override it with a
+        vectorised version that returns the same values.
+        """
+        x_vecs = np.asarray(x_vecs, dtype=float)
+        k = np.full((len(x_vecs), data.m, data.n), np.nan)
+        for i, x_vec in enumerate(x_vecs):
+            try:
+                gain = self.evaluate(data.with_x_vec(x_vec))
+            except _TRIAL_FAILURES:
+                continue
+            k[i] = gain
+        return _masked(k)
+
     def evaluate_flagged(self, data: TrainingData) -> GainResult:
         return GainResult(k=self.evaluate(data), rank_deficient=False)
 
     def descriptor(self) -> dict:
         return {"name": self.name, "hyperparameters": {}}
+
+
+def _masked(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A gain stack and its success mask, with every failed item all NaN."""
+    ok = np.all(np.isfinite(k), axis=(1, 2))
+    k[~ok] = np.nan
+    return k, ok
+
+
+def evaluate_perturbed(cmap: ControllerMap, data: TrainingData, support,
+                       deltas) -> tuple[np.ndarray, np.ndarray]:
+    """Gains of the map at vec(X) + delta, one per row of ``deltas``.
+
+    Row i of the N x |support| array ``deltas`` is added to the entries
+    ``support`` of vec(X). The records go to ``cmap.evaluate_batch`` in
+    chunks of at most ``_BATCH_FLOATS`` floats, which bounds memory; no
+    item's result depends on its chunk. Returns the (N, m, n) gains and the
+    success mask of :meth:`ControllerMap.evaluate_batch`.
+    """
+    x_vec = data.x_vec
+    deltas = np.asarray(deltas, dtype=float)
+    k = np.empty((len(deltas), data.m, data.n))
+    ok = np.empty(len(deltas), dtype=bool)
+    items = max(1, _BATCH_FLOATS // x_vec.size)
+    # One probe buffer for every chunk: evaluate_batch does not keep x_vecs.
+    probes = np.empty((min(items, len(deltas)), x_vec.size))
+    for start in range(0, len(deltas), items):
+        chunk = slice(start, start + items)
+        x_vecs = probes[: len(deltas[chunk])]
+        x_vecs[:] = x_vec
+        x_vecs[:, support] += deltas[chunk]
+        k[chunk], ok[chunk] = cmap.evaluate_batch(data, x_vecs)
+    return k, ok
 
 
 class PinvMap(ControllerMap):
@@ -201,6 +366,23 @@ class CeLqrMap(ControllerMap):
 
     def evaluate(self, data: TrainingData) -> np.ndarray:
         return ce_lqr_map(data, self._weights_for(data)).k
+
+    def evaluate_batch(self, data: TrainingData, x_vecs) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`evaluate` on a stack: one stacked pseudoinverse of the
+        regressors, one doubling Riccati solve over the stack and one
+        stacked gain solve."""
+        weights = self._weights_for(data)
+        x_vecs = np.asarray(x_vecs, dtype=float)
+        k = np.full((len(x_vecs), data.m, data.n), np.nan)
+        rows = np.flatnonzero(np.all(np.isfinite(x_vecs), axis=1))
+        a, b, _ = identify_batch(data, x_vecs[rows])
+        ctrl = np.any(b, axis=(1, 2))
+        # As in ce_lqr_map: no identified control authority gives K = 0.
+        k[rows[~ctrl]] = 0.0
+        rows, a, b = rows[ctrl], a[ctrl], b[ctrl]
+        p, solved = dare_solve_batch(a, b, weights.q, weights.r)
+        k[rows[solved]] = _gain(a[solved], b[solved], weights.r, p[solved])
+        return _masked(k)
 
     def evaluate_flagged(self, data: TrainingData) -> GainResult:
         return ce_lqr_map(data, self._weights_for(data))

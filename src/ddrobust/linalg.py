@@ -16,6 +16,8 @@ import numpy as np
 # precision (machine epsilon of float64).
 EPS_FLOOR = 2.2e-16
 
+_EPS = np.finfo(float).eps
+
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -96,11 +98,33 @@ def spectral_radius(m) -> float:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"spectral_radius requires a square matrix, got {m.shape}")
+    [rho], [ok] = spectral_radii(m[None])
+    if not ok:
+        raise EigensolverError("eigenvalue iteration did not converge")
+    return float(rho)
+
+
+def spectral_radii(stack) -> tuple[np.ndarray, np.ndarray]:
+    """max |lambda_i| of each matrix in an (N, n, n) stack, with a success mask.
+
+    Items with non-finite entries or a non-converging eigensolver are masked
+    (rho NaN, ok False) without failing the rest of the stack.
+    """
+    stack = np.asarray(stack, dtype=float)
+    ok = np.all(np.isfinite(stack), axis=(-2, -1))
+    safe = np.where(ok[:, None, None], stack, 0.0)
     try:
-        vals = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigenvalue iteration failed: {exc}") from exc
-    return float(np.max(np.abs(vals)))
+        rho = np.max(np.abs(np.linalg.eigvals(safe)), axis=-1)
+    except np.linalg.LinAlgError:
+        # One item did not converge and numpy fails the whole stack: split
+        # it until the failing items stand alone.
+        if len(stack) == 1:
+            return np.array([np.nan]), np.array([False])
+        half = len(stack) // 2
+        parts = [spectral_radii(part) for part in (safe[:half], safe[half:])]
+        rho = np.concatenate([part[0] for part in parts])
+        ok &= np.concatenate([part[1] for part in parts])
+    return np.where(ok, rho, np.nan), ok
 
 
 def spectral_norm(m) -> float:
@@ -119,17 +143,25 @@ def condition_number_spectral(m) -> float:
     return float(sv[0] / sv[-1])
 
 
-def pseudoinverse(m) -> tuple[np.ndarray, int]:
+def pseudoinverse(m) -> tuple[np.ndarray, int | np.ndarray]:
     """Moore-Penrose pseudoinverse via SVD truncation, with its numerical rank.
 
-    Singular values at or below ``max(shape) * machine_eps * sigma_max`` are
-    treated as zero; the rank counts the ones kept.
+    Takes one matrix or an (N, r, c) stack; a stack gets one pinv and one
+    rank per item. Singular values at or below
+    ``max(r, c) * machine_eps * sigma_max`` are treated as zero; the rank
+    counts the ones kept.
     """
-    m = as_matrix(m)
+    m = np.asarray(m, dtype=float)
+    if m.ndim == 2:
+        m = as_matrix(m)
+    elif m.ndim != 3 or 0 in m.shape[1:] or not np.all(np.isfinite(m)):
+        raise ValueError(f"pseudoinverse needs a finite matrix or stack, got shape {m.shape}")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    keep = s > max(m.shape) * np.finfo(float).eps * s[0]
+    keep = s > max(m.shape[-2:]) * _EPS * s[..., :1]
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (vt.T * s_inv) @ u.T, int(np.sum(keep))
+    pinv = (vt.swapaxes(-1, -2) * s_inv[..., None, :]) @ u.swapaxes(-1, -2)
+    rank = keep.sum(axis=-1)
+    return pinv, (int(rank) if m.ndim == 2 else rank)
 
 
 def q_function(x: float) -> float:

@@ -232,6 +232,34 @@ def snapshot_matrices(data: TrainingData) -> tuple[np.ndarray, np.ndarray, np.nd
     return x0.reshape((n, -1), order="F"), x1, u0
 
 
+def snapshot_batch(data: TrainingData, x_vecs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`snapshot_matrices` for N state records vec(X) in an (N, p*E) array.
+
+    Returns the (N, n, T*E) stacks X0 and X1 and the shared U0; the inputs
+    and initial states are those of ``data``. Each X0 and X1 item is laid
+    out column by column, as vec(X) is, which is the layout LAPACK reads
+    without a strided copy.
+    """
+    n, t, e = data.n, data.t, data.n_experiments
+    x_vecs = np.asarray(x_vecs, dtype=float)
+    if x_vecs.ndim != 2 or x_vecs.shape[1] != data.p * e:
+        raise ValueError(f"state records must be N x {data.p * e}, got {x_vecs.shape}")
+    # vec(X) runs experiment by experiment, time step by time step, state
+    # by state: axes (record, experiment, time, state).
+    states = x_vecs.reshape((-1, e, t, n))
+    x0 = np.empty(states.shape)
+    x0[:, :, 0] = data.x0s.T
+    x0[:, :, 1:] = states[:, :, :-1]
+    u0 = data.u.reshape((data.m, -1), order="F")
+    return _columns(x0), _columns(states), u0
+
+
+def _columns(snapshots: np.ndarray) -> np.ndarray:
+    """(N, E, T, n) snapshots as (N, n, E*T) matrices, one column per snapshot."""
+    count, e, t, n = snapshots.shape
+    return snapshots.reshape((count, e * t, n)).swapaxes(1, 2)
+
+
 def vehicle_model(ts: float = 0.1) -> LtiSystem:
     """Planar vehicle: two decoupled position/velocity chains sampled at ts."""
     if ts <= 0:

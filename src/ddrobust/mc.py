@@ -13,9 +13,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .linalg import EigensolverError, spectral_radius
+from .linalg import spectral_radii, spectral_radius
 from .lti import LtiSystem, TrainingData
-from .ctrlmaps import ControllerMap, DareError
+from .ctrlmaps import ControllerMap, evaluate_perturbed
 from .sensitivity import B_SOURCE_TRUE, JacobianBundle, PerturbationModel, fd_jacobian, first_order_acl
 from .bounds import StabilityError
 
@@ -24,8 +24,9 @@ MODE_FIRST_ORDER = "first_order"
 
 _WILSON_Z95 = 1.959963984540054
 
-# Numerical failures of the map on a perturbed sample; counted, not fatal.
-_TRIAL_FAILURES = (DareError, EigensolverError, np.linalg.LinAlgError, ValueError)
+
+class NoEstimateError(RuntimeError):
+    """Every Monte Carlo trial failed, so no estimate exists."""
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,7 @@ def estimate_instability(
     sys: LtiSystem,
     data: TrainingData,
     cmap: ControllerMap,
+    k_nom: np.ndarray,
     model: PerturbationModel,
     trials: int,
     mode: str = MODE_EXACT,
@@ -91,16 +93,17 @@ def estimate_instability(
 ) -> MonteCarloReport:
     """Estimate P[rho of the perturbed closed loop >= 1].
 
-    ``exact`` mode re-runs the controller map on every perturbed copy of the
-    data; ``first_order`` tests the linearized closed loop instead (the
-    bundle is computed with the true B when not supplied). Map failures on a
+    ``k_nom`` is the map's gain on the unperturbed data, which the caller
+    has already evaluated. ``exact`` mode re-runs the controller map on
+    every perturbed copy of the data (one batched evaluation);
+    ``first_order`` tests the linearized closed loop instead (the bundle is
+    computed with the true B when not supplied). Numerical map failures on a
     sample are skipped and counted; the estimate conditions on success.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if mode not in (MODE_EXACT, MODE_FIRST_ORDER):
         raise ValueError(f"unknown mode {mode!r}")
-    k_nom = cmap.evaluate(data)
     a_cl = sys.a + sys.b @ k_nom
     rho_nom = spectral_radius(a_cl)
     if rho_nom >= 1.0:
@@ -115,38 +118,24 @@ def estimate_instability(
     if mode == MODE_FIRST_ORDER and bundle.bj is None:
         raise ValueError("first-order mode needs a bundle with B attached")
 
-    xv = data.x_vec
-    unstable = 0
-    skipped = 0
-    for trial in range(trials):
-        z = sample_z(model, trial_rng(seed, trial))
-        if mode == MODE_EXACT:
-            probe = xv.copy()
-            probe[model.support] += z
-            try:
-                k_pert = cmap.evaluate(data.with_x_vec(probe))
-                rho = spectral_radius(sys.a + sys.b @ k_pert)
-            except _TRIAL_FAILURES:
-                skipped += 1
-                continue
-        else:
-            try:
-                rho = spectral_radius(first_order_acl(a_cl, bundle, z))
-            except _TRIAL_FAILURES:
-                skipped += 1
-                continue
-        if rho >= 1.0:
-            unstable += 1
-
-    effective = trials - skipped
+    z = np.stack([sample_z(model, trial_rng(seed, trial)) for trial in range(trials)])
+    if mode == MODE_EXACT:
+        # A failed evaluation is a NaN gain, so spectral_radii masks its loop.
+        gains, _ = evaluate_perturbed(cmap, data, model.support, z)
+        loops = sys.a + sys.b @ gains
+    else:
+        loops = first_order_acl(a_cl, bundle, z)
+    rho, ok = spectral_radii(loops)
+    unstable = int(np.sum(rho[ok] >= 1.0))
+    effective = int(np.sum(ok))
     if effective == 0:
-        raise RuntimeError("every trial failed; no estimate available")
+        raise NoEstimateError("every trial failed; no estimate available")
     p_hat = unstable / effective
     ci_low, ci_high = wilson_interval(unstable, effective)
     return MonteCarloReport(
         trials=trials,
         unstable_count=unstable,
-        skipped=skipped,
+        skipped=trials - effective,
         p_hat=p_hat,
         ci_low=ci_low,
         ci_high=ci_high,

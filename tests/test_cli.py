@@ -4,9 +4,10 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from ddrobust import cli
+from ddrobust import CeLqrMap, cli
 
 
 FAST_CONFIG = {
@@ -288,6 +289,45 @@ class TestFigures:
         assert all(float(row[1]) > 0.0 for row in rows[1:])
         assert run(["fig2", "--config", cfg, "--out", str(out_b)]) == 0
         assert (out_a / "fig2.csv").read_bytes() == (out_b / "fig2.csv").read_bytes()
+
+
+class TestEveryTrialFailed:
+    """A sigma at which every Monte Carlo trial fails has no estimate."""
+
+    @pytest.fixture(autouse=True)
+    def fails_far_from_nominal(self, monkeypatch):
+        # The ce-lqr map fails numerically on every record with an entry
+        # more than 1 away from the nominal one.
+        original = CeLqrMap.evaluate_batch
+
+        def evaluate_batch(self, data, x_vecs):
+            k, ok = original(self, data, x_vecs)
+            far = np.abs(x_vecs - data.x_vec).max(axis=1) > 1.0
+            return np.where(far[:, None, None], np.nan, k), ok & ~far
+
+        monkeypatch.setattr(CeLqrMap, "evaluate_batch", evaluate_batch)
+
+    def test_mc_exits_2_with_one_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST_CONFIG | {"mode": "exact",
+                                                    "sigma": {"value": 30.0}})
+        out = tmp_path / "run"
+        assert run(["collect", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["mc", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("ddrobust: error: NoEstimateError: every trial failed")
+
+    def test_fig1_writes_a_nan_row_and_goes_on(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST_CONFIG | {"mode": "exact",
+                                                    "sigma": {"grid": [1e-4, 30.0, 1e-3]}})
+        out = tmp_path / "run"
+        assert run(["fig1", "--config", cfg, "--out", str(out)]) == 0
+        rows = read_csv(out / "fig1.csv")[1:]
+        assert [row[0] for row in rows] == ["0.0001", "30.0", "0.001"]
+        assert rows[0][2] == rows[2][2] == "0.0"
+        assert rows[1][1:] == ["nan"] * 5
+        assert "sigma=30 failed: NoEstimateError" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(shutil.which("ddrobust") is None,

@@ -20,6 +20,8 @@ from ddrobust import (
     snapshot_matrices,
     vehicle_model,
 )
+from ddrobust import ctrlmaps
+from ddrobust.ctrlmaps import dare_solve_batch
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -142,11 +144,73 @@ class TestDare:
         with pytest.raises(DareError):
             dare_solve(np.array([[2.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))
 
+    def test_uncontrollable_unstable_mode_is_loud(self):
+        # The mode at 2 is unstable and B cannot reach it.
+        with pytest.raises(DareError):
+            dare_solve(np.diag([2.0, 0.5]), np.array([[0.0], [1.0]]), np.eye(2), np.eye(1))
+
+    def test_residual_gate_rejects_a_converged_iterate(self, monkeypatch):
+        model = identify(collect(vehicle_model(0.1), 1, 200, seed=0))
+        dare_solve(model.a, model.b, np.eye(4), np.eye(2))
+        # The accepted residual is ~1e-15 of max|P|; this gate rejects it.
+        monkeypatch.setattr(ctrlmaps, "_DARE_RESIDUAL_RTOL", 1e-300)
+        with pytest.raises(DareError):
+            dare_solve(model.a, model.b, np.eye(4), np.eye(2))
+
+    def test_batch_matches_single_solves(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((6, 3, 3))
+        b = rng.standard_normal((6, 3, 2))
+        p, ok = dare_solve_batch(a, b, np.eye(3), np.eye(2))
+        assert ok.all()
+        for i in range(6):
+            assert np.array_equal(p[i], dare_solve(a[i], b[i], np.eye(3), np.eye(2)))
+
+    def test_failed_items_do_not_fail_the_batch(self):
+        # Item 0 diverges; with Q = -1, item 1 makes W = I + G H exactly
+        # singular in the first step, which numpy reports for the whole
+        # stack. Item 2 is the golden-ratio problem.
+        a = np.array([[[2.0]], [[0.0]], [[1.0]]])
+        b = np.array([[[0.0]], [[1.0]], [[1.0]]])
+        q = np.array([[[1.0]], [[-1.0]], [[1.0]]])
+        p, ok = dare_solve_batch(a, b, q, np.eye(1))
+        assert ok.tolist() == [False, False, True]
+        assert np.isnan(p[:2]).all()
+        assert abs(p[2, 0, 0] - GOLDEN) <= 1e-12
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             LqrWeights(q=np.array([[1.0, 0.2], [0.0, 1.0]]), r=np.eye(2))
         with pytest.raises(ValueError):
             LqrWeights(q=np.eye(2), r=np.zeros((2, 2)))
+
+
+class TestDareOracle:
+    """The doubling solver against scipy's Schur-method DARE solver."""
+
+    @staticmethod
+    def check(a, b, q, r):
+        linalg = pytest.importorskip("scipy.linalg")
+        expected = linalg.solve_discrete_are(a, b, q, r)
+        p = dare_solve(a, b, q, r, max_iter=30)
+        assert np.linalg.norm(p - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_random_stabilizable_pairs(self):
+        rng = np.random.default_rng(2004)
+        for _ in range(20):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            # Random pairs are controllable with probability one; the scale
+            # puts some open-loop eigenvalues outside the unit circle.
+            a = 1.2 * rng.standard_normal((n, n)) / np.sqrt(n)
+            b = rng.standard_normal((n, m))
+            q_half = rng.standard_normal((n, n))
+            r_half = rng.standard_normal((m, m))
+            self.check(a, b, q_half @ q_half.T + 0.1 * np.eye(n),
+                       r_half @ r_half.T + 0.1 * np.eye(m))
+
+    def test_identified_vehicle_pair(self):
+        model = identify(collect(vehicle_model(0.1), 1, 200, seed=0))
+        self.check(model.a, model.b, np.eye(4), np.eye(2))
 
 
 class TestCeLqr:

@@ -18,6 +18,7 @@ from ddrobust.linalg import (
     pseudoinverse,
     q_function,
     spectral_norm,
+    spectral_radii,
     spectral_radius,
     vec,
     vec_inverse,
@@ -157,6 +158,47 @@ class TestPseudoinverse:
             m = rng.standard_normal((5, 3))
             oracle = gauss_inverse(m.T @ m) @ m.T
             assert np.allclose(pseudoinverse(m)[0], oracle, atol=1e-7)
+
+
+    def test_stack_is_one_pinv_per_item(self):
+        rng = np.random.default_rng(19)
+        stack = np.stack([rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6)),
+                          rng.standard_normal((4, 6))])
+        pinvs, ranks = pseudoinverse(stack)
+        assert ranks.tolist() == [2, 4]
+        for m, p in zip(stack, pinvs):
+            assert np.array_equal(p, pseudoinverse(m)[0])
+
+
+class TestSpectralRadii:
+    def test_matches_spectral_radius(self):
+        stack = np.random.default_rng(21).standard_normal((5, 3, 3))
+        rho, ok = spectral_radii(stack)
+        assert ok.all()
+        assert rho.tolist() == [spectral_radius(m) for m in stack]
+
+    def test_non_finite_item_masked(self):
+        stack = np.stack([np.eye(2), np.full((2, 2), np.inf), 0.5 * np.eye(2)])
+        rho, ok = spectral_radii(stack)
+        assert ok.tolist() == [True, False, True]
+        assert rho[0] == 1.0 and np.isnan(rho[1]) and rho[2] == 0.5
+
+    def test_eigensolver_failure_masks_its_item_alone(self, monkeypatch):
+        # numpy fails the whole stack when one item does not converge; the
+        # marked matrix plays that item here.
+        eigvals = np.linalg.eigvals
+
+        def failing_eigvals(a):
+            if np.any(a == 7.0):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+        stack = np.stack([0.5 * np.eye(2), np.full((2, 2), 7.0), 2.0 * np.eye(2),
+                          np.eye(2)])
+        rho, ok = spectral_radii(stack)
+        assert ok.tolist() == [True, False, True, True]
+        assert rho[[0, 2, 3]].tolist() == [0.5, 2.0, 1.0]
 
 
 class TestQFunction:

@@ -15,9 +15,10 @@ from ddrobust import (
     vehicle_model,
     wilson_interval,
 )
-from ddrobust.ctrlmaps import ControllerMap
+from ddrobust import ctrlmaps, lemma1_residual
+from ddrobust.ctrlmaps import ControllerMap, evaluate_perturbed
 from ddrobust.lti import LtiSystem
-from ddrobust.mc import MODE_EXACT, MODE_FIRST_ORDER, trial_rng
+from ddrobust.mc import MODE_EXACT, MODE_FIRST_ORDER, NoEstimateError, trial_rng
 
 
 class LinearMap(ControllerMap):
@@ -50,12 +51,52 @@ class FlakyMap(ControllerMap):
         return self.inner.evaluate(data)
 
 
+class NanMap(ControllerMap):
+    """Returns a NaN gain, without raising, when a watched entry drifts."""
+
+    name = "nan-test"
+
+    def __init__(self, inner, watched, nominal, width):
+        self.inner = inner
+        self.watched = watched
+        self.nominal = nominal
+        self.width = width
+
+    def evaluate(self, data):
+        k = self.inner.evaluate(data)
+        if abs(data.x_vec[self.watched] - self.nominal) > self.width:
+            k[0, 0] = np.nan
+        return k
+
+
+class BuggyMap(ControllerMap):
+    """A map with a programming error: it raises TypeError off the nominal data."""
+
+    name = "buggy-test"
+
+    def __init__(self, inner, nominal_x):
+        self.inner = inner
+        self.nominal_x = nominal_x
+
+    def evaluate(self, data):
+        if not np.array_equal(data.x_vec, self.nominal_x):
+            raise TypeError("unsupported operand")
+        return self.inner.evaluate(data)
+
+
 @pytest.fixture(scope="module")
 def vehicle_setup():
     sys = vehicle_model(0.1)
     data = collect(sys, 1, 100, seed=0)
     support = random_support(data.p, 20, np.random.default_rng(77))
     return sys, data, support
+
+
+@pytest.fixture(scope="module")
+def k_ce(vehicle_setup):
+    """Nominal ce-lqr gain on the vehicle record."""
+    _, data, _ = vehicle_setup
+    return CeLqrMap().evaluate(data)
 
 
 class TestWilsonInterval:
@@ -162,15 +203,15 @@ class TestTrialRng:
 
 
 class TestEstimateInstability:
-    def test_deterministic_given_seed(self, vehicle_setup):
+    def test_deterministic_given_seed(self, vehicle_setup, k_ce):
         sys, data, support = vehicle_setup
         model = PerturbationModel(support, np.full(20, 3.0))
-        first = estimate_instability(sys, data, CeLqrMap(), model, 100,
+        first = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 100,
                                      MODE_FIRST_ORDER, seed=5)
-        second = estimate_instability(sys, data, CeLqrMap(), model, 100,
+        second = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 100,
                                       MODE_FIRST_ORDER, seed=5)
         assert first == second
-        shifted = estimate_instability(sys, data, CeLqrMap(), model, 100,
+        shifted = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 100,
                                        MODE_FIRST_ORDER, seed=6)
         assert shifted.unstable_count != first.unstable_count or shifted != first
 
@@ -180,27 +221,28 @@ class TestEstimateInstability:
         support = random_support(data.p, 10, np.random.default_rng(0))
         model = PerturbationModel(support, np.full(10, 0.01))
         with pytest.raises(StabilityError):
-            estimate_instability(sys, data, PinvMap(), model, 10)
+            estimate_instability(sys, data, PinvMap(), PinvMap().evaluate(data),
+                                 model, 10)
 
-    def test_argument_validation(self, vehicle_setup):
+    def test_argument_validation(self, vehicle_setup, k_ce):
         sys, data, support = vehicle_setup
         model = PerturbationModel(support, np.full(20, 0.1))
         with pytest.raises(ValueError):
-            estimate_instability(sys, data, CeLqrMap(), model, 0)
+            estimate_instability(sys, data, CeLqrMap(), k_ce, model, 0)
         with pytest.raises(ValueError):
-            estimate_instability(sys, data, CeLqrMap(), model, 10, mode="both")
+            estimate_instability(sys, data, CeLqrMap(), k_ce, model, 10, mode="both")
         bad = PerturbationModel(np.array([data.p * 2]), np.array([0.1]))
         with pytest.raises(ValueError):
-            estimate_instability(sys, data, CeLqrMap(), bad, 10)
+            estimate_instability(sys, data, CeLqrMap(), k_ce, bad, 10)
 
-    def test_tiny_sigma_never_destabilizes(self, vehicle_setup):
+    def test_tiny_sigma_never_destabilizes(self, vehicle_setup, k_ce):
         sys, data, support = vehicle_setup
         model = PerturbationModel(support, np.full(20, 1e-6))
-        exact = estimate_instability(sys, data, CeLqrMap(), model, 200,
+        exact = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 200,
                                      MODE_EXACT, seed=1)
         assert exact.p_hat == 0.0
         assert exact.ci_low == 0.0
-        fo = estimate_instability(sys, data, CeLqrMap(), model, 2000,
+        fo = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 2000,
                                   MODE_FIRST_ORDER, seed=1)
         assert fo.p_hat == 0.0
 
@@ -209,8 +251,8 @@ class TestEstimateInstability:
         data = collect(sys, 1, 200, seed=3)
         support = random_support(data.p, 50, np.random.default_rng(503))
         model = PerturbationModel(support, np.full(50, 1e3))
-        report = estimate_instability(sys, data, PinvMap(), model, 200,
-                                      MODE_EXACT, seed=11)
+        report = estimate_instability(sys, data, PinvMap(), PinvMap().evaluate(data),
+                                      model, 200, MODE_EXACT, seed=11)
         assert report.p_hat >= 0.9
 
     def test_modes_agree_exactly_on_linear_map(self):
@@ -223,51 +265,51 @@ class TestEstimateInstability:
         data = collect(sys, 1, 6, seed=50)
         cmap = LinearMap(m0, 1, 2)
         model = PerturbationModel(np.arange(12), np.full(12, 4.0))
-        exact = estimate_instability(sys, data, cmap, model, 200,
+        exact = estimate_instability(sys, data, cmap, cmap.evaluate(data), model, 200,
                                      MODE_EXACT, seed=9)
-        fo = estimate_instability(sys, data, cmap, model, 200,
+        fo = estimate_instability(sys, data, cmap, cmap.evaluate(data), model, 200,
                                   MODE_FIRST_ORDER, seed=9)
         assert exact.unstable_count == fo.unstable_count
         assert 0.0 < exact.p_hat < 1.0
 
-    def test_estimate_rises_with_sigma(self, vehicle_setup):
+    def test_estimate_rises_with_sigma(self, vehicle_setup, k_ce):
         sys, data, support = vehicle_setup
         bundle = fd_jacobian(CeLqrMap(), data, support).with_b(sys.b, B_SOURCE_TRUE)
         p_hats = []
         for sigma in (1.0, 3.0, 10.0, 30.0):
             model = PerturbationModel(support, np.full(20, sigma))
-            report = estimate_instability(sys, data, CeLqrMap(), model, 200,
+            report = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 200,
                                           MODE_FIRST_ORDER, seed=5, bundle=bundle)
             p_hats.append(report.p_hat)
         assert all(a < b for a, b in zip(p_hats, p_hats[1:]))
 
-    def test_supplied_bundle_matches_internal_one(self, vehicle_setup):
+    def test_supplied_bundle_matches_internal_one(self, vehicle_setup, k_ce):
         sys, data, support = vehicle_setup
         model = PerturbationModel(support, np.full(20, 3.0))
         bundle = fd_jacobian(CeLqrMap(), data, support).with_b(sys.b, B_SOURCE_TRUE)
-        with_bundle = estimate_instability(sys, data, CeLqrMap(), model, 100,
+        with_bundle = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 100,
                                            MODE_FIRST_ORDER, seed=5, bundle=bundle)
-        without = estimate_instability(sys, data, CeLqrMap(), model, 100,
+        without = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 100,
                                        MODE_FIRST_ORDER, seed=5)
         assert with_bundle == without
         assert with_bundle.b_source == "true"
 
-    def test_first_order_needs_b(self, vehicle_setup):
+    def test_first_order_needs_b(self, vehicle_setup, k_ce):
         sys, data, support = vehicle_setup
         model = PerturbationModel(support, np.full(20, 3.0))
         bundle = fd_jacobian(CeLqrMap(), data, support)  # no B attached
         with pytest.raises(ValueError):
-            estimate_instability(sys, data, CeLqrMap(), model, 10,
+            estimate_instability(sys, data, CeLqrMap(), k_ce, model, 10,
                                  MODE_FIRST_ORDER, seed=5, bundle=bundle)
 
-    def test_map_failures_are_skipped_and_counted(self, vehicle_setup):
+    def test_map_failures_are_skipped_and_counted(self, vehicle_setup, k_ce):
         sys, data, support = vehicle_setup
         watched = int(support[0])
         sigma = 0.5
         flaky = FlakyMap(CeLqrMap(), watched, float(data.x_vec[watched]),
                          width=sigma)
         model = PerturbationModel(support, np.full(20, sigma))
-        report = estimate_instability(sys, data, flaky, model, 100,
+        report = estimate_instability(sys, data, flaky, k_ce, model, 100,
                                       MODE_EXACT, seed=2)
         assert report.trials == 100
         assert 0 < report.skipped < 100
@@ -276,12 +318,111 @@ class TestEstimateInstability:
         assert wilson_interval(report.unstable_count, effective) == (
             report.ci_low, report.ci_high)
 
-    def test_all_failures_is_an_error(self, vehicle_setup):
+    def test_all_failures_is_an_error(self, vehicle_setup, k_ce):
         sys, data, support = vehicle_setup
         watched = int(support[0])
         always_fails = FlakyMap(CeLqrMap(), watched,
                                 float(data.x_vec[watched]), width=0.0)
         model = PerturbationModel(support, np.full(20, 0.5))
         with pytest.raises(RuntimeError):
-            estimate_instability(sys, data, always_fails, model, 20,
+            estimate_instability(sys, data, always_fails, k_ce, model, 20,
                                  MODE_EXACT, seed=2)
+        with pytest.raises(NoEstimateError):
+            estimate_instability(sys, data, always_fails, k_ce, model, 20,
+                                 MODE_EXACT, seed=2)
+
+
+class TestEvaluateBatch:
+    """evaluate_batch against per-item evaluate, and its failure mask."""
+
+    @staticmethod
+    def probes(data, count, scale, seed=0):
+        rng = np.random.default_rng(seed)
+        return data.x_vec + scale * rng.standard_normal((count, data.x_vec.size))
+
+    @pytest.mark.parametrize("cmap", [CeLqrMap(), PinvMap()], ids=["ce-lqr", "pinv"])
+    def test_matches_per_item_evaluate(self, vehicle_setup, cmap):
+        _, data, _ = vehicle_setup
+        x_vecs = self.probes(data, 9, 0.05)
+        gains, ok = cmap.evaluate_batch(data, x_vecs)
+        assert ok.all()
+        for x_vec, gain in zip(x_vecs, gains):
+            single = cmap.evaluate(data.with_x_vec(x_vec))
+            assert np.abs(gain - single).max() <= 1e-12 * np.abs(single).max()
+
+    def test_linear_map_fallback_matches(self):
+        data = collect(vehicle_model(0.1), 1, 6, seed=1)
+        cmap = LinearMap(np.random.default_rng(3).standard_normal((8, data.p)), 2, 4)
+        x_vecs = self.probes(data, 5, 1.0)
+        gains, ok = cmap.evaluate_batch(data, x_vecs)
+        assert ok.all()
+        for x_vec, gain in zip(x_vecs, gains):
+            single = cmap.evaluate(data.with_x_vec(x_vec))
+            assert np.abs(gain - single).max() <= 1e-12 * np.abs(single).max()
+
+    @pytest.mark.parametrize("failing", [FlakyMap, NanMap], ids=["raises", "nan"])
+    def test_failed_items_are_masked_alone(self, vehicle_setup, failing):
+        _, data, support = vehicle_setup
+        watched = int(support[0])
+        cmap = failing(CeLqrMap(), watched, float(data.x_vec[watched]), width=0.5)
+        deltas = np.zeros((4, support.size))
+        deltas[[1, 3], 0] = [2.0, -2.0]  # items 1 and 3 leave the tolerance
+        deltas[:, 1] = 0.01
+        gains, ok = evaluate_perturbed(cmap, data, support, deltas)
+        assert ok.tolist() == [True, False, True, False]
+        assert np.isnan(gains[~ok]).all()
+        reference, _ = evaluate_perturbed(CeLqrMap(), data, support, deltas[ok])
+        assert np.array_equal(gains[ok], reference)
+
+    def test_non_finite_record_masked_in_vectorised_map(self, vehicle_setup):
+        _, data, _ = vehicle_setup
+        x_vecs = self.probes(data, 3, 0.01)
+        x_vecs[1, 5] = np.nan
+        gains, ok = CeLqrMap().evaluate_batch(data, x_vecs)
+        assert ok.tolist() == [True, False, True]
+        assert np.array_equal(gains[[0, 2]], CeLqrMap().evaluate_batch(data, x_vecs[[0, 2]])[0])
+        gains, ok = CeLqrMap().evaluate_batch(data, x_vecs[[1, 1]])
+        assert not ok.any() and np.isnan(gains).all()
+
+    @pytest.mark.parametrize("cmap", [CeLqrMap(), "flaky"], ids=["ce-lqr", "flaky"])
+    def test_estimate_does_not_depend_on_chunking(self, vehicle_setup, k_ce, monkeypatch,
+                                                  cmap):
+        sys, data, support = vehicle_setup
+        if cmap == "flaky":
+            watched = int(support[0])
+            cmap = FlakyMap(CeLqrMap(), watched, float(data.x_vec[watched]), width=3.0)
+        model = PerturbationModel(support, np.full(20, 3.0))
+        reports = []
+        # Chunks of 1 record, 7 records and the default 81 (all 60 at once).
+        for floats in (1, 7 * data.p, ctrlmaps._BATCH_FLOATS):
+            monkeypatch.setattr(ctrlmaps, "_BATCH_FLOATS", floats)
+            reports.append(estimate_instability(sys, data, cmap, k_ce, model, 60,
+                                                MODE_EXACT, seed=4))
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].unstable_count > 0
+
+
+class TestProgrammingErrorsSurface:
+    """A map bug raises out of every batched caller instead of counting as a skip."""
+
+    @pytest.fixture()
+    def buggy(self, vehicle_setup):
+        _, data, _ = vehicle_setup
+        return BuggyMap(CeLqrMap(), data.x_vec)
+
+    def test_fd_jacobian(self, vehicle_setup, buggy):
+        _, data, support = vehicle_setup
+        with pytest.raises(TypeError):
+            fd_jacobian(buggy, data, support)
+
+    def test_estimate_instability(self, vehicle_setup, k_ce, buggy):
+        sys, data, support = vehicle_setup
+        model = PerturbationModel(support, np.full(20, 0.1))
+        with pytest.raises(TypeError):
+            estimate_instability(sys, data, buggy, k_ce, model, 10, MODE_EXACT, seed=0)
+
+    def test_lemma1_residual(self, vehicle_setup, buggy):
+        sys, data, support = vehicle_setup
+        model = PerturbationModel(support, 0.1)
+        with pytest.raises(TypeError):
+            lemma1_residual(buggy, sys, data, model, [1.0], trials=5)
