@@ -40,7 +40,6 @@ class BoundsReport:
     v_bar: float
     v_lower: float
     kappa: float
-    kappa_v: float
     mu: float
     rho_nominal: float
     lower: float
@@ -131,7 +130,6 @@ def theorem1_bounds(
     kappa = condition_number_spectral(a_cl)
     if math.isinf(kappa):
         raise StabilityError("A_cl is singular; its condition number is undefined")
-    kappa_v = eigenvalues(a_cl).kappa_v
     mu = float(np.trace(a_cl))
 
     lower = _q_ratio(n + mu, v_lower) + _q_ratio(n - mu, v_lower)
@@ -147,7 +145,6 @@ def theorem1_bounds(
         v_bar=float(v_bar),
         v_lower=float(v_lower),
         kappa=float(kappa),
-        kappa_v=float(kappa_v),
         mu=mu,
         rho_nominal=float(rho),
         lower=float(lower),

@@ -418,8 +418,10 @@ def cmd_fig1(cfg: ExperimentConfig) -> list[Path]:
     Self-contained: runs the collect, design and jacobian stages in memory,
     then the bounds and mc stages per grid point. Bound columns are floored
     at 2.2e-16 so the curves stay positive on a log axis; the empirical
-    columns are written exactly as estimated. Per-point failures become NaN
-    rows and the sweep continues.
+    columns are written exactly as estimated. A grid point with no estimate
+    (every trial failed), a violated variance envelope or a singular A_cl
+    becomes a NaN row and the sweep continues; any other error ends the
+    command.
     """
     out = _out_dir(cfg)
     system = cfg.build_system()
@@ -440,8 +442,7 @@ def cmd_fig1(cfg: ExperimentConfig) -> list[Path]:
             rows.append([sigma, max(report.lower, EPS_FLOOR), mc.p_hat,
                          mc.ci_low, mc.ci_high,
                          max(report.upper_clamped, EPS_FLOOR)])
-        except (StabilityError, DareError, EigensolverError, NoEstimateError,
-                ArithmeticError, ValueError) as exc:
+        except (NoEstimateError, ArithmeticError, StabilityError) as exc:
             print(f"fig1: sigma={sigma:g} failed: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
             rows.append([sigma, math.nan, math.nan, math.nan, math.nan, math.nan])

@@ -29,9 +29,9 @@ class DareError(RuntimeError):
 
 
 # Numerical failures of a map on a perturbed record. A batched evaluation
-# masks the items that raise one of these; any other exception is a bug and
-# propagates.
-_TRIAL_FAILURES = (DareError, EigensolverError, np.linalg.LinAlgError, ValueError)
+# turns an item that raises one of these into a NaN item; any other
+# exception is a bug or a refusal and propagates.
+_TRIAL_FAILURES = (DareError, EigensolverError, np.linalg.LinAlgError)
 
 # Floats per probe stack in evaluate_perturbed (256 kB): each evaluate_batch
 # call gets as many whole records as fit, and at least one. A batched map's
@@ -43,6 +43,10 @@ _BATCH_FLOATS = 2**15
 # its Riccati residual is at most this fraction of the largest entry of P.
 # Accurate solutions land near 1e-15.
 _DARE_RESIDUAL_RTOL = 1e-8
+
+# A doubling iterate stops when its relative step, max|H+ - H| over max|H+|,
+# is at most this.
+_DARE_STEP_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -127,14 +131,7 @@ def identify_batch(data: TrainingData, x_vecs) -> tuple[np.ndarray, np.ndarray, 
     return ab[..., :n], ab[..., n:], rank
 
 
-def dare_solve(
-    a,
-    b,
-    q,
-    r,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> np.ndarray:
+def dare_solve(a, b, q, r, max_iter: int = 100) -> np.ndarray:
     """Stabilizing solution P of the discrete algebraic Riccati equation
 
         P = Q + A'PA - A'PB (R + B'PB)^-1 B'PA,
@@ -148,14 +145,14 @@ def dare_solve(
     b = as_matrix(b, "B")
     q = as_matrix(q, "Q")
     r = as_matrix(r, "R")
-    [p], [ok] = dare_solve_batch(a[None], b[None], q, r, tol, max_iter)
-    if not ok:
+    [p] = dare_solve_batch(a[None], b[None], q, r, max_iter)
+    if np.isnan(p).any():
         raise DareError(f"Riccati doubling iteration diverged, did not converge in "
                         f"{max_iter} steps or failed its residual gate")
     return p
 
 
-def dare_solve_batch(a, b, q, r, tol: float = 1e-12, max_iter: int = 100):
+def dare_solve_batch(a, b, q, r, max_iter: int = 100) -> np.ndarray:
     """Riccati solutions for (N, n, n) and (N, n, m) stacks of pairs (A, B).
 
     Structure-preserving doubling (Chu, Fan, Lin et al., 2004-05): from
@@ -165,13 +162,13 @@ def dare_solve_batch(a, b, q, r, tol: float = 1e-12, max_iter: int = 100):
         A+ = A W^-1 A,  G+ = G + A W^-1 G A',  H+ = H + A' H W^-1 A.
 
     H converges quadratically to P when (A, B) is stabilizable. An item
-    stops when its relative step max|H+ - H| <= tol max|H+| (entrywise), and
+    stops when its relative step passes ``_DARE_STEP_RTOL`` (entrywise), and
     its P is accepted only if the Riccati residual passes
-    (``_DARE_RESIDUAL_RTOL``).
+    ``_DARE_RESIDUAL_RTOL``.
     ``q`` and ``r`` are one weight pair or one per item. Returns the
-    (N, n, n) solutions and a success mask; failed items are NaN. Each item
-    is iterated alone until it stops, so its result does not depend on the
-    rest of the stack.
+    (N, n, n) solutions; an item that diverged, did not converge or failed
+    its residual gate is all NaN. Each item is iterated alone until it
+    stops, so its result does not depend on the rest of the stack.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -179,7 +176,6 @@ def dare_solve_batch(a, b, q, r, tol: float = 1e-12, max_iter: int = 100):
     q = np.broadcast_to(np.asarray(q, dtype=float), (count, n, n))
     r = np.broadcast_to(np.asarray(r, dtype=float), (count, m, m))
     p = np.full((count, n, n), np.nan)
-    ok = np.zeros(count, dtype=bool)
     eye = np.eye(n)
     active = np.arange(count)
     ak, gk, hk = a, _sym(b @ np.linalg.inv(r) @ _t(b)), q
@@ -207,17 +203,16 @@ def dare_solve_batch(a, b, q, r, tol: float = 1e-12, max_iter: int = 100):
             finite = np.all(np.isfinite(a_next) & np.isfinite(g_next) & np.isfinite(h_next),
                             axis=(-2, -1))
             size = _max_abs(h_next)
-            done = finite & (_max_abs(h_next - hk) <= tol * size)
+            done = finite & (_max_abs(h_next - hk) <= _DARE_STEP_RTOL * size)
             if np.any(done):
                 idx = active[done]
                 resid = _riccati_residual(a[idx], b[idx], q[idx], r[idx], h_next[done])
                 passed = resid <= _DARE_RESIDUAL_RTOL * size[done]
                 p[idx[passed]] = h_next[done][passed]
-                ok[idx[passed]] = True
             keep = finite & ~done
             active = active[keep]
             ak, gk, hk = a_next[keep], g_next[keep], h_next[keep]
-    return p, ok
+    return p
 
 
 def _t(m: np.ndarray) -> np.ndarray:
@@ -283,27 +278,27 @@ class ControllerMap(ABC):
     def evaluate(self, data: TrainingData) -> np.ndarray:
         """Return the m x n gain for these (possibly perturbed) data."""
 
-    def evaluate_batch(self, data: TrainingData, x_vecs) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate_batch(self, data: TrainingData, x_vecs) -> np.ndarray:
         """Gains for the state records vec(X) in the rows of ``x_vecs``.
 
         Item i is the gain for ``data`` with vec(X) replaced by row i; the
         caller may overwrite ``x_vecs`` once the call returns.
-        Returns the (N, m, n) gains and a success mask: an item on which the
-        map fails numerically (raises one of ``_TRIAL_FAILURES`` or returns
-        non-finite entries) is NaN with ok False, and its neighbours are
-        unaffected. Any other exception propagates. This fallback calls
-        :meth:`evaluate` item by item; a map may override it with a
-        vectorised version that returns the same values.
+        Returns the (N, m, n) gains. An item on which the map fails
+        numerically (a non-finite record, one of ``_TRIAL_FAILURES`` raised,
+        or a non-finite gain returned) has non-finite entries, and its
+        neighbours are unaffected. Any other exception propagates. This
+        fallback calls :meth:`evaluate` on each finite record; a map may
+        override it with a vectorised version that returns the same values.
         """
         x_vecs = np.asarray(x_vecs, dtype=float)
         k = np.full((len(x_vecs), data.m, data.n), np.nan)
-        for i, x_vec in enumerate(x_vecs):
+        for i in np.flatnonzero(np.all(np.isfinite(x_vecs), axis=1)):
             try:
-                gain = self.evaluate(data.with_x_vec(x_vec))
+                gain = self.evaluate(data.with_x_vec(x_vecs[i]))
             except _TRIAL_FAILURES:
                 continue
             k[i] = gain
-        return _masked(k)
+        return k
 
     def evaluate_flagged(self, data: TrainingData) -> GainResult:
         return GainResult(k=self.evaluate(data), rank_deficient=False)
@@ -312,27 +307,19 @@ class ControllerMap(ABC):
         return {"name": self.name, "hyperparameters": {}}
 
 
-def _masked(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A gain stack and its success mask, with every failed item all NaN."""
-    ok = np.all(np.isfinite(k), axis=(1, 2))
-    k[~ok] = np.nan
-    return k, ok
-
-
 def evaluate_perturbed(cmap: ControllerMap, data: TrainingData, support,
-                       deltas) -> tuple[np.ndarray, np.ndarray]:
+                       deltas) -> np.ndarray:
     """Gains of the map at vec(X) + delta, one per row of ``deltas``.
 
     Row i of the N x |support| array ``deltas`` is added to the entries
     ``support`` of vec(X). The records go to ``cmap.evaluate_batch`` in
     chunks of at most ``_BATCH_FLOATS`` floats, which bounds memory; no
-    item's result depends on its chunk. Returns the (N, m, n) gains and the
-    success mask of :meth:`ControllerMap.evaluate_batch`.
+    item's result depends on its chunk. Returns the (N, m, n) gains; a failed
+    item has non-finite entries, as in :meth:`ControllerMap.evaluate_batch`.
     """
     x_vec = data.x_vec
     deltas = np.asarray(deltas, dtype=float)
     k = np.empty((len(deltas), data.m, data.n))
-    ok = np.empty(len(deltas), dtype=bool)
     items = max(1, _BATCH_FLOATS // x_vec.size)
     # One probe buffer for every chunk: evaluate_batch does not keep x_vecs.
     probes = np.empty((min(items, len(deltas)), x_vec.size))
@@ -341,8 +328,8 @@ def evaluate_perturbed(cmap: ControllerMap, data: TrainingData, support,
         x_vecs = probes[: len(deltas[chunk])]
         x_vecs[:] = x_vec
         x_vecs[:, support] += deltas[chunk]
-        k[chunk], ok[chunk] = cmap.evaluate_batch(data, x_vecs)
-    return k, ok
+        k[chunk] = cmap.evaluate_batch(data, x_vecs)
+    return k
 
 
 class PinvMap(ControllerMap):
@@ -367,7 +354,7 @@ class CeLqrMap(ControllerMap):
     def evaluate(self, data: TrainingData) -> np.ndarray:
         return ce_lqr_map(data, self._weights_for(data)).k
 
-    def evaluate_batch(self, data: TrainingData, x_vecs) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate_batch(self, data: TrainingData, x_vecs) -> np.ndarray:
         """:meth:`evaluate` on a stack: one stacked pseudoinverse of the
         regressors, one doubling Riccati solve over the stack and one
         stacked gain solve."""
@@ -380,9 +367,10 @@ class CeLqrMap(ControllerMap):
         # As in ce_lqr_map: no identified control authority gives K = 0.
         k[rows[~ctrl]] = 0.0
         rows, a, b = rows[ctrl], a[ctrl], b[ctrl]
-        p, solved = dare_solve_batch(a, b, weights.q, weights.r)
+        p = dare_solve_batch(a, b, weights.q, weights.r)
+        solved = ~np.isnan(p[:, 0, 0])
         k[rows[solved]] = _gain(a[solved], b[solved], weights.r, p[solved])
-        return _masked(k)
+        return k
 
     def evaluate_flagged(self, data: TrainingData) -> GainResult:
         return ce_lqr_map(data, self._weights_for(data))

@@ -98,33 +98,31 @@ def spectral_radius(m) -> float:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"spectral_radius requires a square matrix, got {m.shape}")
-    [rho], [ok] = spectral_radii(m[None])
-    if not ok:
+    [rho] = spectral_radii(m[None])
+    if np.isnan(rho):
         raise EigensolverError("eigenvalue iteration did not converge")
     return float(rho)
 
 
-def spectral_radii(stack) -> tuple[np.ndarray, np.ndarray]:
-    """max |lambda_i| of each matrix in an (N, n, n) stack, with a success mask.
+def spectral_radii(stack) -> np.ndarray:
+    """max |lambda_i| of each matrix in an (N, n, n) stack.
 
-    Items with non-finite entries or a non-converging eigensolver are masked
-    (rho NaN, ok False) without failing the rest of the stack.
+    An item with non-finite entries or a non-converging eigensolver has rho
+    NaN; the rest of the stack is unaffected.
     """
     stack = np.asarray(stack, dtype=float)
-    ok = np.all(np.isfinite(stack), axis=(-2, -1))
-    safe = np.where(ok[:, None, None], stack, 0.0)
+    finite = np.all(np.isfinite(stack), axis=(-2, -1))
+    safe = np.where(finite[:, None, None], stack, 0.0)
     try:
         rho = np.max(np.abs(np.linalg.eigvals(safe)), axis=-1)
     except np.linalg.LinAlgError:
         # One item did not converge and numpy fails the whole stack: split
         # it until the failing items stand alone.
         if len(stack) == 1:
-            return np.array([np.nan]), np.array([False])
+            return np.array([np.nan])
         half = len(stack) // 2
-        parts = [spectral_radii(part) for part in (safe[:half], safe[half:])]
-        rho = np.concatenate([part[0] for part in parts])
-        ok &= np.concatenate([part[1] for part in parts])
-    return np.where(ok, rho, np.nan), ok
+        rho = np.concatenate([spectral_radii(part) for part in (safe[:half], safe[half:])])
+    return np.where(finite, rho, np.nan)
 
 
 def spectral_norm(m) -> float:

@@ -120,14 +120,15 @@ def estimate_instability(
 
     z = np.stack([sample_z(model, trial_rng(seed, trial)) for trial in range(trials)])
     if mode == MODE_EXACT:
-        # A failed evaluation is a NaN gain, so spectral_radii masks its loop.
-        gains, _ = evaluate_perturbed(cmap, data, model.support, z)
-        loops = sys.a + sys.b @ gains
+        # A failed evaluation is a non-finite gain, so its loop gets rho NaN.
+        loops = sys.a + sys.b @ evaluate_perturbed(cmap, data, model.support, z)
     else:
         loops = first_order_acl(a_cl, bundle, z)
-    rho, ok = spectral_radii(loops)
-    unstable = int(np.sum(rho[ok] >= 1.0))
-    effective = int(np.sum(ok))
+    rho = spectral_radii(loops)
+    # A NaN rho is a failed trial; an infinite rho of a finite loop is unstable.
+    measured = ~np.isnan(rho)
+    unstable = int(np.sum(rho[measured] >= 1.0))
+    effective = int(np.sum(measured))
     if effective == 0:
         raise NoEstimateError("every trial failed; no estimate available")
     p_hat = unstable / effective

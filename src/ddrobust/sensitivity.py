@@ -60,9 +60,6 @@ class PerturbationModel:
     def size(self) -> int:
         return self.support.size
 
-    def scaled(self, factor: float) -> "PerturbationModel":
-        return replace(self, sigmas=self.sigmas * factor)
-
 
 @dataclass(frozen=True)
 class JacobianBundle:
@@ -162,7 +159,8 @@ def fd_jacobian(cmap, data: TrainingData, support, step: float | None = None) ->
     deltas = np.zeros((2 * k, k))
     deltas[0::2][np.arange(k), np.arange(k)] = steps
     deltas[1::2][np.arange(k), np.arange(k)] = -steps
-    gains, ok = evaluate_perturbed(cmap, data, support, deltas)
+    gains = evaluate_perturbed(cmap, data, support, deltas)
+    ok = np.all(np.isfinite(gains), axis=(1, 2))
     m, n = data.m, data.n
     # Column j is vec(K+ - K-) / 2h_j, vec stacking columns as in linalg.vec.
     diffs = (gains[0::2] - gains[1::2]) / (2.0 * steps[:, None, None])
@@ -260,7 +258,8 @@ def lemma1_residual(
         norm_scale = math.sqrt(expected_vec_norm(scaled_sigmas)) if scale > 0 else 1.0
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(s_idx,)))
         z = rng.standard_normal((trials, model.size)) * scaled_sigmas
-        gains, ok = evaluate_perturbed(cmap, data, model.support, z)
+        gains = evaluate_perturbed(cmap, data, model.support, z)
+        ok = np.all(np.isfinite(gains), axis=(1, 2))
         exact = sys.a + sys.b @ gains[ok]
         approx = first_order_acl(a_cl, bundle, z[ok])
         if scale > 0:

@@ -127,6 +127,8 @@ class TestTheorem1:
     def test_report_serializes(self):
         report = theorem1_bounds(np.diag([0.5, 0.25]), 0.1, 0.1, b_source="true")
         doc = report.to_json()
+        assert set(doc) == {"v_bar", "v_lower", "kappa", "mu", "rho_nominal", "lower",
+                            "upper_raw", "upper_clamped", "n", "b_source"}
         assert doc["b_source"] == "true"
         assert doc["rho_nominal"] == pytest.approx(0.5)
 

@@ -301,9 +301,9 @@ class TestEveryTrialFailed:
         original = CeLqrMap.evaluate_batch
 
         def evaluate_batch(self, data, x_vecs):
-            k, ok = original(self, data, x_vecs)
-            far = np.abs(x_vecs - data.x_vec).max(axis=1) > 1.0
-            return np.where(far[:, None, None], np.nan, k), ok & ~far
+            k = original(self, data, x_vecs)
+            k[np.abs(x_vecs - data.x_vec).max(axis=1) > 1.0] = np.nan
+            return k
 
         monkeypatch.setattr(CeLqrMap, "evaluate_batch", evaluate_batch)
 
@@ -328,6 +328,26 @@ class TestEveryTrialFailed:
         assert rows[0][2] == rows[2][2] == "0.0"
         assert rows[1][1:] == ["nan"] * 5
         assert "sigma=30 failed: NoEstimateError" in capsys.readouterr().err
+
+
+def test_fig1_map_bug_exits_2(tmp_path, capsys, monkeypatch):
+    # A ValueError raised inside a map is a bug, not a failed grid point:
+    # fig1 stops with one line instead of writing a NaN row.
+    original = CeLqrMap.evaluate_batch
+
+    def evaluate_batch(self, data, x_vecs):
+        if np.abs(x_vecs - data.x_vec).max() > 1.0:
+            raise ValueError("operands could not be broadcast together")
+        return original(self, data, x_vecs)
+
+    monkeypatch.setattr(CeLqrMap, "evaluate_batch", evaluate_batch)
+    cfg = write_config(tmp_path, FAST_CONFIG | {"mode": "exact",
+                                                "sigma": {"grid": [1e-4, 30.0, 1e-3]}})
+    out = tmp_path / "run"
+    assert run(["fig1", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "ddrobust: error: ValueError: operands could not be broadcast together\n"
+    assert not (out / "fig1.csv").exists()
 
 
 @pytest.mark.skipif(shutil.which("ddrobust") is None,

@@ -15,7 +15,7 @@ from ddrobust import (
     vehicle_model,
     wilson_interval,
 )
-from ddrobust import ctrlmaps, lemma1_residual
+from ddrobust import DareError, ctrlmaps, lemma1_residual
 from ddrobust.ctrlmaps import ControllerMap, evaluate_perturbed
 from ddrobust.lti import LtiSystem
 from ddrobust.mc import MODE_EXACT, MODE_FIRST_ORDER, NoEstimateError, trial_rng
@@ -47,7 +47,7 @@ class FlakyMap(ControllerMap):
 
     def evaluate(self, data):
         if abs(data.x_vec[self.watched] - self.nominal) > self.width:
-            raise ValueError("watched entry out of tolerance")
+            raise DareError("watched entry out of tolerance")
         return self.inner.evaluate(data)
 
 
@@ -70,18 +70,24 @@ class NanMap(ControllerMap):
 
 
 class BuggyMap(ControllerMap):
-    """A map with a programming error: it raises TypeError off the nominal data."""
+    """A map with a programming error: it raises ``error`` off the nominal data."""
 
     name = "buggy-test"
 
-    def __init__(self, inner, nominal_x):
+    def __init__(self, inner, nominal_x, error):
         self.inner = inner
         self.nominal_x = nominal_x
+        self.error = error
 
     def evaluate(self, data):
         if not np.array_equal(data.x_vec, self.nominal_x):
-            raise TypeError("unsupported operand")
+            raise self.error("unsupported operand")
         return self.inner.evaluate(data)
+
+
+def finite_items(gains):
+    """Which items of a gain stack hold no failure (every entry finite)."""
+    return np.all(np.isfinite(gains), axis=(1, 2))
 
 
 @pytest.fixture(scope="module")
@@ -333,7 +339,7 @@ class TestEstimateInstability:
 
 
 class TestEvaluateBatch:
-    """evaluate_batch against per-item evaluate, and its failure mask."""
+    """evaluate_batch against per-item evaluate, and its failed items."""
 
     @staticmethod
     def probes(data, count, scale, seed=0):
@@ -344,8 +350,8 @@ class TestEvaluateBatch:
     def test_matches_per_item_evaluate(self, vehicle_setup, cmap):
         _, data, _ = vehicle_setup
         x_vecs = self.probes(data, 9, 0.05)
-        gains, ok = cmap.evaluate_batch(data, x_vecs)
-        assert ok.all()
+        gains = cmap.evaluate_batch(data, x_vecs)
+        assert finite_items(gains).all()
         for x_vec, gain in zip(x_vecs, gains):
             single = cmap.evaluate(data.with_x_vec(x_vec))
             assert np.abs(gain - single).max() <= 1e-12 * np.abs(single).max()
@@ -354,8 +360,8 @@ class TestEvaluateBatch:
         data = collect(vehicle_model(0.1), 1, 6, seed=1)
         cmap = LinearMap(np.random.default_rng(3).standard_normal((8, data.p)), 2, 4)
         x_vecs = self.probes(data, 5, 1.0)
-        gains, ok = cmap.evaluate_batch(data, x_vecs)
-        assert ok.all()
+        gains = cmap.evaluate_batch(data, x_vecs)
+        assert finite_items(gains).all()
         for x_vec, gain in zip(x_vecs, gains):
             single = cmap.evaluate(data.with_x_vec(x_vec))
             assert np.abs(gain - single).max() <= 1e-12 * np.abs(single).max()
@@ -368,21 +374,31 @@ class TestEvaluateBatch:
         deltas = np.zeros((4, support.size))
         deltas[[1, 3], 0] = [2.0, -2.0]  # items 1 and 3 leave the tolerance
         deltas[:, 1] = 0.01
-        gains, ok = evaluate_perturbed(cmap, data, support, deltas)
+        gains = evaluate_perturbed(cmap, data, support, deltas)
+        ok = finite_items(gains)
         assert ok.tolist() == [True, False, True, False]
-        assert np.isnan(gains[~ok]).all()
-        reference, _ = evaluate_perturbed(CeLqrMap(), data, support, deltas[ok])
+        reference = evaluate_perturbed(CeLqrMap(), data, support, deltas[ok])
         assert np.array_equal(gains[ok], reference)
 
     def test_non_finite_record_masked_in_vectorised_map(self, vehicle_setup):
         _, data, _ = vehicle_setup
         x_vecs = self.probes(data, 3, 0.01)
         x_vecs[1, 5] = np.nan
-        gains, ok = CeLqrMap().evaluate_batch(data, x_vecs)
-        assert ok.tolist() == [True, False, True]
-        assert np.array_equal(gains[[0, 2]], CeLqrMap().evaluate_batch(data, x_vecs[[0, 2]])[0])
-        gains, ok = CeLqrMap().evaluate_batch(data, x_vecs[[1, 1]])
-        assert not ok.any() and np.isnan(gains).all()
+        gains = CeLqrMap().evaluate_batch(data, x_vecs)
+        assert finite_items(gains).tolist() == [True, False, True]
+        assert np.array_equal(gains[[0, 2]], CeLqrMap().evaluate_batch(data, x_vecs[[0, 2]]))
+        gains = CeLqrMap().evaluate_batch(data, x_vecs[[1, 1]])
+        assert np.isnan(gains).all()
+
+    def test_non_finite_record_fails_its_item_in_fallback(self, vehicle_setup):
+        # A non-finite record is a failed item, not a ValueError out of
+        # with_x_vec.
+        _, data, _ = vehicle_setup
+        x_vecs = self.probes(data, 3, 0.01)
+        x_vecs[1, 5] = np.inf
+        gains = PinvMap().evaluate_batch(data, x_vecs)
+        assert finite_items(gains).tolist() == [True, False, True]
+        assert np.array_equal(gains[[0, 2]], PinvMap().evaluate_batch(data, x_vecs[[0, 2]]))
 
     @pytest.mark.parametrize("cmap", [CeLqrMap(), "flaky"], ids=["ce-lqr", "flaky"])
     def test_estimate_does_not_depend_on_chunking(self, vehicle_setup, k_ce, monkeypatch,
@@ -403,26 +419,35 @@ class TestEvaluateBatch:
 
 
 class TestProgrammingErrorsSurface:
-    """A map bug raises out of every batched caller instead of counting as a skip."""
+    """A map bug raises out of every batched caller instead of counting as a skip.
 
-    @pytest.fixture()
-    def buggy(self, vehicle_setup):
-        _, data, _ = vehicle_setup
-        return BuggyMap(CeLqrMap(), data.x_vec)
+    Each test checks a TypeError and a ValueError, the error numpy raises for
+    a shape bug.
+    """
 
-    def test_fd_jacobian(self, vehicle_setup, buggy):
+    ERRORS = (TypeError, ValueError)
+
+    @staticmethod
+    def buggy(data, error):
+        return BuggyMap(CeLqrMap(), data.x_vec, error)
+
+    def test_fd_jacobian(self, vehicle_setup):
         _, data, support = vehicle_setup
-        with pytest.raises(TypeError):
-            fd_jacobian(buggy, data, support)
+        for error in self.ERRORS:
+            with pytest.raises(error, match="unsupported operand"):
+                fd_jacobian(self.buggy(data, error), data, support)
 
-    def test_estimate_instability(self, vehicle_setup, k_ce, buggy):
+    def test_estimate_instability(self, vehicle_setup, k_ce):
         sys, data, support = vehicle_setup
         model = PerturbationModel(support, np.full(20, 0.1))
-        with pytest.raises(TypeError):
-            estimate_instability(sys, data, buggy, k_ce, model, 10, MODE_EXACT, seed=0)
+        for error in self.ERRORS:
+            with pytest.raises(error, match="unsupported operand"):
+                estimate_instability(sys, data, self.buggy(data, error), k_ce, model, 10,
+                                     MODE_EXACT, seed=0)
 
-    def test_lemma1_residual(self, vehicle_setup, buggy):
+    def test_lemma1_residual(self, vehicle_setup):
         sys, data, support = vehicle_setup
         model = PerturbationModel(support, 0.1)
-        with pytest.raises(TypeError):
-            lemma1_residual(buggy, sys, data, model, [1.0], trials=5)
+        for error in self.ERRORS:
+            with pytest.raises(error, match="unsupported operand"):
+                lemma1_residual(self.buggy(data, error), sys, data, model, [1.0], trials=5)

@@ -5,6 +5,7 @@ import pytest
 
 from ddrobust import (
     CeLqrMap,
+    DareError,
     JacobianBundle,
     LtiSystem,
     PerturbationModel,
@@ -47,7 +48,7 @@ class FragileMap(ControllerMap):
 
     def evaluate(self, data):
         if data.x_vec[self.watched] != self.nominal:
-            raise ValueError("watched entry moved")
+            raise DareError("watched entry moved")
         return self.inner.evaluate(data)
 
 
@@ -84,10 +85,6 @@ class TestPerturbationModel:
         with pytest.raises(ValueError):
             PerturbationModel(np.array([-1, 2]), 0.1)
 
-    def test_scaled(self):
-        model = PerturbationModel(np.array([0, 1]), np.array([0.1, 0.2]))
-        assert np.allclose(model.scaled(10.0).sigmas, [1.0, 2.0])
-
 
 class TestFdJacobian:
     def test_linear_map_is_exact(self):
@@ -112,6 +109,30 @@ class TestFdJacobian:
             x0**2 + x1**2
         ) ** 2
         assert bundle.columns[0, 0] == pytest.approx(expected, abs=1e-6)
+
+    def test_pinv_matches_closed_form_derivative(self):
+        # For full-row-rank X0, K = U0 X0+ has the derivative
+        # dK = U0 [(I - X0+ X0) dX0' (X0 X0')^-1 - X0+ dX0 X0+]
+        # (Golub & Pereyra, SIAM J. Numer. Anal. 10(2), 1973). Entry i of
+        # vec(X) is state i % n of x(i // n + 1), i.e. column i // n + 1 of
+        # X0 = [x(0) .. x(T-1)]; the final state (entry 239) is not in X0.
+        data = collect(vehicle_model(0.1), 1, 60, seed=2)
+        n, t = data.n, data.t
+        support = np.array([0, 5, 41, 100, 233, 239])
+        x0 = np.column_stack([data.x0s[:, 0], data.x[: n * (t - 1), 0].reshape((t - 1, n)).T])
+        u0 = data.u[:, 0].reshape((t, data.m)).T
+        gram_inv = np.linalg.inv(x0 @ x0.T)
+        x0_pinv = x0.T @ gram_inv
+        projector = np.eye(t) - x0_pinv @ x0
+        expected = np.zeros((data.m * n, support.size))
+        for j, i in enumerate(support):
+            if i // n + 1 < t:
+                dx0 = np.zeros_like(x0)
+                dx0[i % n, i // n + 1] = 1.0
+                dk = u0 @ (projector @ dx0.T @ gram_inv - x0_pinv @ dx0 @ x0_pinv)
+                expected[:, j] = dk.flatten(order="F")
+        columns = fd_jacobian(PinvMap(), data, support).columns
+        assert np.abs(columns - expected).max() <= 1e-7 * np.abs(columns).max()
 
     def test_pinv_ignores_final_state(self):
         # The regressor snapshot stops at x(T-1), so the last measured state
