@@ -20,13 +20,11 @@ from .ctrlmaps import (
     DareError,
     LqrWeights,
     PinvMap,
-    ce_lqr_map,
     check_a1,
     dare_solve,
     identify,
     lqr_gain,
     map_from_descriptor,
-    pinv_map,
 )
 from .sensitivity import (
     B_SOURCE_IDENTIFIED,

@@ -208,13 +208,14 @@ def jmax_envelope(bundle: JacobianBundle, sigmas) -> JmaxEnvelope:
     """Coarse envelope sigma_max^2 |supp| J_max^2 dominating v_bar.
 
     The containment v_bar <= envelope is a theorem; a numerical violation
-    beyond 1e-10 indicates a broken bundle and raises.
+    beyond 1e-10 of the envelope indicates a broken bundle and raises. Both
+    sides scale as sigma^2, so the tolerance is relative.
     """
     v_bar, _ = variance_params(bundle, sigmas)
     worst = j_max(bundle)
     sigma_max = float(np.max(sigmas))
     envelope = sigma_max**2 * bundle.size * worst**2
-    if v_bar > envelope + 1e-10:
+    if v_bar > envelope * (1.0 + 1e-10):
         raise ArithmeticError(
             f"envelope violated: v_bar = {v_bar!r} > envelope = {envelope!r}"
         )

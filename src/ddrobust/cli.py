@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .linalg import EPS_FLOOR, EigensolverError
+from .linalg import EPS_FLOOR
 from .lti import LtiSystem, TrainingData, collect, vehicle_model
-from .ctrlmaps import ControllerMap, DareError, check_a1, identify, map_from_descriptor
+from .ctrlmaps import ControllerMap, check_a1, identify, map_from_descriptor
 from .sensitivity import (
     B_SOURCE_IDENTIFIED,
     B_SOURCE_TRUE,
@@ -536,8 +536,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args)
         written = _COMMANDS[args.command](cfg)
-    except (ConfigError, StabilityError, DareError, EigensolverError, NoEstimateError,
-            ArithmeticError, ValueError, OSError) as exc:
+    except Exception as exc:
         print(f"ddrobust: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     for path in written:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import EigensolverError, as_matrix, pseudoinverse, spectral_radius
-from .lti import LtiSystem, TrainingData, snapshot_batch, snapshot_matrices
+from .lti import LtiSystem, TrainingData, snapshot_batch
 
 
 class DareError(RuntimeError):
@@ -97,13 +97,6 @@ class StabilityCheck:
     rho: float
 
 
-def pinv_map(data: TrainingData) -> GainResult:
-    """K = U0 pinv(X0); with full-row-rank X0 the closed loop is X1 pinv(X0)."""
-    x0, _, u0 = snapshot_matrices(data)
-    x0_pinv, rank = pseudoinverse(x0)
-    return GainResult(k=u0 @ x0_pinv, rank_deficient=rank < x0.shape[0])
-
-
 def identify(data: TrainingData) -> IdentifiedModel:
     """Least-squares fit [A B] = X1 pinv([X0; U0]).
 
@@ -173,8 +166,10 @@ def dare_solve_batch(a, b, q, r, max_iter: int = 100) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     count, n, m = len(a), a.shape[-1], b.shape[-1]
-    q = np.broadcast_to(np.asarray(q, dtype=float), (count, n, n))
-    r = np.broadcast_to(np.asarray(r, dtype=float), (count, m, m))
+    q, r = np.asarray(q, dtype=float), np.asarray(r, dtype=float)
+    if q.shape[-2:] != (n, n) or r.shape[-2:] != (m, m):
+        raise ValueError(f"LQR weights Q {q.shape} and R {r.shape} do not fit n = {n}, m = {m}")
+    q, r = np.broadcast_to(q, (count, n, n)), np.broadcast_to(r, (count, m, m))
     p = np.full((count, n, n), np.nan)
     eye = np.eye(n)
     active = np.arange(count)
@@ -250,18 +245,6 @@ def lqr_gain(a, b, q, r) -> np.ndarray:
                  np.asarray(r, dtype=float), p)
 
 
-def ce_lqr_map(data: TrainingData, weights: LqrWeights) -> GainResult:
-    """Certainty-equivalence design: identify, then LQR on the identified pair."""
-    model = identify(data)
-    if not np.any(model.b):
-        # No identified control authority. The gain formula is zero for any
-        # cost matrix, so take that limit directly instead of asking the
-        # Riccati solve to stabilize with nothing.
-        return GainResult(k=np.zeros((data.m, data.n)), rank_deficient=model.rank_deficient)
-    k = lqr_gain(model.a, model.b, weights.q, weights.r)
-    return GainResult(k=k, rank_deficient=model.rank_deficient)
-
-
 def check_a1(sys: LtiSystem, k) -> StabilityCheck:
     """Does u = K x stabilize the plant? Reports rho(A + BK)."""
     k = as_matrix(k, "K")
@@ -287,17 +270,15 @@ class ControllerMap(ABC):
         numerically (a non-finite record, one of ``_TRIAL_FAILURES`` raised,
         or a non-finite gain returned) has non-finite entries, and its
         neighbours are unaffected. Any other exception propagates. This
-        fallback calls :meth:`evaluate` on each finite record; a map may
-        override it with a vectorised version that returns the same values.
+        fallback calls :meth:`evaluate` on each finite record; it serves
+        plugin maps, as both shipped maps override it with vectorised kernels.
         """
-        x_vecs = np.asarray(x_vecs, dtype=float)
-        k = np.full((len(x_vecs), data.m, data.n), np.nan)
-        for i in np.flatnonzero(np.all(np.isfinite(x_vecs), axis=1)):
+        k, rows, records = _finite_records(data, x_vecs)
+        for i, x_vec in zip(rows, records):
             try:
-                gain = self.evaluate(data.with_x_vec(x_vecs[i]))
+                k[i] = self.evaluate(data.with_x_vec(x_vec))
             except _TRIAL_FAILURES:
-                continue
-            k[i] = gain
+                pass
         return k
 
     def evaluate_flagged(self, data: TrainingData) -> GainResult:
@@ -305,6 +286,15 @@ class ControllerMap(ABC):
 
     def descriptor(self) -> dict:
         return {"name": self.name, "hyperparameters": {}}
+
+
+def _finite_records(data: TrainingData, x_vecs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An all-NaN gain stack for the rows of ``x_vecs``, the indices of the finite
+    rows and those rows (``x_vecs`` itself, uncopied, when all are finite)."""
+    x_vecs = np.asarray(x_vecs, dtype=float)
+    k = np.full((len(x_vecs), data.m, data.n), np.nan)
+    rows = np.flatnonzero(np.all(np.isfinite(x_vecs), axis=1))
+    return k, rows, (x_vecs if len(rows) == len(x_vecs) else x_vecs[rows])
 
 
 def evaluate_perturbed(cmap: ControllerMap, data: TrainingData, support,
@@ -332,14 +322,30 @@ def evaluate_perturbed(cmap: ControllerMap, data: TrainingData, support,
     return k
 
 
+def _pinv_gains(data: TrainingData, x_vecs) -> tuple[np.ndarray, np.ndarray]:
+    """K = U0 pinv(X0) and the rank of X0 for each state record in the rows of ``x_vecs``."""
+    x0, _, u0 = snapshot_batch(data, x_vecs)
+    x0_pinv, rank = pseudoinverse(x0)
+    return u0 @ x0_pinv, rank
+
+
 class PinvMap(ControllerMap):
+    """K = U0 pinv(X0); with full-row-rank X0 the closed loop is X1 pinv(X0)."""
+
     name = "pinv"
 
     def evaluate(self, data: TrainingData) -> np.ndarray:
-        return pinv_map(data).k
+        return self.evaluate_flagged(data).k
+
+    def evaluate_batch(self, data: TrainingData, x_vecs) -> np.ndarray:
+        """:meth:`evaluate` on a stack: one stacked pseudoinverse of the X0 snapshots."""
+        k, rows, records = _finite_records(data, x_vecs)
+        k[rows] = _pinv_gains(data, records)[0]
+        return k
 
     def evaluate_flagged(self, data: TrainingData) -> GainResult:
-        return pinv_map(data)
+        [k], [rank] = _pinv_gains(data, data.x_vec[None])
+        return GainResult(k=k, rank_deficient=bool(rank < data.n))
 
 
 class CeLqrMap(ControllerMap):
@@ -352,19 +358,16 @@ class CeLqrMap(ControllerMap):
         return self.weights or LqrWeights.identity(data.n, data.m)
 
     def evaluate(self, data: TrainingData) -> np.ndarray:
-        return ce_lqr_map(data, self._weights_for(data)).k
+        return self.evaluate_flagged(data).k
 
     def evaluate_batch(self, data: TrainingData, x_vecs) -> np.ndarray:
-        """:meth:`evaluate` on a stack: one stacked pseudoinverse of the
-        regressors, one doubling Riccati solve over the stack and one
-        stacked gain solve."""
+        """:meth:`evaluate` on a stack: one stacked pseudoinverse of the regressors,
+        one doubling Riccati solve over the stack and one stacked gain solve."""
         weights = self._weights_for(data)
-        x_vecs = np.asarray(x_vecs, dtype=float)
-        k = np.full((len(x_vecs), data.m, data.n), np.nan)
-        rows = np.flatnonzero(np.all(np.isfinite(x_vecs), axis=1))
-        a, b, _ = identify_batch(data, x_vecs[rows])
+        k, rows, records = _finite_records(data, x_vecs)
+        a, b, _ = identify_batch(data, records)
         ctrl = np.any(b, axis=(1, 2))
-        # As in ce_lqr_map: no identified control authority gives K = 0.
+        # As in evaluate_flagged: no identified control authority gives K = 0.
         k[rows[~ctrl]] = 0.0
         rows, a, b = rows[ctrl], a[ctrl], b[ctrl]
         p = dare_solve_batch(a, b, weights.q, weights.r)
@@ -373,7 +376,15 @@ class CeLqrMap(ControllerMap):
         return k
 
     def evaluate_flagged(self, data: TrainingData) -> GainResult:
-        return ce_lqr_map(data, self._weights_for(data))
+        """Certainty-equivalence design: identify, then LQR on the identified pair."""
+        model = identify(data)
+        if not np.any(model.b):
+            # No identified control authority: the gain formula is zero for any
+            # cost, so take that limit instead of a Riccati solve with nothing.
+            return GainResult(k=np.zeros((data.m, data.n)), rank_deficient=model.rank_deficient)
+        weights = self._weights_for(data)
+        k = lqr_gain(model.a, model.b, weights.q, weights.r)
+        return GainResult(k=k, rank_deficient=model.rank_deficient)
 
     def descriptor(self) -> dict:
         hyper = {}

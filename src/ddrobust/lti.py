@@ -112,13 +112,8 @@ class TrainingData:
         """vec(X), the perturbation coordinate system (length p*N)."""
         return vec(self.x)
 
-    def with_x(self, new_x: np.ndarray) -> "TrainingData":
-        if new_x.shape != self.x.shape:
-            raise ValueError(f"replacement X must have shape {self.x.shape}")
-        return replace(self, x=new_x)
-
     def with_x_vec(self, v: np.ndarray) -> "TrainingData":
-        return self.with_x(vec_inverse(v, self.p, self.n_experiments))
+        return replace(self, x=vec_inverse(v, self.p, self.n_experiments))
 
     def to_json(self) -> dict:
         return {
@@ -218,27 +213,21 @@ def collect(
 
 
 def snapshot_matrices(data: TrainingData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split a record into (X0, X1, U0) snapshots, experiments side by side.
-
-    Per experiment X0 = [x0, x(1..T-1)], X1 = [x(1..T)], U0 = [u(0..T-1)];
-    experiment i fills columns i*T .. (i+1)*T - 1. On noiseless data these
-    satisfy X1 = A X0 + B U0 exactly.
-    """
-    n, t = data.n, data.t
-    states = data.x.reshape((n, t, data.n_experiments), order="F")
-    x0 = np.concatenate([data.x0s[:, None, :], states[:, : t - 1, :]], axis=1)
-    x1 = states.reshape((n, -1), order="F")
-    u0 = data.u.reshape((data.m, -1), order="F")
-    return x0.reshape((n, -1), order="F"), x1, u0
+    """The (X0, X1, U0) snapshots of the record: :func:`snapshot_batch` with N = 1."""
+    [x0], [x1], u0 = snapshot_batch(data, data.x_vec[None])
+    return x0, x1, u0
 
 
 def snapshot_batch(data: TrainingData, x_vecs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`snapshot_matrices` for N state records vec(X) in an (N, p*E) array.
+    """Split N state records vec(X), the rows of an (N, p*E) array, into
+    (X0, X1, U0) snapshots, experiments side by side.
 
-    Returns the (N, n, T*E) stacks X0 and X1 and the shared U0; the inputs
-    and initial states are those of ``data``. Each X0 and X1 item is laid
-    out column by column, as vec(X) is, which is the layout LAPACK reads
-    without a strided copy.
+    Per experiment X0 = [x0, x(1..T-1)], X1 = [x(1..T)], U0 = [u(0..T-1)];
+    experiment i fills columns i*T .. (i+1)*T - 1. On noiseless data these
+    satisfy X1 = A X0 + B U0 exactly. Returns the (N, n, T*E) stacks X0 and X1
+    and the shared U0; the inputs and initial states are those of ``data``.
+    Each X0 and X1 item is laid out column by column, as vec(X) is, which is
+    the layout LAPACK reads without a strided copy.
     """
     n, t, e = data.n, data.t, data.n_experiments
     x_vecs = np.asarray(x_vecs, dtype=float)

@@ -115,8 +115,9 @@ def estimate_instability(
 
     if mode == MODE_FIRST_ORDER and bundle is None:
         bundle = fd_jacobian(cmap, data, model.support).with_b(sys.b, B_SOURCE_TRUE)
-    if mode == MODE_FIRST_ORDER and bundle.bj is None:
-        raise ValueError("first-order mode needs a bundle with B attached")
+    if mode == MODE_FIRST_ORDER and (bundle.bj is None
+                                     or not np.array_equal(bundle.support, model.support)):
+        raise ValueError("first-order mode needs a bundle with B attached on the model's support")
 
     z = np.stack([sample_z(model, trial_rng(seed, trial)) for trial in range(trials)])
     if mode == MODE_EXACT:

@@ -16,6 +16,7 @@ from ddrobust import (
     variance_params,
     vehicle_model,
 )
+from ddrobust import bounds
 from ddrobust.linalg import EPS_FLOOR
 from ddrobust.mc import random_support
 from ddrobust.sensitivity import B_SOURCE_TRUE, JacobianBundle
@@ -203,6 +204,27 @@ class TestJmaxEnvelope:
         env = jmax_envelope(bundle, sigmas)
         v_bar, _ = variance_params(bundle, sigmas)
         assert v_bar <= env.envelope + 1e-10
+
+    def test_single_index_at_large_sigma(self):
+        # With one support entry v_bar equals the envelope in exact
+        # arithmetic. Both scale as sigma^2, so at sigma = 1e6 they differ by
+        # ulps far above 1e-10, and that rounding is no violation.
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            env = jmax_envelope(synthetic_bundle(rng.standard_normal((1, 3, 3))), [1e6])
+            assert env.v_bar == pytest.approx(env.envelope, rel=1e-14)
+
+    def test_violation_raises(self, monkeypatch):
+        bundle = synthetic_bundle(np.stack([np.array([[0.5, 0.1], [0.0, 0.2]])]))
+        original = bounds.variance_params
+
+        def inflated(bundle, sigmas):
+            v_bar, v_lower = original(bundle, sigmas)
+            return v_bar * (1.0 + 1e-8), v_lower
+
+        monkeypatch.setattr(bounds, "variance_params", inflated)
+        with pytest.raises(ArithmeticError, match="envelope violated"):
+            jmax_envelope(bundle, np.array([0.7]))
 
 
 class TestBauerFike:

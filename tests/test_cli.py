@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ddrobust import CeLqrMap, cli
+from ddrobust import CeLqrMap, TrainingData, cli
 
 
 FAST_CONFIG = {
@@ -71,6 +72,17 @@ class TestArgumentParsing:
         assert run(["collect", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "ConfigError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        {"system": 5}, {"trials": None}, {"sigma": {"grid": 5}}, {"t_list": 5},
+        {"support": {"k": None}},
+    ], ids=["system", "trials", "sigma-grid", "t-list", "support-k"])
+    def test_mistyped_value_exits_2_with_one_line(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, FAST_CONFIG | override)
+        assert run(["collect", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("ddrobust: error: TypeError: ")
+
 
 class TestCommandChain:
     @pytest.fixture()
@@ -127,6 +139,19 @@ class TestCommandChain:
             assert row[1] == "30"
             assert row[5] == "first_order"
             assert 0.0 <= float(row[2]) <= 1.0
+
+    @pytest.mark.parametrize("r", [[[1.0]], [[1.0, 0.0], [0.0, 1.0]]], ids=["r-1x1", "r-2x2"])
+    def test_design_rejects_weights_that_do_not_fit(self, tmp_path, capsys, r):
+        weights = {"name": "ce-lqr", "hyperparameters": {"q": [[1.0]], "r": r}}
+        cfg = write_config(tmp_path, FAST_CONFIG | {"map": weights})
+        out = tmp_path / "run"
+        assert run(["collect", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["design", "--config", cfg, "--out", str(out)]) == 2
+        shape = np.shape(r)
+        assert capsys.readouterr().err == (
+            f"ddrobust: error: ValueError: LQR weights Q (1, 1) and R {shape} "
+            f"do not fit n = 4, m = 2\n")
 
     def test_design_without_data_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_CONFIG)
@@ -331,23 +356,52 @@ class TestEveryTrialFailed:
 
 
 def test_fig1_map_bug_exits_2(tmp_path, capsys, monkeypatch):
-    # A ValueError raised inside a map is a bug, not a failed grid point:
-    # fig1 stops with one line instead of writing a NaN row.
+    # A TypeError or ValueError raised inside a map is a bug, not a failed
+    # grid point: fig1 stops with one line instead of writing a NaN row.
     original = CeLqrMap.evaluate_batch
-
-    def evaluate_batch(self, data, x_vecs):
-        if np.abs(x_vecs - data.x_vec).max() > 1.0:
-            raise ValueError("operands could not be broadcast together")
-        return original(self, data, x_vecs)
-
-    monkeypatch.setattr(CeLqrMap, "evaluate_batch", evaluate_batch)
     cfg = write_config(tmp_path, FAST_CONFIG | {"mode": "exact",
                                                 "sigma": {"grid": [1e-4, 30.0, 1e-3]}})
+    for error in (TypeError, ValueError):
+        def evaluate_batch(self, data, x_vecs):
+            if np.abs(x_vecs - data.x_vec).max() > 1.0:
+                raise error("operands could not be broadcast together")
+            return original(self, data, x_vecs)
+
+        monkeypatch.setattr(CeLqrMap, "evaluate_batch", evaluate_batch)
+        out = tmp_path / error.__name__
+        assert run(["fig1", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"ddrobust: error: {error.__name__}: "
+                       "operands could not be broadcast together\n")
+        assert not (out / "fig1.csv").exists()
+
+
+def test_one_entry_support_at_large_sigma(tmp_path):
+    # With one support entry v_bar equals the variance envelope in exact
+    # arithmetic; at sigma up to 1e6 they differ by rounding, which is no
+    # violation of the envelope.
+    cfg = write_config(tmp_path, {"t_steps": 60, "support": {"indices": [100]},
+                                  "sigma": {"grid": [100, 1e4, 1e5, 1e6]}, "trials": 20})
     out = tmp_path / "run"
-    assert run(["fig1", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == "ddrobust: error: ValueError: operands could not be broadcast together\n"
-    assert not (out / "fig1.csv").exists()
+    assert run(["fig1", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_csv(out / "fig1.csv")[1:]
+    assert len(rows) == 4 and all(math.isfinite(float(v)) for row in rows for v in row)
+    assert run(["collect", "--config", cfg, "--out", str(out)]) == 0
+    assert run(["bounds", "--config", cfg, "--out", str(out)]) == 0
+
+
+def test_shipped_maps_never_reach_the_per_record_fallback(tmp_path, monkeypatch):
+    # The base-class fallback builds one TrainingData per record through
+    # with_x_vec; both shipped maps evaluate every stack without it.
+    def refuse(self, v):
+        raise AssertionError("per-record fallback reached")
+
+    monkeypatch.setattr(TrainingData, "with_x_vec", refuse)
+    pinv = write_config(tmp_path, FAST_CONFIG | {"map": {"name": "pinv"}, "t_list": [20, 40],
+                                                 "fig2_trials": 2}, name="pinv.json")
+    assert run(["fig2", "--config", pinv, "--out", str(tmp_path / "fig2")]) == 0
+    exact = write_config(tmp_path, FAST_CONFIG | {"mode": "exact"}, name="exact.json")
+    assert run(["fig1", "--config", exact, "--out", str(tmp_path / "fig1")]) == 0
 
 
 @pytest.mark.skipif(shutil.which("ddrobust") is None,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,14 +10,12 @@ from ddrobust import (
     LqrWeights,
     LtiSystem,
     PinvMap,
-    ce_lqr_map,
     check_a1,
     collect,
     dare_solve,
     identify,
     lqr_gain,
     map_from_descriptor,
-    pinv_map,
     snapshot_matrices,
     vehicle_model,
 )
@@ -34,19 +33,19 @@ class TestPinvMap:
     def test_scalar_single_step(self):
         sys = LtiSystem(np.array([[0.7]]), np.array([[1.0]]))
         data = collect(sys, 1, 1, seed=0, x0=np.array([2.5]))
-        k = pinv_map(data).k
+        k = PinvMap().evaluate(data)
         assert k.shape == (1, 1)
         assert k[0, 0] == pytest.approx(data.u[0, 0] / 2.5, abs=1e-12)
 
     def test_zero_inputs_give_zero_gain(self):
         data = collect(vehicle_model(0.1), 1, 30, input_law=zero_inputs, seed=0,
                        x0=np.array([1.0, 0.0, -1.0, 0.5]))
-        assert np.array_equal(pinv_map(data).k, np.zeros((2, 4)))
+        assert np.array_equal(PinvMap().evaluate(data), np.zeros((2, 4)))
 
     def test_closed_loop_identity_full_row_rank(self):
         sys = vehicle_model(0.1)
         data = collect(sys, 1, 500, seed=0)
-        result = pinv_map(data)
+        result = PinvMap().evaluate_flagged(data)
         assert not result.rank_deficient
         x0, x1, _ = snapshot_matrices(data)
         closed_loop = sys.a + sys.b @ result.k
@@ -55,7 +54,7 @@ class TestPinvMap:
 
     def test_rank_deficiency_flagged(self):
         data = collect(vehicle_model(0.1), 1, 2, seed=0)
-        assert pinv_map(data).rank_deficient
+        assert PinvMap().evaluate_flagged(data).rank_deficient
 
 
 class TestIdentify:
@@ -176,6 +175,15 @@ class TestDare:
         assert np.isnan(p[:2]).all()
         assert abs(p[2, 0, 0] - GOLDEN) <= 1e-12
 
+    def test_weights_must_fit_the_pair(self):
+        # A 1 x 1 weight would otherwise broadcast to the all-ones matrix.
+        sys = vehicle_model(0.1)
+        for q, r in ((np.eye(1), np.eye(2)), (np.eye(4), np.eye(1)), (np.eye(1), np.eye(1))):
+            with pytest.raises(ValueError, match=re.escape(f"Q {q.shape} and R {r.shape}")):
+                dare_solve(sys.a, sys.b, q, r)
+        with pytest.raises(ValueError, match=re.escape("Q (1, 1, 1) and R (2, 2)")):
+            dare_solve_batch(sys.a[None], sys.b[None], np.ones((1, 1, 1)), np.eye(2))
+
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             LqrWeights(q=np.array([[1.0, 0.2], [0.0, 1.0]]), r=np.eye(2))
@@ -216,20 +224,20 @@ class TestCeLqr:
         sys = vehicle_model(0.1)
         for seed in range(5):
             data = collect(sys, 1, 200, seed=seed)
-            k = ce_lqr_map(data, LqrWeights.identity(4, 2)).k
+            k = CeLqrMap(LqrWeights.identity(4, 2)).evaluate(data)
             assert check_a1(sys, k).stable
 
     def test_scalar_gain_via_exact_identification(self):
         sys = LtiSystem(np.array([[1.0]]), np.array([[1.0]]))
         data = collect(sys, 1, 10, seed=0)
-        k = ce_lqr_map(data, LqrWeights.identity(1, 1)).k
+        k = CeLqrMap(LqrWeights.identity(1, 1)).evaluate(data)
         assert abs(k[0, 0] + 1.0 / GOLDEN) <= 1e-6
 
     def test_zero_input_data_degenerates_to_zero_gain(self):
         sys = vehicle_model(0.1)
         data = collect(sys, 1, 30, input_law=zero_inputs, seed=0,
                        x0=np.array([1.0, -0.5, 2.0, 0.25]))
-        result = ce_lqr_map(data, LqrWeights.identity(4, 2))
+        result = CeLqrMap(LqrWeights.identity(4, 2)).evaluate_flagged(data)
         assert result.rank_deficient
         assert np.allclose(result.k, np.zeros((2, 4)), atol=1e-12)
         chk = check_a1(sys, result.k)

@@ -308,6 +308,16 @@ class TestEstimateInstability:
             estimate_instability(sys, data, CeLqrMap(), k_ce, model, 10,
                                  MODE_FIRST_ORDER, seed=5, bundle=bundle)
 
+    def test_bundle_must_match_the_model_support(self, vehicle_setup, k_ce):
+        sys, data, support = vehicle_setup
+        bundle = fd_jacobian(CeLqrMap(), data, support).with_b(sys.b, B_SOURCE_TRUE)
+        other = support.copy()
+        other[0] = np.setdiff1d(np.arange(data.p), support)[0]
+        model = PerturbationModel(other, np.full(support.size, 0.1))
+        with pytest.raises(ValueError, match="model's support"):
+            estimate_instability(sys, data, CeLqrMap(), k_ce, model, 10, MODE_FIRST_ORDER,
+                                 seed=0, bundle=bundle)
+
     def test_map_failures_are_skipped_and_counted(self, vehicle_setup, k_ce):
         sys, data, support = vehicle_setup
         watched = int(support[0])
@@ -384,21 +394,22 @@ class TestEvaluateBatch:
         _, data, _ = vehicle_setup
         x_vecs = self.probes(data, 3, 0.01)
         x_vecs[1, 5] = np.nan
-        gains = CeLqrMap().evaluate_batch(data, x_vecs)
-        assert finite_items(gains).tolist() == [True, False, True]
-        assert np.array_equal(gains[[0, 2]], CeLqrMap().evaluate_batch(data, x_vecs[[0, 2]]))
-        gains = CeLqrMap().evaluate_batch(data, x_vecs[[1, 1]])
-        assert np.isnan(gains).all()
+        for cmap in (CeLqrMap(), PinvMap()):
+            gains = cmap.evaluate_batch(data, x_vecs)
+            assert finite_items(gains).tolist() == [True, False, True]
+            assert np.array_equal(gains[[0, 2]], cmap.evaluate_batch(data, x_vecs[[0, 2]]))
+            assert np.isnan(cmap.evaluate_batch(data, x_vecs[[1, 1]])).all()
 
     def test_non_finite_record_fails_its_item_in_fallback(self, vehicle_setup):
         # A non-finite record is a failed item, not a ValueError out of
         # with_x_vec.
         _, data, _ = vehicle_setup
+        cmap = LinearMap(np.random.default_rng(3).standard_normal((8, data.p)), 2, 4)
         x_vecs = self.probes(data, 3, 0.01)
         x_vecs[1, 5] = np.inf
-        gains = PinvMap().evaluate_batch(data, x_vecs)
+        gains = cmap.evaluate_batch(data, x_vecs)
         assert finite_items(gains).tolist() == [True, False, True]
-        assert np.array_equal(gains[[0, 2]], PinvMap().evaluate_batch(data, x_vecs[[0, 2]]))
+        assert np.array_equal(gains[[0, 2]], cmap.evaluate_batch(data, x_vecs[[0, 2]]))
 
     @pytest.mark.parametrize("cmap", [CeLqrMap(), "flaky"], ids=["ce-lqr", "flaky"])
     def test_estimate_does_not_depend_on_chunking(self, vehicle_setup, k_ce, monkeypatch,
@@ -416,6 +427,21 @@ class TestEvaluateBatch:
                                                 MODE_EXACT, seed=4))
         assert reports[0] == reports[1] == reports[2]
         assert reports[0].unstable_count > 0
+
+
+    def test_pinv_gains_do_not_depend_on_chunking(self, vehicle_setup, monkeypatch):
+        # The pinv loop on the vehicle is not stable, so estimate_instability
+        # refuses it; the gains themselves are the stronger check.
+        _, data, support = vehicle_setup
+        deltas = 3.0 * np.random.default_rng(4).standard_normal((60, support.size))
+        deltas[7, 0] = np.nan  # one failed item inside a chunk
+        gains = []
+        for floats in (1, 7 * data.p, ctrlmaps._BATCH_FLOATS):
+            monkeypatch.setattr(ctrlmaps, "_BATCH_FLOATS", floats)
+            gains.append(evaluate_perturbed(PinvMap(), data, support, deltas))
+        assert finite_items(gains[0]).tolist() == [i != 7 for i in range(60)]
+        assert np.array_equal(gains[0], gains[1], equal_nan=True)
+        assert np.array_equal(gains[0], gains[2], equal_nan=True)
 
 
 class TestProgrammingErrorsSurface:
