@@ -13,7 +13,7 @@ from .linalg import (
     vec,
     vec_inverse,
 )
-from .lti import LtiSystem, TrainingData, collect, simulate, snapshot_matrices, vehicle_model
+from .lti import LtiSystem, TrainingData, collect, simulate, vehicle_model
 from .ctrlmaps import (
     CeLqrMap,
     ControllerMap,
@@ -37,6 +37,7 @@ from .sensitivity import (
 )
 from .bounds import (
     BoundsReport,
+    EnvelopeError,
     StabilityError,
     bauer_fike_check,
     jmax_envelope,

@@ -33,6 +33,10 @@ class StabilityError(RuntimeError):
     """The nominal closed loop violates the standing stability assumption."""
 
 
+class EnvelopeError(ArithmeticError):
+    """v_bar exceeds its variance envelope: the Jacobian bundle is broken."""
+
+
 @dataclass(frozen=True)
 class BoundsReport:
     """Everything the two-sided certificate produces for one configuration."""
@@ -216,7 +220,7 @@ def jmax_envelope(bundle: JacobianBundle, sigmas) -> JmaxEnvelope:
     sigma_max = float(np.max(sigmas))
     envelope = sigma_max**2 * bundle.size * worst**2
     if v_bar > envelope * (1.0 + 1e-10):
-        raise ArithmeticError(
+        raise EnvelopeError(
             f"envelope violated: v_bar = {v_bar!r} > envelope = {envelope!r}"
         )
     return JmaxEnvelope(sigma_max=sigma_max, j_max=worst, envelope=float(envelope), v_bar=v_bar)

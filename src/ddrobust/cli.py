@@ -31,8 +31,8 @@ from .sensitivity import (
     PerturbationModel,
     fd_jacobian,
 )
-from .bounds import (BoundsReport, StabilityError, j_max, jmax_envelope, theorem1_bounds,
-                     variance_params)
+from .bounds import (BoundsReport, EnvelopeError, StabilityError, j_max, jmax_envelope,
+                     theorem1_bounds, variance_params)
 from .mc import (MODE_EXACT, MODE_FIRST_ORDER, MonteCarloReport, NoEstimateError,
                  estimate_instability, random_support)
 
@@ -71,6 +71,24 @@ def _log_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
     if points < 2:
         raise ConfigError("log_range needs at least 2 points")
     return tuple(float(v) for v in np.logspace(math.log10(lo), math.log10(hi), points))
+
+
+_TYPE_NAMES = {int: "int", float: "number", str: "string", list: "list", dict: "object"}
+
+
+def _typed(value, key: str, kind: type, item: type | None = None):
+    """``value`` of the config key ``key`` if its JSON type is ``kind``, a list of
+    ``item`` when that is given; otherwise a TypeError naming the key. A number
+    may be an integer and comes back as a float; a boolean is not a number."""
+    def fits(v, t):
+        return isinstance(v, (int, float) if t is float else t) and not isinstance(v, bool)
+
+    if not fits(value, kind) or (item and not all(fits(v, item) for v in value)):
+        name = _TYPE_NAMES[kind] + (f" of {_TYPE_NAMES[item]}" if item else "")
+        raise TypeError(f"config key {key} must be {name}, got {value!r}")
+    if item is float:
+        return [float(v) for v in value]
+    return float(value) if kind is float else value
 
 
 @dataclass(frozen=True)
@@ -128,54 +146,58 @@ class ExperimentConfig:
         }, "config")
         kwargs: dict = {}
         if "system" in doc:
-            sysdoc = doc["system"]
+            sysdoc = _typed(doc["system"], "system", dict)
             if "name" in sysdoc:
                 _check_keys(sysdoc, {"name", "ts"}, "system")
-                if sysdoc["name"] != "vehicle":
+                if _typed(sysdoc["name"], "system.name", str) != "vehicle":
                     raise ConfigError(f"unknown builtin system {sysdoc['name']!r}")
                 kwargs["system_name"] = "vehicle"
-                kwargs["ts"] = float(sysdoc.get("ts", 0.1))
+                kwargs["ts"] = _typed(sysdoc.get("ts", 0.1), "system.ts", float)
             else:
                 _check_keys(sysdoc, {"a", "b"}, "system")
                 if "a" not in sysdoc or "b" not in sysdoc:
                     raise ConfigError("custom system needs both a and b")
                 kwargs["system_name"] = "custom"
-                kwargs["a"] = tuple(tuple(float(v) for v in row) for row in sysdoc["a"])
-                kwargs["b"] = tuple(tuple(float(v) for v in row) for row in sysdoc["b"])
+                for key in ("a", "b"):
+                    name = f"system.{key}"
+                    rows = _typed(sysdoc[key], name, list, list)
+                    kwargs[key] = tuple(tuple(_typed(row, name, list, float)) for row in rows)
         if "map" in doc:
-            mapdoc = doc["map"]
+            mapdoc = _typed(doc["map"], "map", dict)
             _check_keys(mapdoc, {"name", "hyperparameters"}, "map")
-            kwargs["map_name"] = str(mapdoc.get("name", "ce-lqr"))
-            kwargs["map_hyper"] = mapdoc.get("hyperparameters")
+            kwargs["map_name"] = _typed(mapdoc.get("name", "ce-lqr"), "map.name", str)
+            kwargs["map_hyper"] = _typed(mapdoc.get("hyperparameters", {}),
+                                         "map.hyperparameters", dict)
         if "support" in doc:
-            supdoc = doc["support"]
+            supdoc = _typed(doc["support"], "support", dict)
             _check_keys(supdoc, {"k", "indices"}, "support")
-            kwargs["support_k"] = int(supdoc["k"]) if "k" in supdoc else None
+            kwargs["support_k"] = _typed(supdoc["k"], "support.k", int) if "k" in supdoc else None
             if "indices" in supdoc:
-                kwargs["support_indices"] = tuple(int(i) for i in supdoc["indices"])
+                kwargs["support_indices"] = tuple(_typed(supdoc["indices"], "support.indices",
+                                                         list, int))
         if "sigma" in doc:
-            sigdoc = doc["sigma"]
+            sigdoc = _typed(doc["sigma"], "sigma", dict)
             _check_keys(sigdoc, {"grid", "log_range", "points", "value"}, "sigma")
             if "grid" in sigdoc:
-                kwargs["sigma_grid"] = tuple(float(s) for s in sigdoc["grid"])
+                kwargs["sigma_grid"] = tuple(_typed(sigdoc["grid"], "sigma.grid", list, float))
             elif "log_range" in sigdoc:
-                lo, hi = (float(v) for v in sigdoc["log_range"])
-                kwargs["sigma_grid"] = _log_grid(lo, hi, int(sigdoc.get("points", 10)))
+                lo, hi = _typed(sigdoc["log_range"], "sigma.log_range", list, float)
+                points = _typed(sigdoc.get("points", 10), "sigma.points", int)
+                kwargs["sigma_grid"] = _log_grid(lo, hi, points)
             elif "value" in sigdoc:
-                kwargs["sigma_grid"] = (float(sigdoc["value"]),)
+                kwargs["sigma_grid"] = (_typed(sigdoc["value"], "sigma.value", float),)
             else:
                 raise ConfigError("sigma needs one of grid, log_range, value")
         for key in ("t_steps", "n_experiments", "trials", "seed", "fig2_trials"):
             if key in doc:
-                kwargs[key] = int(doc[key])
+                kwargs[key] = _typed(doc[key], key, int)
         if "mode" in doc:
-            kwargs["mode"] = _canon_mode(str(doc["mode"]))
-        if "b_source" in doc:
-            kwargs["b_source"] = str(doc["b_source"])
-        if "out" in doc:
-            kwargs["out"] = str(doc["out"])
+            kwargs["mode"] = _canon_mode(_typed(doc["mode"], "mode", str))
+        for key in ("b_source", "out"):
+            if key in doc:
+                kwargs[key] = _typed(doc[key], key, str)
         if "t_list" in doc:
-            kwargs["t_list"] = tuple(int(t) for t in doc["t_list"])
+            kwargs["t_list"] = tuple(_typed(doc["t_list"], "t_list", list, int))
         return cls(**kwargs)
 
     def build_system(self) -> LtiSystem:
@@ -298,10 +320,17 @@ def _fd_bundle(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
 
 def _load_bundle(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
                  cmap: ControllerMap, out: Path) -> JacobianBundle:
+    """The bundle in jacobian.json, which must be on the configured support, or
+    a fresh FD bundle when there is none."""
     path = out / _JACOBIAN_FILE
-    if path.exists():
-        return _attach_b(JacobianBundle.load(path), cfg, system, data)
-    return _fd_bundle(cfg, system, data, cmap, _resolve_support(cfg, data))
+    support = _resolve_support(cfg, data)
+    if not path.exists():
+        return _fd_bundle(cfg, system, data, cmap, support)
+    bundle = JacobianBundle.load(path)
+    if not np.array_equal(bundle.support, support):
+        raise ConfigError(f"{path} is for support {bundle.support.tolist()}, but the config "
+                          f"gives {support.tolist()}; rerun jacobian")
+    return _attach_b(bundle, cfg, system, data)
 
 
 def _bounds_at(a_cl: np.ndarray, bundle: JacobianBundle, sigma: float) -> BoundsReport:
@@ -442,7 +471,7 @@ def cmd_fig1(cfg: ExperimentConfig) -> list[Path]:
             rows.append([sigma, max(report.lower, EPS_FLOOR), mc.p_hat,
                          mc.ci_low, mc.ci_high,
                          max(report.upper_clamped, EPS_FLOOR)])
-        except (NoEstimateError, ArithmeticError, StabilityError) as exc:
+        except (NoEstimateError, EnvelopeError, StabilityError) as exc:
             print(f"fig1: sigma={sigma:g} failed: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
             rows.append([sigma, math.nan, math.nan, math.nan, math.nan, math.nan])

@@ -48,6 +48,9 @@ _DARE_RESIDUAL_RTOL = 1e-8
 # is at most this.
 _DARE_STEP_RTOL = 1e-12
 
+# Doubling steps before an unconverged Riccati solve fails.
+_DARE_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class LqrWeights:
@@ -88,7 +91,7 @@ class GainResult:
 class IdentifiedModel:
     a: np.ndarray
     b: np.ndarray
-    rank_deficient: bool
+    rank_deficient: bool | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,23 +100,15 @@ class StabilityCheck:
     rho: float
 
 
-def identify(data: TrainingData) -> IdentifiedModel:
+def identify(data: TrainingData, x_vecs=None) -> IdentifiedModel:
     """Least-squares fit [A B] = X1 pinv([X0; U0]).
 
     Exact on noiseless data when the regressor has full row rank; otherwise
-    the minimum-norm solution is returned and flagged.
+    the minimum-norm solution is returned and flagged. With ``x_vecs``, fits
+    each state record vec(X) in its rows by one stacked pseudoinverse, and
+    a, b and rank_deficient are (N, n, n), (N, n, m) and (N,) stacks.
     """
-    [a], [b], [rank] = identify_batch(data, data.x_vec[None])
-    return IdentifiedModel(a=a, b=b, rank_deficient=bool(rank < data.n + data.m))
-
-
-def identify_batch(data: TrainingData, x_vecs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`identify` for each state record vec(X) in the rows of ``x_vecs``.
-
-    Returns the (N, n, n) and (N, n, m) stacks of identified A and B and
-    the rank of each regressor [X0; U0].
-    """
-    x0, x1, u0 = snapshot_batch(data, x_vecs)
+    x0, x1, u0 = snapshot_batch(data, data.x_vec[None] if x_vecs is None else x_vecs)
     n = data.n
     # The regressors [X0; U0], laid out column by column like X0.
     w = np.empty((len(x0), x0.shape[2], n + data.m))
@@ -121,50 +116,53 @@ def identify_batch(data: TrainingData, x_vecs) -> tuple[np.ndarray, np.ndarray, 
     w[..., n:] = u0.T
     w_pinv, rank = pseudoinverse(_t(w))
     ab = x1 @ w_pinv
-    return ab[..., :n], ab[..., n:], rank
+    a, b, deficient = ab[..., :n], ab[..., n:], rank < n + data.m
+    if x_vecs is None:
+        return IdentifiedModel(a=a[0], b=b[0], rank_deficient=bool(deficient[0]))
+    return IdentifiedModel(a=a, b=b, rank_deficient=deficient)
 
 
-def dare_solve(a, b, q, r, max_iter: int = 100) -> np.ndarray:
+def _dare_error(max_iter: int) -> DareError:
+    return DareError(f"Riccati doubling iteration diverged, did not converge in "
+                     f"{max_iter} steps or failed its residual gate")
+
+
+def dare_solve(a, b, q, r, max_iter: int = _DARE_MAX_ITER) -> np.ndarray:
     """Stabilizing solution P of the discrete algebraic Riccati equation
 
         P = Q + A'PA - A'PB (R + B'PB)^-1 B'PA,
 
-    by the doubling iteration of :func:`dare_solve_batch`. Divergence, no
+    for one pair (A, B) or for (N, n, n) and (N, n, m) stacks of pairs, by
+    structure-preserving doubling (Chu, Fan, Lin et al., 2004-05). ``q``
+    and ``r`` are one weight pair or one per item. Divergence, no
     convergence in ``max_iter`` doubling steps or a failed residual gate
-    raises :class:`DareError` (the pair is then not stabilizable as far as
-    this design is concerned).
+    means the pair is not stabilizable as far as this design is concerned:
+    one pair then raises :class:`DareError`, and a stack item is all NaN.
     """
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    q = as_matrix(q, "Q")
-    r = as_matrix(r, "R")
-    [p] = dare_solve_batch(a[None], b[None], q, r, max_iter)
+    if np.ndim(a) == 3:
+        return _doubling(a, b, q, r, max_iter)
+    a, b = as_matrix(a, "A"), as_matrix(b, "B")
+    [p] = _doubling(a[None], b[None], as_matrix(q, "Q"), as_matrix(r, "R"), max_iter)
     if np.isnan(p).any():
-        raise DareError(f"Riccati doubling iteration diverged, did not converge in "
-                        f"{max_iter} steps or failed its residual gate")
+        raise _dare_error(max_iter)
     return p
 
 
-def dare_solve_batch(a, b, q, r, max_iter: int = 100) -> np.ndarray:
-    """Riccati solutions for (N, n, n) and (N, n, m) stacks of pairs (A, B).
+def _doubling(a, b, q, r, max_iter: int) -> np.ndarray:
+    """:func:`dare_solve` on stacks of pairs.
 
-    Structure-preserving doubling (Chu, Fan, Lin et al., 2004-05): from
-    A0 = A, G0 = B R^-1 B', H0 = Q, each step solves W = I + G H against
-    [A | G] once and sets
+    From A0 = A, G0 = B R^-1 B', H0 = Q, each step solves W = I + G H
+    against [A | G] once and sets
 
         A+ = A W^-1 A,  G+ = G + A W^-1 G A',  H+ = H + A' H W^-1 A.
 
     H converges quadratically to P when (A, B) is stabilizable. An item
     stops when its relative step passes ``_DARE_STEP_RTOL`` (entrywise), and
     its P is accepted only if the Riccati residual passes
-    ``_DARE_RESIDUAL_RTOL``.
-    ``q`` and ``r`` are one weight pair or one per item. Returns the
-    (N, n, n) solutions; an item that diverged, did not converge or failed
-    its residual gate is all NaN. Each item is iterated alone until it
-    stops, so its result does not depend on the rest of the stack.
+    ``_DARE_RESIDUAL_RTOL``. Each item is iterated alone until it stops, so
+    its result does not depend on the rest of the stack.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     count, n, m = len(a), a.shape[-1], b.shape[-1]
     q, r = np.asarray(q, dtype=float), np.asarray(r, dtype=float)
     if q.shape[-2:] != (n, n) or r.shape[-2:] != (m, m):
@@ -233,16 +231,17 @@ def _riccati_residual(a, b, q, r, p) -> np.ndarray:
     return _max_abs(resid)
 
 
-def _gain(a, b, r, p) -> np.ndarray:
-    """K = -(R + B'PB)^-1 B'PA for one pair or a stack of pairs."""
-    return -np.linalg.solve(r + _t(b) @ p @ b, _t(b) @ p @ a)
-
-
 def lqr_gain(a, b, q, r) -> np.ndarray:
-    """Stationary LQR gain, sign convention u = K x (closed loop A + BK)."""
+    """Stationary LQR gain K = -(R + B'PB)^-1 B'PA, sign convention u = K x
+    (closed loop A + BK), for one pair or stacks of pairs as in
+    :func:`dare_solve`. A stack item whose Riccati solve fails is all NaN.
+    """
     p = dare_solve(a, b, q, r)
-    return _gain(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
-                 np.asarray(r, dtype=float), p)
+    # A failed stack item has P NaN: solve it with P = 0, then put NaN back.
+    failed = np.isnan(p[..., :1, :1])
+    p, b = np.where(failed, 0.0, p), np.asarray(b, dtype=float)
+    k = -np.linalg.solve(r + _t(b) @ p @ b, _t(b) @ p @ a)
+    return np.where(failed, np.nan, k)
 
 
 def check_a1(sys: LtiSystem, k) -> StabilityCheck:
@@ -348,14 +347,26 @@ class PinvMap(ControllerMap):
         return GainResult(k=k, rank_deficient=bool(rank < data.n))
 
 
+def _ce_lqr_gains(data: TrainingData, x_vecs,
+                  weights: LqrWeights | None) -> tuple[np.ndarray, np.ndarray]:
+    """Certainty-equivalence gains and rank flags for the state records in the
+    rows of ``x_vecs``: identify each pair, then LQR on it (identity weights
+    by default). An item whose Riccati solve fails is all NaN."""
+    weights = weights or LqrWeights.identity(data.n, data.m)
+    model = identify(data, x_vecs)
+    # No identified control authority: the gain formula is zero for any cost,
+    # so take that limit instead of a Riccati solve with nothing.
+    ctrl = np.any(model.b, axis=(1, 2))
+    k = np.zeros((len(ctrl), data.m, data.n))
+    k[ctrl] = lqr_gain(model.a[ctrl], model.b[ctrl], weights.q, weights.r)
+    return k, model.rank_deficient
+
+
 class CeLqrMap(ControllerMap):
     name = "ce-lqr"
 
     def __init__(self, weights: LqrWeights | None = None):
         self.weights = weights
-
-    def _weights_for(self, data: TrainingData) -> LqrWeights:
-        return self.weights or LqrWeights.identity(data.n, data.m)
 
     def evaluate(self, data: TrainingData) -> np.ndarray:
         return self.evaluate_flagged(data).k
@@ -363,28 +374,16 @@ class CeLqrMap(ControllerMap):
     def evaluate_batch(self, data: TrainingData, x_vecs) -> np.ndarray:
         """:meth:`evaluate` on a stack: one stacked pseudoinverse of the regressors,
         one doubling Riccati solve over the stack and one stacked gain solve."""
-        weights = self._weights_for(data)
         k, rows, records = _finite_records(data, x_vecs)
-        a, b, _ = identify_batch(data, records)
-        ctrl = np.any(b, axis=(1, 2))
-        # As in evaluate_flagged: no identified control authority gives K = 0.
-        k[rows[~ctrl]] = 0.0
-        rows, a, b = rows[ctrl], a[ctrl], b[ctrl]
-        p = dare_solve_batch(a, b, weights.q, weights.r)
-        solved = ~np.isnan(p[:, 0, 0])
-        k[rows[solved]] = _gain(a[solved], b[solved], weights.r, p[solved])
+        k[rows] = _ce_lqr_gains(data, records, self.weights)[0]
         return k
 
     def evaluate_flagged(self, data: TrainingData) -> GainResult:
         """Certainty-equivalence design: identify, then LQR on the identified pair."""
-        model = identify(data)
-        if not np.any(model.b):
-            # No identified control authority: the gain formula is zero for any
-            # cost, so take that limit instead of a Riccati solve with nothing.
-            return GainResult(k=np.zeros((data.m, data.n)), rank_deficient=model.rank_deficient)
-        weights = self._weights_for(data)
-        k = lqr_gain(model.a, model.b, weights.q, weights.r)
-        return GainResult(k=k, rank_deficient=model.rank_deficient)
+        [k], [rank_deficient] = _ce_lqr_gains(data, data.x_vec[None], self.weights)
+        if np.isnan(k).any():
+            raise _dare_error(_DARE_MAX_ITER)
+        return GainResult(k=k, rank_deficient=bool(rank_deficient))
 
     def descriptor(self) -> dict:
         hyper = {}

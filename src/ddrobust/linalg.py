@@ -93,24 +93,27 @@ def eigenvalues(m) -> Spectrum:
     )
 
 
-def spectral_radius(m) -> float:
-    """max |lambda_i| of a square matrix."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"spectral_radius requires a square matrix, got {m.shape}")
-    [rho] = spectral_radii(m[None])
-    if np.isnan(rho):
-        raise EigensolverError("eigenvalue iteration did not converge")
-    return float(rho)
+def spectral_radius(m) -> float | np.ndarray:
+    """max |lambda_i| of a square matrix, or of each matrix in an (N, n, n) stack.
 
-
-def spectral_radii(stack) -> np.ndarray:
-    """max |lambda_i| of each matrix in an (N, n, n) stack.
-
-    An item with non-finite entries or a non-converging eigensolver has rho
-    NaN; the rest of the stack is unaffected.
+    One matrix must be finite, and an eigensolver that does not converge
+    raises :class:`EigensolverError`. A stack item with non-finite entries or
+    a non-converging eigensolver has rho NaN; the rest of the stack is
+    unaffected.
     """
-    stack = np.asarray(stack, dtype=float)
+    m = np.asarray(m, dtype=float)
+    stack = m if m.ndim == 3 else as_matrix(m)[None]
+    if stack.shape[-1] != stack.shape[-2]:
+        raise ValueError(f"spectral_radius requires square matrices, got {m.shape}")
+    rho = _radii(stack)
+    if m.ndim == 3:
+        return rho
+    if np.isnan(rho[0]):
+        raise EigensolverError("eigenvalue iteration did not converge")
+    return float(rho[0])
+
+
+def _radii(stack: np.ndarray) -> np.ndarray:
     finite = np.all(np.isfinite(stack), axis=(-2, -1))
     safe = np.where(finite[:, None, None], stack, 0.0)
     try:
@@ -121,7 +124,7 @@ def spectral_radii(stack) -> np.ndarray:
         if len(stack) == 1:
             return np.array([np.nan])
         half = len(stack) // 2
-        rho = np.concatenate([spectral_radii(part) for part in (safe[:half], safe[half:])])
+        rho = np.concatenate([_radii(part) for part in (safe[:half], safe[half:])])
     return np.where(finite, rho, np.nan)
 
 

@@ -212,12 +212,6 @@ def collect(
     )
 
 
-def snapshot_matrices(data: TrainingData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (X0, X1, U0) snapshots of the record: :func:`snapshot_batch` with N = 1."""
-    [x0], [x1], u0 = snapshot_batch(data, data.x_vec[None])
-    return x0, x1, u0
-
-
 def snapshot_batch(data: TrainingData, x_vecs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split N state records vec(X), the rows of an (N, p*E) array, into
     (X0, X1, U0) snapshots, experiments side by side.

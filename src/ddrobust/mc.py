@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .linalg import spectral_radii, spectral_radius
+from .linalg import spectral_radius
 from .lti import LtiSystem, TrainingData
 from .ctrlmaps import ControllerMap, evaluate_perturbed
 from .sensitivity import B_SOURCE_TRUE, JacobianBundle, PerturbationModel, fd_jacobian, first_order_acl
@@ -125,7 +125,7 @@ def estimate_instability(
         loops = sys.a + sys.b @ evaluate_perturbed(cmap, data, model.support, z)
     else:
         loops = first_order_acl(a_cl, bundle, z)
-    rho = spectral_radii(loops)
+    rho = spectral_radius(loops)
     # A NaN rho is a failed trial; an infinite rho of a finite loop is unstable.
     measured = ~np.isnan(rho)
     unstable = int(np.sum(rho[measured] >= 1.0))

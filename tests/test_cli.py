@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ddrobust import CeLqrMap, TrainingData, cli
+from ddrobust import CeLqrMap, TrainingData, cli, ctrlmaps
 
 
 FAST_CONFIG = {
@@ -74,14 +74,20 @@ class TestArgumentParsing:
 
     @pytest.mark.parametrize("override", [
         {"system": 5}, {"trials": None}, {"sigma": {"grid": 5}}, {"t_list": 5},
-        {"support": {"k": None}},
-    ], ids=["system", "trials", "sigma-grid", "t-list", "support-k"])
+        {"support": {"k": None}}, {"trials": 2.5}, {"seed": "3"}, {"trials": True},
+    ], ids=["system", "trials", "sigma-grid", "t-list", "support-k", "float-trials",
+            "string-seed", "bool-trials"])
     def test_mistyped_value_exits_2_with_one_line(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, FAST_CONFIG | override)
         assert run(["collect", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("ddrobust: error: TypeError: ")
+        # The message names the dotted key, e.g. support.k.
+        key, value = next(iter(override.items()))
+        while isinstance(value, dict):
+            subkey, value = next(iter(value.items()))
+            key = f"{key}.{subkey}"
+        assert err.startswith(f"ddrobust: error: TypeError: config key {key} must be ")
 
 
 class TestCommandChain:
@@ -159,6 +165,19 @@ class TestCommandChain:
         err = capsys.readouterr().err
         assert "FileNotFoundError" in err and "data.json" in err
 
+    def test_design_riccati_failure_exits_2_with_one_line(self, tmp_path, capsys,
+                                                          monkeypatch):
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        out = tmp_path / "run"
+        assert run(["collect", "--config", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        # The nominal design's Riccati residual (~1e-15 of max|P|) fails this gate.
+        monkeypatch.setattr(ctrlmaps, "_DARE_RESIDUAL_RTOL", 1e-300)
+        assert run(["design", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "ddrobust: error: DareError: Riccati doubling iteration diverged, did not "
+            "converge in 100 steps or failed its residual gate\n")
+
 
 class TestMalformedArtifacts:
     @pytest.mark.parametrize("command, name, content, expected", [
@@ -178,6 +197,21 @@ class TestMalformedArtifacts:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"ddrobust: error: ValueError: {out / name}: {expected}")
+
+    @pytest.mark.parametrize("command", ["bounds", "mc"])
+    def test_stale_jacobian_exits_2_with_one_line(self, tmp_path, capsys, command):
+        # A bundle saved for another support must not answer for this one.
+        old = write_config(tmp_path, FAST_CONFIG | {"support": {"indices": [0, 5, 9]}}, "old.json")
+        new = write_config(tmp_path, FAST_CONFIG | {"support": {"indices": [100, 120, 140, 160]}},
+                           "new.json")
+        out = tmp_path / "run"
+        for stage in ("collect", "jacobian"):
+            assert run([stage, "--config", old, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run([command, "--config", new, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"ddrobust: error: ConfigError: {out / 'jacobian.json'} is for support [0, 5, 9], "
+            "but the config gives [100, 120, 140, 160]; rerun jacobian\n")
 
 
 class TestOverrides:
@@ -356,12 +390,13 @@ class TestEveryTrialFailed:
 
 
 def test_fig1_map_bug_exits_2(tmp_path, capsys, monkeypatch):
-    # A TypeError or ValueError raised inside a map is a bug, not a failed
-    # grid point: fig1 stops with one line instead of writing a NaN row.
+    # A TypeError, ValueError or ZeroDivisionError raised inside a map is a
+    # bug, not a failed grid point: fig1 stops with one line instead of
+    # writing a NaN row.
     original = CeLqrMap.evaluate_batch
     cfg = write_config(tmp_path, FAST_CONFIG | {"mode": "exact",
                                                 "sigma": {"grid": [1e-4, 30.0, 1e-3]}})
-    for error in (TypeError, ValueError):
+    for error in (TypeError, ValueError, ZeroDivisionError):
         def evaluate_batch(self, data, x_vecs):
             if np.abs(x_vecs - data.x_vec).max() > 1.0:
                 raise error("operands could not be broadcast together")

@@ -16,11 +16,10 @@ from ddrobust import (
     identify,
     lqr_gain,
     map_from_descriptor,
-    snapshot_matrices,
     vehicle_model,
 )
 from ddrobust import ctrlmaps
-from ddrobust.ctrlmaps import dare_solve_batch
+from ddrobust.lti import snapshot_batch
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -47,7 +46,7 @@ class TestPinvMap:
         data = collect(sys, 1, 500, seed=0)
         result = PinvMap().evaluate_flagged(data)
         assert not result.rank_deficient
-        x0, x1, _ = snapshot_matrices(data)
+        [x0], [x1], _ = snapshot_batch(data, data.x_vec[None])
         closed_loop = sys.a + sys.b @ result.k
         reference = x1 @ np.linalg.pinv(x0)
         assert np.linalg.norm(closed_loop - reference, 2) <= 1e-8
@@ -78,6 +77,17 @@ class TestIdentify:
         assert not model.rank_deficient
         assert np.abs(model.a - sys.a).max() <= 1e-10
         assert np.abs(model.b - sys.b).max() <= 1e-10
+
+    def test_stack_matches_single_records(self):
+        data = collect(vehicle_model(0.1), 1, 30, seed=1)
+        rng = np.random.default_rng(4)
+        x_vecs = data.x_vec + 0.1 * rng.standard_normal((3, data.x_vec.size))
+        model = identify(data, x_vecs)
+        assert model.a.shape == (3, 4, 4) and model.b.shape == (3, 4, 2)
+        for i, x_vec in enumerate(x_vecs):
+            one = identify(data.with_x_vec(x_vec))
+            assert np.array_equal(model.a[i], one.a) and np.array_equal(model.b[i], one.b)
+            assert model.rank_deficient[i] == one.rank_deficient
 
     def test_difference_quotients_converge(self):
         data = collect(vehicle_model(0.1), 1, 30, seed=1)
@@ -160,20 +170,26 @@ class TestDare:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 3, 3))
         b = rng.standard_normal((6, 3, 2))
-        p = dare_solve_batch(a, b, np.eye(3), np.eye(2))
+        p = dare_solve(a, b, np.eye(3), np.eye(2))
         for i in range(6):
             assert np.array_equal(p[i], dare_solve(a[i], b[i], np.eye(3), np.eye(2)))
 
     def test_failed_items_do_not_fail_the_batch(self):
         # Item 0 diverges; with Q = -1, item 1 makes W = I + G H exactly
         # singular in the first step, which numpy reports for the whole
-        # stack. Item 2 is the golden-ratio problem.
-        a = np.array([[[2.0]], [[0.0]], [[1.0]]])
-        b = np.array([[[0.0]], [[1.0]], [[1.0]]])
-        q = np.array([[[1.0]], [[-1.0]], [[1.0]]])
-        p = dare_solve_batch(a, b, q, np.eye(1))
+        # stack. Item 2 is the golden-ratio problem, item 3 a stable pair.
+        a = np.array([[[2.0]], [[0.0]], [[1.0]], [[0.5]]])
+        b = np.array([[[0.0]], [[1.0]], [[1.0]], [[2.0]]])
+        q = np.array([[[1.0]], [[-1.0]], [[1.0]], [[3.0]]])
+        p = dare_solve(a, b, q, np.eye(1))
         assert np.isnan(p[:2]).all()
         assert abs(p[2, 0, 0] - GOLDEN) <= 1e-12
+        # The stacked gain fails the same items and no other.
+        k = lqr_gain(a, b, q, np.eye(1))
+        assert k.shape == (4, 1, 1) and np.isnan(k[:2]).all()
+        for i in (2, 3):
+            assert np.array_equal(p[i], dare_solve(a[i], b[i], q[i], np.eye(1)))
+            assert np.array_equal(k[i], lqr_gain(a[i], b[i], q[i], np.eye(1)))
 
     def test_weights_must_fit_the_pair(self):
         # A 1 x 1 weight would otherwise broadcast to the all-ones matrix.
@@ -182,7 +198,7 @@ class TestDare:
             with pytest.raises(ValueError, match=re.escape(f"Q {q.shape} and R {r.shape}")):
                 dare_solve(sys.a, sys.b, q, r)
         with pytest.raises(ValueError, match=re.escape("Q (1, 1, 1) and R (2, 2)")):
-            dare_solve_batch(sys.a[None], sys.b[None], np.ones((1, 1, 1)), np.eye(2))
+            dare_solve(sys.a[None], sys.b[None], np.ones((1, 1, 1)), np.eye(2))
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -242,6 +258,14 @@ class TestCeLqr:
         assert np.allclose(result.k, np.zeros((2, 4)), atol=1e-12)
         chk = check_a1(sys, result.k)
         assert not chk.stable and chk.rho >= 1.0
+
+    def test_nominal_riccati_failure_raises(self, monkeypatch):
+        # One record is the N = 1 case of the batch kernel, where a failed
+        # Riccati solve is a NaN item; the map must still raise for it.
+        data = collect(vehicle_model(0.1), 1, 200, seed=0)
+        monkeypatch.setattr(ctrlmaps, "_DARE_RESIDUAL_RTOL", 1e-300)
+        with pytest.raises(DareError, match="did not converge in 100 steps"):
+            CeLqrMap().evaluate(data)
 
 
 class TestCheckA1:

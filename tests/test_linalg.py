@@ -12,13 +12,13 @@ from conftest import (
 )
 from ddrobust.linalg import (
     EPS_FLOOR,
+    EigensolverError,
     as_matrix,
     condition_number_spectral,
     eigenvalues,
     pseudoinverse,
     q_function,
     spectral_norm,
-    spectral_radii,
     spectral_radius,
     vec,
     vec_inverse,
@@ -173,12 +173,12 @@ class TestPseudoinverse:
 class TestSpectralRadii:
     def test_matches_spectral_radius(self):
         stack = np.random.default_rng(21).standard_normal((5, 3, 3))
-        rho = spectral_radii(stack)
+        rho = spectral_radius(stack)
         assert rho.tolist() == [spectral_radius(m) for m in stack]
 
     def test_non_finite_item_masked(self):
         stack = np.stack([np.eye(2), np.full((2, 2), np.inf), 0.5 * np.eye(2)])
-        rho = spectral_radii(stack)
+        rho = spectral_radius(stack)
         assert rho[0] == 1.0 and np.isnan(rho[1]) and rho[2] == 0.5
 
     def test_eigensolver_failure_masks_its_item_alone(self, monkeypatch):
@@ -194,9 +194,12 @@ class TestSpectralRadii:
         monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
         stack = np.stack([0.5 * np.eye(2), np.full((2, 2), 7.0), 2.0 * np.eye(2),
                           np.eye(2)])
-        rho = spectral_radii(stack)
+        rho = spectral_radius(stack)
         assert np.isnan(rho[1])
         assert rho[[0, 2, 3]].tolist() == [0.5, 2.0, 1.0]
+        # One matrix is no stack: its failure raises.
+        with pytest.raises(EigensolverError):
+            spectral_radius(stack[1])
 
 
 class TestQFunction:

@@ -8,7 +8,6 @@ from ddrobust import (
     TrainingData,
     collect,
     simulate,
-    snapshot_matrices,
     vehicle_model,
 )
 from ddrobust.lti import snapshot_batch
@@ -16,6 +15,12 @@ from ddrobust.lti import snapshot_batch
 
 def zero_inputs(rng, m, t):
     return np.zeros((m, t))
+
+
+def snapshots(data):
+    """The (X0, X1, U0) snapshots of the record itself: the batch of one."""
+    [x0], [x1], u0 = snapshot_batch(data, data.x_vec[None])
+    return x0, x1, u0
 
 
 class TestVehicleModel:
@@ -140,7 +145,7 @@ class TestSnapshots:
     def test_single_step_layout(self):
         sys = vehicle_model(0.1)
         data = collect(sys, 1, 1, seed=0, x0=np.array([1.0, 2.0, 3.0, 4.0]))
-        x0, x1, u0 = snapshot_matrices(data)
+        x0, x1, u0 = snapshots(data)
         assert np.array_equal(x0[:, 0], [1.0, 2.0, 3.0, 4.0])
         assert x1.shape == (4, 1) and u0.shape == (2, 1)
         assert np.allclose(x1, sys.a @ x0 + sys.b @ u0, atol=1e-12)
@@ -149,15 +154,15 @@ class TestSnapshots:
         rng = np.random.default_rng(21)
         sys = LtiSystem(rng.standard_normal((3, 3)) * 0.4, rng.standard_normal((3, 2)))
         data = collect(sys, 1, 60, seed=5)
-        x0, x1, u0 = snapshot_matrices(data)
+        x0, x1, u0 = snapshots(data)
         assert np.linalg.norm(x1 - sys.a @ x0 - sys.b @ u0) <= 1e-10
 
     def test_perturbed_entries_land_in_both_snapshots(self):
         data = collect(vehicle_model(0.1), 1, 5, seed=1)
         bump = data.x_vec
         bump[4] += 1.0  # first entry of x(2)
-        x0, x1, _ = snapshot_matrices(data.with_x_vec(bump))
-        x0_ref, x1_ref, _ = snapshot_matrices(data)
+        x0, x1, _ = snapshots(data.with_x_vec(bump))
+        x0_ref, x1_ref, _ = snapshots(data)
         assert x1[0, 1] - x1_ref[0, 1] == 1.0
         assert x0[0, 2] - x0_ref[0, 2] == 1.0
 
@@ -165,7 +170,7 @@ class TestSnapshots:
         t = 6
         data = collect(vehicle_model(0.1), 3, t, seed=3)
         data = replace(data, x0s=np.arange(12.0).reshape(4, 3))
-        x0, x1, u0 = snapshot_matrices(data)
+        x0, x1, u0 = snapshots(data)
         assert x0.shape == x1.shape == (4, 3 * t) and u0.shape == (2, 3 * t)
         assert np.array_equal(x0[:, [0, t, 2 * t]], data.x0s)
         for i in range(3):
@@ -181,7 +186,7 @@ class TestSnapshots:
         x_vecs = data.x_vec + rng.standard_normal((4, data.x_vec.size))
         x0s, x1s, u0 = snapshot_batch(data, x_vecs)
         for x_vec, x0, x1 in zip(x_vecs, x0s, x1s):
-            ref = snapshot_matrices(data.with_x_vec(x_vec))
+            ref = snapshots(data.with_x_vec(x_vec))
             assert np.array_equal(x0, ref[0]) and np.array_equal(x1, ref[1])
             assert np.array_equal(u0, ref[2])
         with pytest.raises(ValueError):
