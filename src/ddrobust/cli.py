@@ -31,8 +31,7 @@ from .sensitivity import (
     PerturbationModel,
     fd_jacobian,
 )
-from .bounds import (BoundsReport, EnvelopeError, StabilityError, j_max, jmax_envelope,
-                     theorem1_bounds, variance_params)
+from .bounds import BoundsReport, j_max, jmax_envelope, theorem1_bounds, variance_params
 from .mc import (MODE_EXACT, MODE_FIRST_ORDER, MonteCarloReport, NoEstimateError,
                  estimate_instability, random_support)
 
@@ -162,6 +161,9 @@ class ExperimentConfig:
                     name = f"system.{key}"
                     rows = _typed(sysdoc[key], name, list, list)
                     kwargs[key] = tuple(tuple(_typed(row, name, list, float)) for row in rows)
+                    if len({len(row) for row in rows}) > 1:
+                        raise ConfigError(f"config key {name} must have rows of one length, "
+                                          f"got {rows!r}")
         if "map" in doc:
             mapdoc = _typed(doc["map"], "map", dict)
             _check_keys(mapdoc, {"name", "hyperparameters"}, "map")
@@ -181,7 +183,11 @@ class ExperimentConfig:
             if "grid" in sigdoc:
                 kwargs["sigma_grid"] = tuple(_typed(sigdoc["grid"], "sigma.grid", list, float))
             elif "log_range" in sigdoc:
-                lo, hi = _typed(sigdoc["log_range"], "sigma.log_range", list, float)
+                log_range = _typed(sigdoc["log_range"], "sigma.log_range", list, float)
+                if len(log_range) != 2:
+                    raise ConfigError(f"config key sigma.log_range must be [lo, hi], "
+                                      f"got {sigdoc['log_range']!r}")
+                lo, hi = log_range
                 points = _typed(sigdoc.get("points", 10), "sigma.points", int)
                 kwargs["sigma_grid"] = _log_grid(lo, hi, points)
             elif "value" in sigdoc:
@@ -448,19 +454,15 @@ def cmd_fig1(cfg: ExperimentConfig) -> list[Path]:
     then the bounds and mc stages per grid point. Bound columns are floored
     at 2.2e-16 so the curves stay positive on a log axis; the empirical
     columns are written exactly as estimated. A grid point with no estimate
-    (every trial failed), a violated variance envelope or a singular A_cl
-    becomes a NaN row and the sweep continues; any other error ends the
-    command.
+    (every trial failed) becomes a NaN row and the sweep continues; any other
+    error, such as an unstable or singular nominal loop or a violated
+    variance envelope, ends the command.
     """
     out = _out_dir(cfg)
     system = cfg.build_system()
     cmap = cfg.build_map()
     data = _collect(cfg, system)
     k_nom = cmap.evaluate(data)
-    chk = check_a1(system, k_nom)
-    if not chk.stable:
-        raise StabilityError(
-            f"nominal closed loop unstable (rho = {chk.rho:.6g}); fig1 needs A1")
     a_cl = system.a + system.b @ k_nom
     bundle = _fd_bundle(cfg, system, data, cmap, _resolve_support(cfg, data))
     rows = []
@@ -471,7 +473,7 @@ def cmd_fig1(cfg: ExperimentConfig) -> list[Path]:
             rows.append([sigma, max(report.lower, EPS_FLOOR), mc.p_hat,
                          mc.ci_low, mc.ci_high,
                          max(report.upper_clamped, EPS_FLOOR)])
-        except (NoEstimateError, EnvelopeError, StabilityError) as exc:
+        except NoEstimateError as exc:
             print(f"fig1: sigma={sigma:g} failed: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
             rows.append([sigma, math.nan, math.nan, math.nan, math.nan, math.nan])

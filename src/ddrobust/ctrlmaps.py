@@ -264,16 +264,17 @@ class ControllerMap(ABC):
         """Gains for the state records vec(X) in the rows of ``x_vecs``.
 
         Item i is the gain for ``data`` with vec(X) replaced by row i; the
-        caller may overwrite ``x_vecs`` once the call returns.
+        caller may overwrite ``x_vecs`` once the call returns. A non-finite
+        record is malformed input and raises ValueError.
         Returns the (N, m, n) gains. An item on which the map fails
-        numerically (a non-finite record, one of ``_TRIAL_FAILURES`` raised,
-        or a non-finite gain returned) has non-finite entries, and its
-        neighbours are unaffected. Any other exception propagates. This
-        fallback calls :meth:`evaluate` on each finite record; it serves
-        plugin maps, as both shipped maps override it with vectorised kernels.
+        numerically (one of ``_TRIAL_FAILURES`` raised or a non-finite gain
+        returned) has non-finite entries, and its neighbours are unaffected.
+        Any other exception propagates. This fallback calls :meth:`evaluate`
+        on each record; it serves plugin maps, as both shipped maps override
+        it with vectorised kernels.
         """
-        k, rows, records = _finite_records(data, x_vecs)
-        for i, x_vec in zip(rows, records):
+        k = np.full((len(x_vecs), data.m, data.n), np.nan)
+        for i, x_vec in enumerate(x_vecs):
             try:
                 k[i] = self.evaluate(data.with_x_vec(x_vec))
             except _TRIAL_FAILURES:
@@ -287,28 +288,20 @@ class ControllerMap(ABC):
         return {"name": self.name, "hyperparameters": {}}
 
 
-def _finite_records(data: TrainingData, x_vecs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """An all-NaN gain stack for the rows of ``x_vecs``, the indices of the finite
-    rows and those rows (``x_vecs`` itself, uncopied, when all are finite)."""
-    x_vecs = np.asarray(x_vecs, dtype=float)
-    k = np.full((len(x_vecs), data.m, data.n), np.nan)
-    rows = np.flatnonzero(np.all(np.isfinite(x_vecs), axis=1))
-    return k, rows, (x_vecs if len(rows) == len(x_vecs) else x_vecs[rows])
-
-
 def evaluate_perturbed(cmap: ControllerMap, data: TrainingData, support,
                        deltas) -> np.ndarray:
     """Gains of the map at vec(X) + delta, one per row of ``deltas``.
 
     Row i of the N x |support| array ``deltas`` is added to the entries
-    ``support`` of vec(X). The records go to ``cmap.evaluate_batch`` in
-    chunks of at most ``_BATCH_FLOATS`` floats, which bounds memory; no
-    item's result depends on its chunk. Returns the (N, m, n) gains; a failed
-    item has non-finite entries, as in :meth:`ControllerMap.evaluate_batch`.
+    ``support`` of vec(X). The finite records go to ``cmap.evaluate_batch``
+    in chunks of at most ``_BATCH_FLOATS`` floats, which bounds memory; no
+    item's result depends on its chunk. Returns the (N, m, n) gains. A failed
+    item has non-finite entries, as in :meth:`ControllerMap.evaluate_batch`;
+    a non-finite record is a failed item that the map never sees.
     """
     x_vec = data.x_vec
     deltas = np.asarray(deltas, dtype=float)
-    k = np.empty((len(deltas), data.m, data.n))
+    k = np.full((len(deltas), data.m, data.n), np.nan)
     items = max(1, _BATCH_FLOATS // x_vec.size)
     # One probe buffer for every chunk: evaluate_batch does not keep x_vecs.
     probes = np.empty((min(items, len(deltas)), x_vec.size))
@@ -317,7 +310,10 @@ def evaluate_perturbed(cmap: ControllerMap, data: TrainingData, support,
         x_vecs = probes[: len(deltas[chunk])]
         x_vecs[:] = x_vec
         x_vecs[:, support] += deltas[chunk]
-        k[chunk] = cmap.evaluate_batch(data, x_vecs)
+        rows = np.flatnonzero(np.all(np.isfinite(x_vecs), axis=1))
+        if rows.size:
+            k[start + rows] = cmap.evaluate_batch(
+                data, x_vecs if rows.size == len(x_vecs) else x_vecs[rows])
     return k
 
 
@@ -338,9 +334,7 @@ class PinvMap(ControllerMap):
 
     def evaluate_batch(self, data: TrainingData, x_vecs) -> np.ndarray:
         """:meth:`evaluate` on a stack: one stacked pseudoinverse of the X0 snapshots."""
-        k, rows, records = _finite_records(data, x_vecs)
-        k[rows] = _pinv_gains(data, records)[0]
-        return k
+        return _pinv_gains(data, x_vecs)[0]
 
     def evaluate_flagged(self, data: TrainingData) -> GainResult:
         [k], [rank] = _pinv_gains(data, data.x_vec[None])
@@ -374,9 +368,7 @@ class CeLqrMap(ControllerMap):
     def evaluate_batch(self, data: TrainingData, x_vecs) -> np.ndarray:
         """:meth:`evaluate` on a stack: one stacked pseudoinverse of the regressors,
         one doubling Riccati solve over the stack and one stacked gain solve."""
-        k, rows, records = _finite_records(data, x_vecs)
-        k[rows] = _ce_lqr_gains(data, records, self.weights)[0]
-        return k
+        return _ce_lqr_gains(data, x_vecs, self.weights)[0]
 
     def evaluate_flagged(self, data: TrainingData) -> GainResult:
         """Certainty-equivalence design: identify, then LQR on the identified pair."""

@@ -221,12 +221,13 @@ def snapshot_batch(data: TrainingData, x_vecs) -> tuple[np.ndarray, np.ndarray, 
     satisfy X1 = A X0 + B U0 exactly. Returns the (N, n, T*E) stacks X0 and X1
     and the shared U0; the inputs and initial states are those of ``data``.
     Each X0 and X1 item is laid out column by column, as vec(X) is, which is
-    the layout LAPACK reads without a strided copy.
+    the layout LAPACK reads without a strided copy. Every record must be finite.
     """
     n, t, e = data.n, data.t, data.n_experiments
     x_vecs = np.asarray(x_vecs, dtype=float)
-    if x_vecs.ndim != 2 or x_vecs.shape[1] != data.p * e:
-        raise ValueError(f"state records must be N x {data.p * e}, got {x_vecs.shape}")
+    if x_vecs.ndim != 2 or x_vecs.shape[1] != data.p * e or not np.all(np.isfinite(x_vecs)):
+        raise ValueError(f"state records must be finite and N x {data.p * e}, "
+                         f"got shape {x_vecs.shape}")
     # vec(X) runs experiment by experiment, time step by time step, state
     # by state: axes (record, experiment, time, state).
     states = x_vecs.reshape((-1, e, t, n))

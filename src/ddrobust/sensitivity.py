@@ -18,7 +18,7 @@ import numpy as np
 
 from .ctrlmaps import evaluate_perturbed
 from .lti import LtiSystem, TrainingData, check_fields, load_json
-from .linalg import as_matrix, vec_inverse
+from .linalg import as_matrix
 
 # Optimal central-difference step scale for O(h^2) schemes.
 _FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))
@@ -83,10 +83,6 @@ class JacobianBundle:
     def size(self) -> int:
         return self.support.size
 
-    def j_matrix(self, j: int) -> np.ndarray:
-        """The m x n sensitivity matrix at support position j."""
-        return vec_inverse(self.columns[:, j], self.m, self.n)
-
     def with_b(self, b, source: str) -> "JacobianBundle":
         """Attach an input matrix and cache the B J_i products."""
         if source not in (B_SOURCE_TRUE, B_SOURCE_IDENTIFIED):
@@ -99,8 +95,13 @@ class JacobianBundle:
         b = as_matrix(b, "B")
         if b.shape != (self.n, self.m):
             raise ValueError(f"B must be {self.n}x{self.m}, got {b.shape}")
-        bj = np.stack([b @ self.j_matrix(j) for j in range(self.size)])
-        return replace(self, bj=bj, b_source=source)
+        if self.columns.shape != (self.m * self.n, self.size):
+            raise ValueError(f"columns must be {self.m * self.n}x{self.size}, "
+                             f"got {self.columns.shape}")
+        # Column j is vec(J_j), stacked column by column: read as n x m it is J_j'.
+        # Contiguous J_j let matmul make the BLAS call of a single product.
+        j = np.swapaxes(self.columns.T.reshape((self.size, self.n, self.m)), 1, 2)
+        return replace(self, bj=b @ np.ascontiguousarray(j), b_source=source)
 
     def to_json(self) -> dict:
         return {

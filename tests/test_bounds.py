@@ -251,6 +251,14 @@ class TestBauerFike:
         assert result.violations_kappa_v == 0
         assert 0 <= result.violations_kappa_paper <= 1000
 
+    @pytest.mark.parametrize("delta", [np.full((2, 2), np.nan), np.zeros((3, 3)),
+                                       np.zeros((1, 1)), np.zeros(4)],
+                             ids=["nan", "too-large", "broadcastable", "flat"])
+    def test_delta_must_be_a_finite_matrix_of_the_loop_shape(self, delta):
+        a_cl = np.array([[0.3, 0.2], [0.2, 0.1]])
+        with pytest.raises(ValueError):
+            bauer_fike_check(a_cl, [np.zeros((2, 2)), delta])
+
     def test_defective_matrix_rejected(self):
         with pytest.raises(ValueError):
             bauer_fike_check(np.array([[1.0, 1.0], [0.0, 1.0]]), [])

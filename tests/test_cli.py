@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ddrobust import CeLqrMap, TrainingData, cli, ctrlmaps
+from ddrobust import CeLqrMap, TrainingData, bounds, cli, ctrlmaps
 
 
 FAST_CONFIG = {
@@ -88,6 +88,20 @@ class TestArgumentParsing:
             subkey, value = next(iter(value.items()))
             key = f"{key}.{subkey}"
         assert err.startswith(f"ddrobust: error: TypeError: config key {key} must be ")
+
+
+    @pytest.mark.parametrize("override, key", [
+        ({"sigma": {"log_range": [1]}}, "sigma.log_range"),
+        ({"sigma": {"log_range": [1e-3, 0.1, 1.0]}}, "sigma.log_range"),
+        ({"system": {"a": [[0.5, 0.1], [0.2]], "b": [[0.0], [1.0]]}}, "system.a"),
+        ({"system": {"a": [[0.5, 0.1], [0.2, 0.3]], "b": [[0.0], [1.0, 0.0]]}}, "system.b"),
+    ], ids=["short-log-range", "long-log-range", "ragged-a", "ragged-b"])
+    def test_misshapen_value_exits_2_with_one_line(self, tmp_path, capsys, override, key):
+        cfg = write_config(tmp_path, FAST_CONFIG | override)
+        assert run(["collect", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"ddrobust: error: ConfigError: config key {key} must ")
 
 
 class TestCommandChain:
@@ -409,6 +423,24 @@ def test_fig1_map_bug_exits_2(tmp_path, capsys, monkeypatch):
         assert err == (f"ddrobust: error: {error.__name__}: "
                        "operands could not be broadcast together\n")
         assert not (out / "fig1.csv").exists()
+
+
+def test_fig1_violated_envelope_exits_2(tmp_path, capsys, monkeypatch):
+    # The envelope depends only on the bundle, so a violation is no NaN row
+    # at one sigma: fig1 stops with one line and writes nothing.
+    original = bounds.variance_params
+
+    def inflated(bundle, sigmas):
+        v_bar, v_lower = original(bundle, sigmas)
+        return 1e6 * v_bar, v_lower
+
+    monkeypatch.setattr(bounds, "variance_params", inflated)
+    out = tmp_path / "run"
+    assert run(["fig1", "--config", write_config(tmp_path, FAST_CONFIG), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("ddrobust: error: EnvelopeError: envelope violated")
+    assert not (out / "fig1.csv").exists()
 
 
 def test_one_entry_support_at_large_sigma(tmp_path):

@@ -85,6 +85,26 @@ class BuggyMap(ControllerMap):
         return self.inner.evaluate(data)
 
 
+class FiniteOnlyMap(ControllerMap):
+    """Delegates its batches to an inner map and keeps each one; a plugin that
+    refuses any non-finite record."""
+
+    name = "finite-only-test"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = []
+
+    def evaluate(self, data):
+        return self.inner.evaluate(data)
+
+    def evaluate_batch(self, data, x_vecs):
+        if not np.isfinite(x_vecs).all():
+            raise AssertionError("the map was handed a non-finite record")
+        self.seen.append(np.array(x_vecs))
+        return self.inner.evaluate_batch(data, x_vecs)
+
+
 def finite_items(gains):
     """Which items of a gain stack hold no failure (every entry finite)."""
     return np.all(np.isfinite(gains), axis=(1, 2))
@@ -390,26 +410,60 @@ class TestEvaluateBatch:
         reference = evaluate_perturbed(CeLqrMap(), data, support, deltas[ok])
         assert np.array_equal(gains[ok], reference)
 
-    def test_non_finite_record_masked_in_vectorised_map(self, vehicle_setup):
-        _, data, _ = vehicle_setup
-        x_vecs = self.probes(data, 3, 0.01)
-        x_vecs[1, 5] = np.nan
-        for cmap in (CeLqrMap(), PinvMap()):
-            gains = cmap.evaluate_batch(data, x_vecs)
-            assert finite_items(gains).tolist() == [True, False, True]
-            assert np.array_equal(gains[[0, 2]], cmap.evaluate_batch(data, x_vecs[[0, 2]]))
-            assert np.isnan(cmap.evaluate_batch(data, x_vecs[[1, 1]])).all()
+    @staticmethod
+    def one_bad_delta(support, bad):
+        """Three small deltas; the middle one has the entry ``bad``."""
+        deltas = 0.01 * np.random.default_rng(5).standard_normal((3, support.size))
+        deltas[1, 2] = bad
+        return deltas
 
-    def test_non_finite_record_fails_its_item_in_fallback(self, vehicle_setup):
+    def test_non_finite_record_masked_in_vectorised_map(self, vehicle_setup, monkeypatch):
+        _, data, support = vehicle_setup
+        deltas = self.one_bad_delta(support, np.nan)
+        for cmap in (CeLqrMap(), PinvMap()):
+            # One chunk of all three records, then one chunk per record, so
+            # the middle chunk holds only the non-finite record.
+            for floats in (ctrlmaps._BATCH_FLOATS, data.p):
+                monkeypatch.setattr(ctrlmaps, "_BATCH_FLOATS", floats)
+                gains = evaluate_perturbed(cmap, data, support, deltas)
+                assert finite_items(gains).tolist() == [True, False, True]
+                assert np.isnan(gains[1]).all()
+                assert np.array_equal(gains[[0, 2]],
+                                      evaluate_perturbed(cmap, data, support, deltas[[0, 2]]))
+
+    def test_non_finite_record_fails_its_item_in_fallback(self, vehicle_setup, monkeypatch):
         # A non-finite record is a failed item, not a ValueError out of
         # with_x_vec.
-        _, data, _ = vehicle_setup
+        _, data, support = vehicle_setup
         cmap = LinearMap(np.random.default_rng(3).standard_normal((8, data.p)), 2, 4)
-        x_vecs = self.probes(data, 3, 0.01)
-        x_vecs[1, 5] = np.inf
-        gains = cmap.evaluate_batch(data, x_vecs)
+        deltas = self.one_bad_delta(support, np.inf)
+        for floats in (ctrlmaps._BATCH_FLOATS, data.p):
+            monkeypatch.setattr(ctrlmaps, "_BATCH_FLOATS", floats)
+            gains = evaluate_perturbed(cmap, data, support, deltas)
+            assert finite_items(gains).tolist() == [True, False, True]
+            assert np.array_equal(gains[[0, 2]],
+                                  evaluate_perturbed(cmap, data, support, deltas[[0, 2]]))
+
+    def test_map_never_sees_a_non_finite_record(self, vehicle_setup):
+        _, data, support = vehicle_setup
+        cmap = FiniteOnlyMap(CeLqrMap())
+        deltas = self.one_bad_delta(support, np.nan)
+        gains = evaluate_perturbed(cmap, data, support, deltas)
         assert finite_items(gains).tolist() == [True, False, True]
-        assert np.array_equal(gains[[0, 2]], cmap.evaluate_batch(data, x_vecs[[0, 2]]))
+        [seen] = cmap.seen
+        assert len(seen) == 2
+
+    @pytest.mark.parametrize("cmap", [CeLqrMap(), PinvMap(), "linear"],
+                             ids=["ce-lqr", "pinv", "fallback"])
+    @pytest.mark.parametrize("entry", [5, -1], ids=["inner-state", "final-state"])
+    def test_evaluate_batch_refuses_a_non_finite_record(self, vehicle_setup, cmap, entry):
+        _, data, _ = vehicle_setup
+        if cmap == "linear":
+            cmap = LinearMap(np.random.default_rng(3).standard_normal((8, data.p)), 2, 4)
+        x_vecs = self.probes(data, 3, 0.01)
+        x_vecs[1, entry] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            cmap.evaluate_batch(data, x_vecs)
 
     @pytest.mark.parametrize("cmap", [CeLqrMap(), "flaky"], ids=["ce-lqr", "flaky"])
     def test_estimate_does_not_depend_on_chunking(self, vehicle_setup, k_ce, monkeypatch,

@@ -134,6 +134,62 @@ class TestFdJacobian:
         columns = fd_jacobian(PinvMap(), data, support).columns
         assert np.abs(columns - expected).max() <= 1e-7 * np.abs(columns).max()
 
+    @pytest.mark.parametrize("seed, t_steps, experiments", [(0, 200, 1), (2, 60, 1), (5, 30, 2)])
+    def test_ce_lqr_matches_closed_form_derivative(self, seed, t_steps, experiments):
+        # Least squares: with W = [X0; U0], G = W W' and C = X1 W', the fit
+        # Theta = [A B] = C G^-1 moves by dTheta = (dC - Theta dG) G^-1.
+        # Riccati: dP solves the Stein equation dP - Acl' dP Acl = E' P Acl
+        # + Acl' P E with E = dA + dB K (the dK terms vanish at the optimum).
+        # Gain: K = -M^-1 N with M = R + B'PB and N = B'PA, so
+        # dK = -M^-1 (dN + dM K). See Mania, Tu & Recht, arXiv 1902.07826.
+        data = collect(vehicle_model(0.1), experiments, t_steps, seed=seed)
+        n, m, t = data.n, data.m, data.t
+        states = data.x.T.reshape((experiments, t, n))
+        x0s = np.concatenate([data.x0s.T[:, None], states[:, :-1]], axis=1)
+        x0, x1 = x0s.reshape((-1, n)).T, states.reshape((-1, n)).T
+        w = np.vstack([x0, data.u.reshape((m, -1), order="F")])
+        gram_inv = np.linalg.inv(w @ w.T)
+        theta = x1 @ w.T @ gram_inv
+        a, b = theta[:, :n], theta[:, n:]
+        p = np.eye(n)
+        for _ in range(100_000):
+            p_next = np.eye(n) + a.T @ p @ a - a.T @ p @ b @ np.linalg.solve(
+                np.eye(m) + b.T @ p @ b, b.T @ p @ a)
+            if np.abs(p_next - p).max() <= 1e-15 * np.abs(p).max():
+                break
+            p = p_next
+        gain_m = np.eye(m) + b.T @ p @ b
+        k = -np.linalg.solve(gain_m, b.T @ p @ a)
+        a_cl = a + b @ k
+        assert np.abs(k - CeLqrMap().evaluate(data)).max() <= 1e-9 * np.abs(k).max()
+        stein = np.eye(n * n) - np.kron(a_cl.T, a_cl.T)
+
+        rng = np.random.default_rng(seed)
+        support = np.append(rng.choice(data.p * experiments - 1, 20, replace=False),
+                            data.p * experiments - 1)  # the last entry is a final state
+        expected = np.empty((m * n, support.size))
+        for j, i in enumerate(support):
+            # Entry i is state i % n of x(s + 1), s = i // n % T, in experiment
+            # i // (nT): column e T + s of X1 and, unless s + 1 = T, column
+            # e T + s + 1 of X0.
+            col = i // (n * t) * t + i // n % t
+            dx1 = np.zeros_like(x1)
+            dx1[i % n, col] = 1.0
+            dw = np.zeros_like(w)
+            if i // n % t + 1 < t:
+                dw[i % n, col + 1] = 1.0
+            d_gram = dw @ w.T + w @ dw.T
+            d_theta = (dx1 @ w.T + x1 @ dw.T - theta @ d_gram) @ gram_inv
+            da, db = d_theta[:, :n], d_theta[:, n:]
+            e = da + db @ k
+            rhs = e.T @ p @ a_cl + a_cl.T @ p @ e
+            dp = np.linalg.solve(stein, rhs.flatten(order="F")).reshape((n, n), order="F")
+            dm = db.T @ p @ b + b.T @ dp @ b + b.T @ p @ db
+            dn = db.T @ p @ a + b.T @ dp @ a + b.T @ p @ da
+            expected[:, j] = -np.linalg.solve(gain_m, dn + dm @ k).flatten(order="F")
+        columns = fd_jacobian(CeLqrMap(), data, support).columns
+        assert np.abs(columns - expected).max() <= 1e-6 * np.abs(columns).max()
+
     def test_pinv_ignores_final_state(self):
         # The regressor snapshot stops at x(T-1), so the last measured state
         # never enters the pinv gain and its column is exactly zero.
@@ -180,6 +236,16 @@ class TestFdJacobian:
         assert back.bj is None  # products are recomputed by with_b
         restored = back.with_b(vehicle_model(0.1).b, B_SOURCE_TRUE)
         assert np.array_equal(restored.bj, bundle.bj)
+
+    def test_with_b_refuses_columns_of_another_shape(self):
+        # Two support entries of a 2 x 4 gain: columns must be 8 x 2. Their
+        # transpose holds as many numbers and must not be read as columns.
+        data = collect(vehicle_model(0.1), 1, 20, seed=4)
+        bundle = fd_jacobian(PinvMap(), data, np.array([1, 7]))
+        flipped = JacobianBundle(support=bundle.support, columns=bundle.columns.T,
+                                 fd_steps=bundle.fd_steps, m=2, n=4, failures={})
+        with pytest.raises(ValueError, match="columns must be 8x2"):
+            flipped.with_b(vehicle_model(0.1).b, B_SOURCE_TRUE)
 
     def test_identified_b_close_to_true_b(self):
         sys = vehicle_model(0.1)
