@@ -161,9 +161,9 @@ class ExperimentConfig:
                     name = f"system.{key}"
                     rows = _typed(sysdoc[key], name, list, list)
                     kwargs[key] = tuple(tuple(_typed(row, name, list, float)) for row in rows)
-                    if len({len(row) for row in rows}) > 1:
-                        raise ConfigError(f"config key {name} must have rows of one length, "
-                                          f"got {rows!r}")
+                    if not rows or not rows[0] or len({len(row) for row in rows}) > 1:
+                        raise ConfigError(f"config key {name} must be a non-empty matrix with "
+                                          f"rows of one length, got {rows!r}")
         if "map" in doc:
             mapdoc = _typed(doc["map"], "map", dict)
             _check_keys(mapdoc, {"name", "hyperparameters"}, "map")
@@ -464,6 +464,7 @@ def cmd_fig1(cfg: ExperimentConfig) -> list[Path]:
     data = _collect(cfg, system)
     k_nom = cmap.evaluate(data)
     a_cl = system.a + system.b @ k_nom
+    theorem1_bounds(a_cl, 0.0, 0.0)  # refuses an unstable or singular loop before the bundle
     bundle = _fd_bundle(cfg, system, data, cmap, _resolve_support(cfg, data))
     rows = []
     for idx, sigma in enumerate(cfg.sigma_grid):

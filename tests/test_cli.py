@@ -95,7 +95,11 @@ class TestArgumentParsing:
         ({"sigma": {"log_range": [1e-3, 0.1, 1.0]}}, "sigma.log_range"),
         ({"system": {"a": [[0.5, 0.1], [0.2]], "b": [[0.0], [1.0]]}}, "system.a"),
         ({"system": {"a": [[0.5, 0.1], [0.2, 0.3]], "b": [[0.0], [1.0, 0.0]]}}, "system.b"),
-    ], ids=["short-log-range", "long-log-range", "ragged-a", "ragged-b"])
+        ({"system": {"a": [], "b": [[1.0]]}}, "system.a"),
+        ({"system": {"a": [[]], "b": [[]]}}, "system.a"),
+        ({"system": {"a": [[0.5]], "b": [[]]}}, "system.b"),
+    ], ids=["short-log-range", "long-log-range", "ragged-a", "ragged-b", "empty-a",
+            "empty-rows", "empty-b-rows"])
     def test_misshapen_value_exits_2_with_one_line(self, tmp_path, capsys, override, key):
         cfg = write_config(tmp_path, FAST_CONFIG | override)
         assert run(["collect", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -349,6 +353,21 @@ class TestFigures:
         cfg = write_config(tmp_path, doc)
         assert run(["fig1", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "StabilityError" in capsys.readouterr().err
+
+    def test_fig1_refuses_unstable_nominal_before_the_bundle(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # The refusal depends only on the nominal loop, so it costs no FD probe.
+        calls = []
+        monkeypatch.setattr(cli, "fd_jacobian", lambda *args, **kwargs: calls.append(args))
+        doc = FAST_CONFIG | {"map": {"name": "pinv"}, "t_steps": 200, "seed": 0}
+        out = tmp_path / "o"
+        assert run(["fig1", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("ddrobust: error: StabilityError: nominal closed loop is not "
+                              "stable: rho = ")
+        assert calls == []
+        assert not (out / "fig1.csv").exists()
 
     def test_fig2_columns_and_rerun(self, tmp_path):
         doc = FAST_CONFIG | {"t_list": [20, 40], "fig2_trials": 3,

@@ -15,7 +15,7 @@ from ddrobust import (
     vehicle_model,
     wilson_interval,
 )
-from ddrobust import DareError, ctrlmaps, lemma1_residual
+from ddrobust import DareError, ctrlmaps, lemma1_residual, mc
 from ddrobust.ctrlmaps import ControllerMap, evaluate_perturbed
 from ddrobust.lti import LtiSystem
 from ddrobust.mc import MODE_EXACT, MODE_FIRST_ORDER, NoEstimateError, trial_rng
@@ -226,6 +226,54 @@ class TestTrialRng:
         c = trial_rng(43, 7).standard_normal(5)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestTrialStreams:
+    """Trial t draws numpy's SeedSequence(seed, spawn_key=(t,)) stream."""
+
+    @staticmethod
+    def oracle_z(seed, trials, k):
+        return np.stack([
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,))).standard_normal(k)
+            for t in range(trials)])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5,
+                                      2**99 + 12345])
+    def test_vectorised_streams_match_seed_sequence(self, seed):
+        z = np.stack([rng.standard_normal(6) for rng in mc._trial_rngs(seed, np.arange(2000))])
+        assert np.array_equal(z, self.oracle_z(seed, 2000, 6))
+        assert np.array_equal(trial_rng(seed, 1999).standard_normal(6), z[-1])
+
+    def test_negative_seed_or_trial_is_refused(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError):
+            trial_rng(-1, 0)
+        with pytest.raises(ValueError):
+            trial_rng(0, -1)
+
+    def test_estimate_draws_trial_t_from_stream_t(self):
+        # Linear map, first-order mode: whether trial t is unstable is read off
+        # the count difference between t + 1 and t trials, and must match the
+        # loop built from stream t's z.
+        sys = LtiSystem(a=np.array([[0.5, 0.1], [0.0, 0.4]]),
+                        b=np.array([[0.0], [1.0]]))
+        m0 = 0.05 * np.random.default_rng(0).standard_normal((2, 12))
+        data = collect(sys, 1, 6, seed=50)
+        cmap = LinearMap(m0, 1, 2)
+        k_nom = cmap.evaluate(data)
+        model = PerturbationModel(np.arange(12), np.linspace(2.0, 6.0, 12))
+        bundle = fd_jacobian(cmap, data, model.support).with_b(sys.b, B_SOURCE_TRUE)
+        seed, trials = 2**40 + 3, 40
+        counts = [0] + [estimate_instability(sys, data, cmap, k_nom, model, n, MODE_FIRST_ORDER,
+                                             seed=seed, bundle=bundle).unstable_count
+                        for n in range(1, trials + 1)]
+        z = self.oracle_z(seed, trials, 12) * model.sigmas
+        loops = sys.a + sys.b @ k_nom + np.tensordot(z, bundle.bj, axes=1)
+        rho = np.abs(np.linalg.eigvals(loops)).max(axis=1)
+        assert np.all(np.abs(rho - 1.0) > 1e-9)  # no trial on the edge
+        assert np.array_equal(np.diff(counts), rho >= 1.0)
+        assert 0 < counts[-1] < trials
 
 
 class TestEstimateInstability:
