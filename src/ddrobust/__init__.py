@@ -33,7 +33,6 @@ from .sensitivity import (
     PerturbationModel,
     fd_jacobian,
     first_order_acl,
-    lemma1_residual,
 )
 from .bounds import (
     BoundsReport,
@@ -51,6 +50,7 @@ from .mc import (
     MonteCarloReport,
     NoEstimateError,
     estimate_instability,
+    lemma1_residual,
     random_support,
     sample_z,
     wilson_interval,

@@ -85,6 +85,10 @@ def _typed(value, key: str, kind: type, item: type | None = None):
     if not fits(value, kind) or (item and not all(fits(v, item) for v in value)):
         name = _TYPE_NAMES[kind] + (f" of {_TYPE_NAMES[item]}" if item else "")
         raise TypeError(f"config key {key} must be {name}, got {value!r}")
+    # JSON parsing lets NaN and Infinity through as numbers.
+    numbers = value if item is float else [value] if kind is float else []
+    if not all(math.isfinite(v) for v in numbers):
+        raise ConfigError(f"config key {key} must be finite, got {value!r}")
     if item is float:
         return [float(v) for v in value]
     return float(value) if kind is float else value
@@ -122,8 +126,8 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be exact or first-order, got {self.mode!r}")
         if self.b_source not in (B_SOURCE_TRUE, B_SOURCE_IDENTIFIED):
             raise ConfigError(f"b_source must be true or identified, got {self.b_source!r}")
-        if not self.sigma_grid or any(s <= 0 for s in self.sigma_grid):
-            raise ConfigError("sigma grid must be nonempty and positive")
+        if not self.sigma_grid or not all(0 < s < math.inf for s in self.sigma_grid):
+            raise ConfigError("sigma grid must be nonempty, positive and finite")
         if (self.support_k is None) == (self.support_indices is None):
             raise ConfigError("support needs exactly one of k or indices")
         if self.support_k is not None and self.support_k < 1:
@@ -300,15 +304,25 @@ def _collect(cfg: ExperimentConfig, system: LtiSystem) -> TrainingData:
                    seed=_child_seed(cfg.seed, _DOM_COLLECT))
 
 
+def _support_k(cfg: ExperimentConfig, dim: int) -> int:
+    """The configured support size, which must fit in vec(X) of length dim."""
+    key, k = (("support.k", cfg.support_k) if cfg.support_k is not None
+              else ("support.indices", len(cfg.support_indices)))
+    if k > dim:
+        raise ConfigError(f"config key {key} must fit in vec(X) of length {dim}, got {k}")
+    return k
+
+
 def _resolve_support(cfg: ExperimentConfig, data: TrainingData) -> np.ndarray:
     dim = data.p * data.n_experiments
     if cfg.support_indices is not None:
         idx = np.asarray(cfg.support_indices, dtype=int)
         if np.any(idx >= dim):
-            raise ConfigError(f"support index out of range for vec(X) of length {dim}")
+            raise ConfigError(f"config key support.indices must index vec(X) of length {dim}, "
+                              f"got {int(idx.max())}")
         return np.sort(idx)
     rng = np.random.default_rng(_child_seed(cfg.seed, _DOM_SUPPORT))
-    return random_support(dim, cfg.support_k, rng)
+    return random_support(dim, _support_k(cfg, dim), rng)
 
 
 def _attach_b(bundle: JacobianBundle, cfg: ExperimentConfig, system: LtiSystem,
@@ -495,7 +509,6 @@ def cmd_fig2(cfg: ExperimentConfig) -> list[Path]:
     out = _out_dir(cfg)
     system = cfg.build_system()
     cmap = cfg.build_map()
-    k_support = cfg.support_k if cfg.support_k is not None else len(cfg.support_indices)
     rows = []
     for t_idx, t_steps in enumerate(cfg.t_list):
         j_maxes = []
@@ -503,7 +516,8 @@ def cmd_fig2(cfg: ExperimentConfig) -> list[Path]:
             data = collect(system, cfg.n_experiments, t_steps,
                            seed=_child_seed(cfg.seed, _DOM_FIG2, t_idx, trial, 0))
             rng = np.random.default_rng(_child_seed(cfg.seed, _DOM_FIG2, t_idx, trial, 1))
-            support = random_support(data.p * data.n_experiments, k_support, rng)
+            dim = data.p * data.n_experiments
+            support = random_support(dim, _support_k(cfg, dim), rng)
             j_maxes.append(j_max(_fd_bundle(cfg, system, data, cmap, support)))
         mean = float(np.mean(j_maxes))
         std = float(np.std(j_maxes, ddof=1)) if len(j_maxes) > 1 else 0.0

@@ -11,13 +11,12 @@ bound downstream.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ctrlmaps import evaluate_perturbed
-from .lti import LtiSystem, TrainingData, check_fields, load_json
+from .lti import TrainingData, check_fields, load_json
 from .linalg import as_matrix
 
 # Optimal central-difference step scale for O(h^2) schemes.
@@ -198,81 +197,3 @@ def first_order_acl(a_cl, bundle: JacobianBundle, z) -> np.ndarray:
     for z_i, bj_i in zip(np.moveaxis(z, -1, 0), bundle.bj):
         acl = acl + z_i[..., None, None] * bj_i
     return acl
-
-
-def expected_vec_norm(sigmas) -> float:
-    """E ||vec(Z)|| for independent zero-mean Gaussians with these sigmas.
-
-    Equal sigmas admit the chi-distribution mean in closed form; mixed
-    sigmas fall back on a large fixed-seed sample.
-    """
-    sigmas = np.asarray(sigmas, dtype=float).ravel()
-    k = sigmas.size
-    if np.all(sigmas == sigmas[0]):
-        log_mean = 0.5 * math.log(2.0) + math.lgamma((k + 1) / 2.0) - math.lgamma(k / 2.0)
-        return float(sigmas[0] * math.exp(log_mean))
-    rng = np.random.default_rng(1234)
-    total = 0.0
-    draws = 200_000
-    chunk = 20_000
-    done = 0
-    while done < draws:
-        take = min(chunk, draws - done)
-        g = rng.standard_normal((take, k)) * sigmas
-        total += float(np.sum(np.sqrt(np.sum(g * g, axis=1))))
-        done += take
-    return total / draws
-
-
-@dataclass(frozen=True)
-class ResidualStat:
-    """Normalized first-order remainder at one perturbation scale."""
-
-    scale: float
-    mean_residual: float
-    trials: int
-    skipped: int
-
-
-def lemma1_residual(
-    cmap,
-    sys: LtiSystem,
-    data: TrainingData,
-    model: PerturbationModel,
-    sigma_scales,
-    trials: int,
-    seed: int = 0,
-) -> list[ResidualStat]:
-    """Compare the exact perturbed closed loop against its linearization.
-
-    For each scale s the statistic is
-    mean ||A~_exact - A~_first_order|| / sqrt(E ||vec Z||) over ``trials``
-    draws of Z with sigmas scaled by s. Numerical map failures are skipped
-    and counted.
-    """
-    k_nom = cmap.evaluate(data)
-    a_cl = sys.a + sys.b @ k_nom
-    bundle = fd_jacobian(cmap, data, model.support).with_b(sys.b, B_SOURCE_TRUE)
-    stats = []
-    for s_idx, scale in enumerate(sigma_scales):
-        scaled_sigmas = model.sigmas * scale
-        norm_scale = math.sqrt(expected_vec_norm(scaled_sigmas)) if scale > 0 else 1.0
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(s_idx,)))
-        z = rng.standard_normal((trials, model.size)) * scaled_sigmas
-        gains = evaluate_perturbed(cmap, data, model.support, z)
-        ok = np.all(np.isfinite(gains), axis=(1, 2))
-        exact = sys.a + sys.b @ gains[ok]
-        approx = first_order_acl(a_cl, bundle, z[ok])
-        if scale > 0:
-            residuals = np.linalg.norm(exact - approx, 2, axis=(-2, -1)) / norm_scale
-        else:
-            residuals = np.zeros(int(np.sum(ok)))
-        stats.append(
-            ResidualStat(
-                scale=float(scale),
-                mean_residual=float(np.mean(residuals)) if residuals.size else math.nan,
-                trials=trials,
-                skipped=int(trials - np.sum(ok)),
-            )
-        )
-    return stats

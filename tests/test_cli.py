@@ -98,14 +98,39 @@ class TestArgumentParsing:
         ({"system": {"a": [], "b": [[1.0]]}}, "system.a"),
         ({"system": {"a": [[]], "b": [[]]}}, "system.a"),
         ({"system": {"a": [[0.5]], "b": [[]]}}, "system.b"),
+        ({"sigma": {"value": math.nan}}, "sigma.value"),
+        ({"sigma": {"grid": [0.1, math.inf]}}, "sigma.grid"),
+        ({"sigma": {"log_range": [1e-3, math.inf]}}, "sigma.log_range"),
+        ({"system": {"name": "vehicle", "ts": math.nan}}, "system.ts"),
+        ({"system": {"a": [[-math.inf]], "b": [[1.0]]}}, "system.a"),
     ], ids=["short-log-range", "long-log-range", "ragged-a", "ragged-b", "empty-a",
-            "empty-rows", "empty-b-rows"])
+            "empty-rows", "empty-b-rows", "nan-sigma-value", "inf-sigma-grid",
+            "inf-log-range", "nan-ts", "inf-a"])
     def test_misshapen_value_exits_2_with_one_line(self, tmp_path, capsys, override, key):
         cfg = write_config(tmp_path, FAST_CONFIG | override)
         assert run(["collect", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"ddrobust: error: ConfigError: config key {key} must ")
+
+
+    @pytest.mark.parametrize("command, support, key, length", [
+        ("jacobian", {"k": 500}, "support.k", 240),
+        ("jacobian", {"indices": [0, 999]}, "support.indices", 240),
+        ("fig2", {"k": 500}, "support.k", 80),
+        ("fig2", {"indices": list(range(81))}, "support.indices", 80),
+    ], ids=["k", "indices", "fig2-k", "fig2-indices"])
+    def test_support_outside_vec_x_exits_2_with_one_line(self, tmp_path, capsys, command,
+                                                         support, key, length):
+        doc = FAST_CONFIG | {"support": support, "t_list": [20], "fig2_trials": 1}
+        cfg, out = write_config(tmp_path, doc), str(tmp_path / "o")
+        assert run(["collect", "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        assert run([command, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"ddrobust: error: ConfigError: config key {key} must ")
+        assert f"vec(X) of length {length}, got " in err
 
 
 class TestCommandChain:
@@ -243,6 +268,15 @@ class TestOverrides:
         assert len(rows) == 2
         assert rows[1][0] == "0.5"
 
+    @pytest.mark.parametrize("command, sigma", [("bounds", "inf"), ("mc", "nan")])
+    def test_non_finite_sigma_override_exits_2_with_one_line(self, tmp_path, capsys,
+                                                            command, sigma):
+        out = str(tmp_path / "run")
+        assert run([command, "--config", write_config(tmp_path, FAST_CONFIG), "--out", out,
+                    "--sigma", sigma]) == 2
+        assert capsys.readouterr().err == (
+            "ddrobust: error: ConfigError: sigma grid must be nonempty, positive and finite\n")
+
     def test_trials_and_mode_override(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)
         out = tmp_path / "run"
@@ -368,6 +402,19 @@ class TestFigures:
                               "stable: rho = ")
         assert calls == []
         assert not (out / "fig1.csv").exists()
+
+    def test_mc_and_bounds_refuse_unstable_nominal_alike(self, tmp_path, capsys):
+        doc = FAST_CONFIG | {"map": {"name": "pinv"}, "t_steps": 200, "seed": 0}
+        cfg, out = write_config(tmp_path, doc), str(tmp_path / "o")
+        assert run(["collect", "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        errs = []
+        for command in ("bounds", "mc"):
+            assert run([command, "--config", cfg, "--out", out]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("ddrobust: error: StabilityError: nominal closed loop is not "
+                                  "stable: rho = ")
 
     def test_fig2_columns_and_rerun(self, tmp_path):
         doc = FAST_CONFIG | {"t_list": [20, 40], "fig2_trials": 3,

@@ -18,7 +18,7 @@ from ddrobust import (
 from ddrobust import DareError, ctrlmaps, lemma1_residual, mc
 from ddrobust.ctrlmaps import ControllerMap, evaluate_perturbed
 from ddrobust.lti import LtiSystem
-from ddrobust.mc import MODE_EXACT, MODE_FIRST_ORDER, NoEstimateError, trial_rng
+from ddrobust.mc import MODE_EXACT, MODE_FIRST_ORDER, NoEstimateError
 
 
 class LinearMap(ControllerMap):
@@ -174,8 +174,7 @@ class TestSampleZ:
     def test_moments_match_model(self):
         sigmas = np.array([0.5, 2.0, 0.1])
         model = PerturbationModel(np.array([0, 1, 2]), sigmas)
-        rng = np.random.default_rng(6)
-        draws = np.array([sample_z(model, rng) for _ in range(20000)])
+        draws = sample_z(model, 6, 20000)
         assert draws.shape == (20000, 3)
         mean_tol = 4.0 * sigmas / np.sqrt(20000)
         assert np.all(np.abs(draws.mean(axis=0)) < mean_tol)
@@ -183,7 +182,7 @@ class TestSampleZ:
 
     def test_tiny_sigma_stays_tiny(self):
         model = PerturbationModel(np.array([0, 1]), np.full(2, 1e-30))
-        z = sample_z(model, np.random.default_rng(0))
+        z = sample_z(model, 0, 1)
         assert np.all(np.abs(z) < 1e-28)
 
 
@@ -214,20 +213,6 @@ class TestRandomSupport:
         assert chi2 < 72.055
 
 
-class TestTrialRng:
-    def test_same_key_same_stream(self):
-        a = trial_rng(42, 7).standard_normal(5)
-        b = trial_rng(42, 7).standard_normal(5)
-        assert np.array_equal(a, b)
-
-    def test_distinct_trials_distinct_streams(self):
-        a = trial_rng(42, 7).standard_normal(5)
-        b = trial_rng(42, 8).standard_normal(5)
-        c = trial_rng(43, 7).standard_normal(5)
-        assert not np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-
 class TestTrialStreams:
     """Trial t draws numpy's SeedSequence(seed, spawn_key=(t,)) stream."""
 
@@ -240,17 +225,22 @@ class TestTrialStreams:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5,
                                       2**99 + 12345])
     def test_vectorised_streams_match_seed_sequence(self, seed):
-        z = np.stack([rng.standard_normal(6) for rng in mc._trial_rngs(seed, np.arange(2000))])
+        model = PerturbationModel(np.arange(6), 1.0)
+        z = sample_z(model, seed, 2000)
         assert np.array_equal(z, self.oracle_z(seed, 2000, 6))
-        assert np.array_equal(trial_rng(seed, 1999).standard_normal(6), z[-1])
+        # Row t depends on (seed, t) alone: a shorter draw is a prefix, other
+        # trials and the next seed give other rows.
+        assert np.array_equal(sample_z(model, seed, 3), z[:3])
+        assert len(np.unique(z, axis=0)) == len(z)
+        assert not np.any(sample_z(model, seed + 1, 3) == z[:3])
 
     def test_negative_seed_or_trial_is_refused(self):
         with pytest.raises(ValueError):
             np.random.SeedSequence(-1)
         with pytest.raises(ValueError):
-            trial_rng(-1, 0)
+            sample_z(PerturbationModel([0], 1.0), -1, 1)
         with pytest.raises(ValueError):
-            trial_rng(0, -1)
+            mc._spawn_words(0, [-1])
 
     def test_estimate_draws_trial_t_from_stream_t(self):
         # Linear map, first-order mode: whether trial t is unstable is read off

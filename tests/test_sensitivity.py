@@ -19,8 +19,8 @@ from ddrobust import (
     vehicle_model,
 )
 from ddrobust.ctrlmaps import ControllerMap
-from ddrobust.sensitivity import B_SOURCE_IDENTIFIED, B_SOURCE_TRUE, expected_vec_norm
-from ddrobust.mc import random_support
+from ddrobust.sensitivity import B_SOURCE_IDENTIFIED, B_SOURCE_TRUE
+from ddrobust.mc import expected_vec_norm, random_support
 
 
 class LinearMap(ControllerMap):
