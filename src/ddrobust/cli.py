@@ -304,25 +304,28 @@ def _collect(cfg: ExperimentConfig, system: LtiSystem) -> TrainingData:
                    seed=_child_seed(cfg.seed, _DOM_COLLECT))
 
 
-def _support_k(cfg: ExperimentConfig, dim: int) -> int:
-    """The configured support size, which must fit in vec(X) of length dim."""
-    key, k = (("support.k", cfg.support_k) if cfg.support_k is not None
-              else ("support.indices", len(cfg.support_indices)))
-    if k > dim:
-        raise ConfigError(f"config key {key} must fit in vec(X) of length {dim}, got {k}")
-    return k
+def _check_support(cfg: ExperimentConfig, dim: int) -> None:
+    """Refuse a configured support that does not fit in vec(X) of length dim."""
+    if cfg.support_k is not None and cfg.support_k > dim:
+        raise ConfigError(f"config key support.k must fit in vec(X) of length {dim}, "
+                          f"got {cfg.support_k}")
+    if cfg.support_indices is not None and max(cfg.support_indices) >= dim:
+        raise ConfigError(f"config key support.indices must index vec(X) of length {dim}, "
+                          f"got {max(cfg.support_indices)}")
+
+
+def _support(cfg: ExperimentConfig, data: TrainingData, seed: int) -> np.ndarray:
+    """The configured support in vec(X) of ``data``: the given indices, sorted,
+    or support.k distinct random ones drawn from ``seed``."""
+    dim = data.p * data.n_experiments
+    _check_support(cfg, dim)
+    if cfg.support_indices is not None:
+        return np.sort(np.asarray(cfg.support_indices, dtype=int))
+    return random_support(dim, cfg.support_k, np.random.default_rng(seed))
 
 
 def _resolve_support(cfg: ExperimentConfig, data: TrainingData) -> np.ndarray:
-    dim = data.p * data.n_experiments
-    if cfg.support_indices is not None:
-        idx = np.asarray(cfg.support_indices, dtype=int)
-        if np.any(idx >= dim):
-            raise ConfigError(f"config key support.indices must index vec(X) of length {dim}, "
-                              f"got {int(idx.max())}")
-        return np.sort(idx)
-    rng = np.random.default_rng(_child_seed(cfg.seed, _DOM_SUPPORT))
-    return random_support(dim, _support_k(cfg, dim), rng)
+    return _support(cfg, data, _child_seed(cfg.seed, _DOM_SUPPORT))
 
 
 def _attach_b(bundle: JacobianBundle, cfg: ExperimentConfig, system: LtiSystem,
@@ -385,18 +388,19 @@ def cmd_design(cfg: ExperimentConfig) -> list[Path]:
     data = _load_data(out)
     system = cfg.build_system()
     cmap = cfg.build_map()
-    gain = cmap.evaluate_flagged(data)
-    chk = check_a1(system, gain.k)
+    k = cmap.evaluate(data)
+    chk = check_a1(system, k)
+    rank_deficient = cmap.rank_deficient(data)
     _write_json(out / _CONTROLLER_FILE, {
         "map": cmap.descriptor(),
-        "k": gain.k.tolist(),
+        "k": k.tolist(),
         "rho": chk.rho,
         "stable": chk.stable,
-        "rank_deficient": gain.rank_deficient,
+        "rank_deficient": rank_deficient,
     })
     _write_csv(out / "design.csv",
                ["map", "rho", "stable", "rank_deficient"],
-               [[cmap.name, chk.rho, chk.stable, gain.rank_deficient]])
+               [[cmap.name, chk.rho, chk.stable, rank_deficient]])
     return [out / _CONTROLLER_FILE, out / "design.csv"]
 
 
@@ -501,23 +505,24 @@ def cmd_fig1(cfg: ExperimentConfig) -> list[Path]:
 def cmd_fig2(cfg: ExperimentConfig) -> list[Path]:
     """Worst-case sensitivity J_max = max_i ||B J_i|| versus record length.
 
-    For each T in t_list, repeats fig2_trials times: fresh data, fresh random
-    support of the configured size, FD Jacobian, J_max. Reports mean and
-    sample std per T. No stability requirement — the sensitivity is defined
-    whether or not the resulting gain stabilizes.
+    For each T in t_list, repeats fig2_trials times: fresh data, the support
+    (support.indices as given, or a fresh random one of support.k entries),
+    FD Jacobian, J_max. Reports mean and sample std per T. No stability
+    requirement — the sensitivity is defined whether or not the resulting
+    gain stabilizes. A support that does not fit the shortest record is
+    refused before any work.
     """
     out = _out_dir(cfg)
     system = cfg.build_system()
     cmap = cfg.build_map()
+    _check_support(cfg, system.n * min(cfg.t_list) * cfg.n_experiments)
     rows = []
     for t_idx, t_steps in enumerate(cfg.t_list):
         j_maxes = []
         for trial in range(cfg.fig2_trials):
             data = collect(system, cfg.n_experiments, t_steps,
                            seed=_child_seed(cfg.seed, _DOM_FIG2, t_idx, trial, 0))
-            rng = np.random.default_rng(_child_seed(cfg.seed, _DOM_FIG2, t_idx, trial, 1))
-            dim = data.p * data.n_experiments
-            support = random_support(dim, _support_k(cfg, dim), rng)
+            support = _support(cfg, data, _child_seed(cfg.seed, _DOM_FIG2, t_idx, trial, 1))
             j_maxes.append(j_max(_fd_bundle(cfg, system, data, cmap, support)))
         mean = float(np.mean(j_maxes))
         std = float(np.std(j_maxes, ddof=1)) if len(j_maxes) > 1 else 0.0

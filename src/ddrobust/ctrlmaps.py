@@ -80,14 +80,6 @@ class LqrWeights:
 
 
 @dataclass(frozen=True)
-class GainResult:
-    """Feedback gain plus a flag for rank-deficient data."""
-
-    k: np.ndarray
-    rank_deficient: bool
-
-
-@dataclass(frozen=True)
 class IdentifiedModel:
     a: np.ndarray
     b: np.ndarray
@@ -281,8 +273,10 @@ class ControllerMap(ABC):
                 pass
         return k
 
-    def evaluate_flagged(self, data: TrainingData) -> GainResult:
-        return GainResult(k=self.evaluate(data), rank_deficient=False)
+    def rank_deficient(self, data: TrainingData) -> bool:
+        """Is this record too poor in excitation for the map's least-squares
+        step? Only ``design`` reads it; a map without such a step says False."""
+        return False
 
     def descriptor(self) -> dict:
         return {"name": self.name, "hyperparameters": {}}
@@ -317,43 +311,23 @@ def evaluate_perturbed(cmap: ControllerMap, data: TrainingData, support,
     return k
 
 
-def _pinv_gains(data: TrainingData, x_vecs) -> tuple[np.ndarray, np.ndarray]:
-    """K = U0 pinv(X0) and the rank of X0 for each state record in the rows of ``x_vecs``."""
-    x0, _, u0 = snapshot_batch(data, x_vecs)
-    x0_pinv, rank = pseudoinverse(x0)
-    return u0 @ x0_pinv, rank
-
-
 class PinvMap(ControllerMap):
     """K = U0 pinv(X0); with full-row-rank X0 the closed loop is X1 pinv(X0)."""
 
     name = "pinv"
 
     def evaluate(self, data: TrainingData) -> np.ndarray:
-        return self.evaluate_flagged(data).k
+        return self.evaluate_batch(data, data.x_vec[None])[0]
 
     def evaluate_batch(self, data: TrainingData, x_vecs) -> np.ndarray:
-        """:meth:`evaluate` on a stack: one stacked pseudoinverse of the X0 snapshots."""
-        return _pinv_gains(data, x_vecs)[0]
+        """K = U0 pinv(X0) per state record in the rows of ``x_vecs``, by one stacked SVD."""
+        x0, _, u0 = snapshot_batch(data, x_vecs)
+        return u0 @ pseudoinverse(x0)[0]
 
-    def evaluate_flagged(self, data: TrainingData) -> GainResult:
-        [k], [rank] = _pinv_gains(data, data.x_vec[None])
-        return GainResult(k=k, rank_deficient=bool(rank < data.n))
-
-
-def _ce_lqr_gains(data: TrainingData, x_vecs,
-                  weights: LqrWeights | None) -> tuple[np.ndarray, np.ndarray]:
-    """Certainty-equivalence gains and rank flags for the state records in the
-    rows of ``x_vecs``: identify each pair, then LQR on it (identity weights
-    by default). An item whose Riccati solve fails is all NaN."""
-    weights = weights or LqrWeights.identity(data.n, data.m)
-    model = identify(data, x_vecs)
-    # No identified control authority: the gain formula is zero for any cost,
-    # so take that limit instead of a Riccati solve with nothing.
-    ctrl = np.any(model.b, axis=(1, 2))
-    k = np.zeros((len(ctrl), data.m, data.n))
-    k[ctrl] = lqr_gain(model.a[ctrl], model.b[ctrl], weights.q, weights.r)
-    return k, model.rank_deficient
+    def rank_deficient(self, data: TrainingData) -> bool:
+        """Does X0 have rank below n?"""
+        x0, _, _ = snapshot_batch(data, data.x_vec[None])
+        return bool(pseudoinverse(x0)[1][0] < data.n)
 
 
 class CeLqrMap(ControllerMap):
@@ -363,19 +337,28 @@ class CeLqrMap(ControllerMap):
         self.weights = weights
 
     def evaluate(self, data: TrainingData) -> np.ndarray:
-        return self.evaluate_flagged(data).k
-
-    def evaluate_batch(self, data: TrainingData, x_vecs) -> np.ndarray:
-        """:meth:`evaluate` on a stack: one stacked pseudoinverse of the regressors,
-        one doubling Riccati solve over the stack and one stacked gain solve."""
-        return _ce_lqr_gains(data, x_vecs, self.weights)[0]
-
-    def evaluate_flagged(self, data: TrainingData) -> GainResult:
-        """Certainty-equivalence design: identify, then LQR on the identified pair."""
-        [k], [rank_deficient] = _ce_lqr_gains(data, data.x_vec[None], self.weights)
+        """The gain on one record; a failed Riccati solve raises :class:`DareError`."""
+        [k] = self.evaluate_batch(data, data.x_vec[None])
         if np.isnan(k).any():
             raise _dare_error(_DARE_MAX_ITER)
-        return GainResult(k=k, rank_deficient=bool(rank_deficient))
+        return k
+
+    def evaluate_batch(self, data: TrainingData, x_vecs) -> np.ndarray:
+        """Certainty-equivalence design: identify each pair, then LQR on it (identity
+        weights by default), by one stacked pseudoinverse of the regressors, one
+        doubling Riccati solve and one stacked gain solve. A failed solve is all NaN."""
+        weights = self.weights or LqrWeights.identity(data.n, data.m)
+        model = identify(data, x_vecs)
+        # No identified control authority: the gain formula is zero for any cost,
+        # so take that limit instead of a Riccati solve with nothing.
+        ctrl = np.any(model.b, axis=(1, 2))
+        k = np.zeros((len(ctrl), data.m, data.n))
+        k[ctrl] = lqr_gain(model.a[ctrl], model.b[ctrl], weights.q, weights.r)
+        return k
+
+    def rank_deficient(self, data: TrainingData) -> bool:
+        """Does the regressor [X0; U0] have rank below n + m?"""
+        return identify(data).rank_deficient
 
     def descriptor(self) -> dict:
         hyper = {}

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ddrobust import CeLqrMap, TrainingData, bounds, cli, ctrlmaps
+from ddrobust import CeLqrMap, TrainingData, bounds, cli, collect, ctrlmaps, fd_jacobian
 
 
 FAST_CONFIG = {
@@ -201,6 +201,21 @@ class TestCommandChain:
         assert capsys.readouterr().err == (
             f"ddrobust: error: ValueError: LQR weights Q (1, 1) and R {shape} "
             f"do not fit n = 4, m = 2\n")
+
+    @pytest.mark.parametrize("map_name", ["pinv", "ce-lqr"])
+    @pytest.mark.parametrize("t_steps, deficient", [(3, True), (None, False)],
+                             ids=["t-3", "default-t"])
+    def test_design_reports_rank_deficiency(self, tmp_path, map_name, t_steps, deficient):
+        # Three snapshots cannot span the n = 4 states (pinv) or the n + m = 6
+        # regressors (ce-lqr); the default record of 200 steps spans both.
+        doc = {k: v for k, v in FAST_CONFIG.items() if k != "t_steps"}
+        doc |= {"map": {"name": map_name}} | ({"t_steps": t_steps} if t_steps else {})
+        cfg, out = write_config(tmp_path, doc), str(tmp_path / "run")
+        assert run(["collect", "--config", cfg, "--out", out]) == 0
+        assert run(["design", "--config", cfg, "--out", out]) == 0
+        assert read_csv(tmp_path / "run" / "design.csv")[1][3] == str(deficient)
+        doc = json.loads((tmp_path / "run" / "controller.json").read_text())
+        assert doc["rank_deficient"] is deficient
 
     def test_design_without_data_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_CONFIG)
@@ -428,6 +443,41 @@ class TestFigures:
         assert all(float(row[1]) > 0.0 for row in rows[1:])
         assert run(["fig2", "--config", cfg, "--out", str(out_b)]) == 0
         assert (out_a / "fig2.csv").read_bytes() == (out_b / "fig2.csv").read_bytes()
+
+    def test_fig2_uses_the_configured_indices(self, tmp_path):
+        doc = FAST_CONFIG | {"t_list": [20], "fig2_trials": 2, "map": {"name": "pinv"}}
+        written = []
+        for name, support in (("indices", {"indices": [2, 0, 1]}), ("k", {"k": 3})):
+            cfg = write_config(tmp_path, doc | {"support": support}, name=f"{name}.json")
+            assert run(["fig2", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            written.append((tmp_path / name / "fig2.csv").read_bytes())
+        assert written[0] != written[1]
+        # The same records, each with the FD bundle on entries 0, 1 and 2.
+        cfg = cli.ExperimentConfig.from_json(doc | {"support": {"indices": [0, 1, 2]}})
+        system, cmap = cfg.build_system(), cfg.build_map()
+        j_maxes = []
+        for trial in range(2):
+            seed = cli._child_seed(cfg.seed, cli._DOM_FIG2, 0, trial, 0)
+            data = collect(system, 1, 20, seed=seed)
+            bundle = fd_jacobian(cmap, data, np.array([0, 1, 2]))
+            j_maxes.append(bounds.j_max(bundle.with_b(system.b, cli.B_SOURCE_TRUE)))
+        row = read_csv(tmp_path / "indices" / "fig2.csv")[1]
+        assert float(row[1]) == float(np.mean(j_maxes))
+
+    def test_fig2_refuses_oversized_support_before_any_work(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # The 20-step records hold 80 entries of vec(X), the 40-step ones 160.
+        calls = []
+        fd = cli.fd_jacobian
+        monkeypatch.setattr(cli, "fd_jacobian", lambda *args: calls.append(args) or fd(*args))
+        doc = FAST_CONFIG | {"support": {"k": 100}, "t_list": [40, 20], "fig2_trials": 1}
+        out = tmp_path / "o"
+        assert run(["fig2", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "ddrobust: error: ConfigError: config key support.k must fit in vec(X) of "
+            "length 80, got 100\n")
+        assert calls == []
+        assert not (out / "fig2.csv").exists()
 
 
 class TestEveryTrialFailed:

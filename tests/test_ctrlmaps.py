@@ -44,16 +44,15 @@ class TestPinvMap:
     def test_closed_loop_identity_full_row_rank(self):
         sys = vehicle_model(0.1)
         data = collect(sys, 1, 500, seed=0)
-        result = PinvMap().evaluate_flagged(data)
-        assert not result.rank_deficient
+        assert not PinvMap().rank_deficient(data)
         [x0], [x1], _ = snapshot_batch(data, data.x_vec[None])
-        closed_loop = sys.a + sys.b @ result.k
+        closed_loop = sys.a + sys.b @ PinvMap().evaluate(data)
         reference = x1 @ np.linalg.pinv(x0)
         assert np.linalg.norm(closed_loop - reference, 2) <= 1e-8
 
     def test_rank_deficiency_flagged(self):
         data = collect(vehicle_model(0.1), 1, 2, seed=0)
-        assert PinvMap().evaluate_flagged(data).rank_deficient
+        assert PinvMap().rank_deficient(data)
 
 
 class TestIdentify:
@@ -253,10 +252,11 @@ class TestCeLqr:
         sys = vehicle_model(0.1)
         data = collect(sys, 1, 30, input_law=zero_inputs, seed=0,
                        x0=np.array([1.0, -0.5, 2.0, 0.25]))
-        result = CeLqrMap(LqrWeights.identity(4, 2)).evaluate_flagged(data)
-        assert result.rank_deficient
-        assert np.allclose(result.k, np.zeros((2, 4)), atol=1e-12)
-        chk = check_a1(sys, result.k)
+        cmap = CeLqrMap(LqrWeights.identity(4, 2))
+        assert cmap.rank_deficient(data)
+        k = cmap.evaluate(data)
+        assert np.allclose(k, np.zeros((2, 4)), atol=1e-12)
+        chk = check_a1(sys, k)
         assert not chk.stable and chk.rho >= 1.0
 
     def test_nominal_riccati_failure_raises(self, monkeypatch):

@@ -521,7 +521,7 @@ class TestEvaluateBatch:
         assert reports[0].unstable_count > 0
 
 
-    def test_pinv_gains_do_not_depend_on_chunking(self, vehicle_setup, monkeypatch):
+    def test_pinv_batch_does_not_depend_on_chunking(self, vehicle_setup, monkeypatch):
         # The pinv loop on the vehicle is not stable, so estimate_instability
         # refuses it; the gains themselves are the stronger check.
         _, data, support = vehicle_setup

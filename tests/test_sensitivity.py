@@ -36,6 +36,14 @@ class LinearMap(ControllerMap):
         return (self.m0 @ data.x_vec).reshape((self.m, self.n), order="F")
 
 
+def test_plugin_map_is_never_rank_deficient():
+    # Five snapshots cannot span the n + m = 6 ce-lqr regressors; a plugin
+    # map keeps the base-class answer.
+    data = collect(vehicle_model(0.1), 1, 5, seed=0)
+    assert CeLqrMap().rank_deficient(data)
+    assert LinearMap(np.zeros((8, data.p)), 2, 4).rank_deficient(data) is False
+
+
 class FragileMap(ControllerMap):
     """Raises whenever a watched entry moves off its nominal value."""
 
