@@ -10,7 +10,13 @@ Both are deterministic and defined on a neighborhood of the nominal data,
 which is what the sensitivity analysis needs from them. Every caller that
 evaluates a map on many perturbed records (Monte Carlo, finite differences,
 the Lemma-1 residual) goes through :func:`evaluate_perturbed`, which hands
-chunks of records to :meth:`ControllerMap.evaluate_batch`.
+the finite perturbations to :meth:`ControllerMap.evaluate_deltas`. Its base
+body, the record path, builds each perturbed record and passes chunks of
+them to :meth:`ControllerMap.evaluate_batch`; ``ce-lqr`` and plugin maps
+use it. ``pinv`` overrides it with a Gram kernel: a perturbed entry of
+vec(X) moves one column of X0, so each gain is a rank-few update of
+G = X0 X0', at a cost that does not depend on T. An item whose perturbed
+G fails the ``_GRAM_RCOND`` conditioning test takes the record path.
 """
 
 from __future__ import annotations
@@ -33,11 +39,20 @@ class DareError(RuntimeError):
 # exception is a bug or a refusal and propagates.
 _TRIAL_FAILURES = (DareError, EigensolverError, np.linalg.LinAlgError)
 
-# Floats per probe stack in evaluate_perturbed (256 kB): each evaluate_batch
+# Floats per probe stack on the record path (256 kB): each evaluate_batch
 # call gets as many whole records as fit, and at least one. A batched map's
 # work arrays are a few times that. On the vehicle, 40 records of T = 200 fit,
 # and 5 of T = 1600.
 _BATCH_FLOATS = 2**15
+
+# The pinv Gram kernel solves with a perturbed G = X0 X0' only when
+# lambda_min(G) > _GRAM_RCOND * lambda_max(G), i.e. cond(X0) < 1e4. The solve
+# amplifies rounding by cond(G) = cond(X0)^2, so this bounds the relative
+# error of the kernel's correction to K by about 1e8 * eps = 2e-8, and it lies
+# far above the SVD's rank cut near machine epsilon. Any other item, a
+# rank-deficient record above all, takes the record path and keeps its pinv
+# value exactly. Vehicle records of T = 20..1600 have a ratio of 4e-6 to 3e-2.
+_GRAM_RCOND = 1e-8
 
 # A converged doubling iterate P is accepted only when the largest entry of
 # its Riccati residual is at most this fraction of the largest entry of P.
@@ -273,6 +288,31 @@ class ControllerMap(ABC):
                 pass
         return k
 
+    def evaluate_deltas(self, data: TrainingData, support, deltas) -> np.ndarray:
+        """Gains at vec(X) + delta, one per row of ``deltas``.
+
+        Row i of the N x |support| array ``deltas`` is added to the entries
+        ``support`` of vec(X); every such record is finite, as
+        :func:`evaluate_perturbed` sees to. Returns the (N, m, n) gains, with
+        failed items as in :meth:`evaluate_batch`. This record path builds the
+        records in one probe buffer and hands them to :meth:`evaluate_batch`
+        in chunks of at most ``_BATCH_FLOATS`` floats, which bounds memory; no
+        item's result depends on its chunk. A map that can update a nominal
+        factorisation instead overrides it.
+        """
+        x_vec = data.x_vec
+        k = np.empty((len(deltas), data.m, data.n))
+        items = max(1, _BATCH_FLOATS // x_vec.size)
+        # One probe buffer for every chunk: evaluate_batch does not keep x_vecs.
+        probes = np.empty((min(items, len(deltas)), x_vec.size))
+        for start in range(0, len(deltas), items):
+            chunk = slice(start, start + items)
+            x_vecs = probes[: len(deltas[chunk])]
+            x_vecs[:] = x_vec
+            x_vecs[:, support] += deltas[chunk]
+            k[chunk] = self.evaluate_batch(data, x_vecs)
+        return k
+
     def rank_deficient(self, data: TrainingData) -> bool:
         """Is this record too poor in excitation for the map's least-squares
         step? Only ``design`` reads it; a map without such a step says False."""
@@ -287,27 +327,17 @@ def evaluate_perturbed(cmap: ControllerMap, data: TrainingData, support,
     """Gains of the map at vec(X) + delta, one per row of ``deltas``.
 
     Row i of the N x |support| array ``deltas`` is added to the entries
-    ``support`` of vec(X). The finite records go to ``cmap.evaluate_batch``
-    in chunks of at most ``_BATCH_FLOATS`` floats, which bounds memory; no
-    item's result depends on its chunk. Returns the (N, m, n) gains. A failed
-    item has non-finite entries, as in :meth:`ControllerMap.evaluate_batch`;
-    a non-finite record is a failed item that the map never sees.
+    ``support`` of vec(X). The rows that give a finite record go to
+    ``cmap.evaluate_deltas`` in one call. Returns the (N, m, n) gains. A
+    failed item has non-finite entries, as in
+    :meth:`ControllerMap.evaluate_batch`; a non-finite record is a failed
+    item that the map never sees.
     """
-    x_vec = data.x_vec
     deltas = np.asarray(deltas, dtype=float)
     k = np.full((len(deltas), data.m, data.n), np.nan)
-    items = max(1, _BATCH_FLOATS // x_vec.size)
-    # One probe buffer for every chunk: evaluate_batch does not keep x_vecs.
-    probes = np.empty((min(items, len(deltas)), x_vec.size))
-    for start in range(0, len(deltas), items):
-        chunk = slice(start, start + items)
-        x_vecs = probes[: len(deltas[chunk])]
-        x_vecs[:] = x_vec
-        x_vecs[:, support] += deltas[chunk]
-        rows = np.flatnonzero(np.all(np.isfinite(x_vecs), axis=1))
-        if rows.size:
-            k[start + rows] = cmap.evaluate_batch(
-                data, x_vecs if rows.size == len(x_vecs) else x_vecs[rows])
+    rows = np.all(np.isfinite(data.x_vec[support] + deltas), axis=1)
+    if rows.any():
+        k[rows] = cmap.evaluate_deltas(data, support, deltas[rows])
     return k
 
 
@@ -323,6 +353,48 @@ class PinvMap(ControllerMap):
         """K = U0 pinv(X0) per state record in the rows of ``x_vecs``, by one stacked SVD."""
         x0, _, u0 = snapshot_batch(data, x_vecs)
         return u0 @ pseudoinverse(x0)[0]
+
+    def evaluate_deltas(self, data: TrainingData, support, deltas) -> np.ndarray:
+        """K' = U0 pinv(X0') per row of ``deltas`` by a low-rank update of the Gram
+        matrix G = X0 X0', with no perturbed record and no SVD per item.
+
+        Entry i of vec(X) is state i % n of x(s + 1), s = i // n % T, of
+        experiment e = i // (nT): column eT + s + 1 = i // n + 1 of X0, unless
+        s + 1 = T, as the final state is in no column of X0. With D the
+        perturbation on the q columns the support touches and X_q, U_q the
+        nominal X0, U0 there, G' = G + dG with dG = D X_q' + X_q D' + D D', and
+
+            K' = U0 X0'' G'^-1 = K + (U_q D' - K dG) G'^-1
+
+        from the nominal K of the SVD, as K G = U0 X0' holds exactly for the
+        pseudoinverse at any rank. This residual form adds to K a correction
+        of the size of D, so the rounding of K and G is not divided by h in a
+        finite-difference column, as it is when U0 X0'' G'^-1 is formed
+        directly; a zero delta gives K exactly. An item whose G' fails the
+        ``_GRAM_RCOND`` test takes the record path.
+        """
+        n, t = data.n, data.t
+        support = np.asarray(support, dtype=int)
+        [x0], _, u0 = snapshot_batch(data, data.x_vec[None])
+        k = u0 @ pseudoinverse(x0)[0]
+        gram = x0 @ x0.T
+        col = support // n + 1
+        inner = col % t != 0
+        cols, pos = np.unique(col[inner], return_inverse=True)
+        d = np.zeros((len(deltas), n, cols.size))
+        d[:, support[inner] % n, pos] = deltas[:, inner]
+        d_gram = d @ x0[:, cols].T
+        d_gram = d_gram + _t(d_gram) + d @ _t(d)
+        gram_new = gram + d_gram
+        ok = np.all(np.isfinite(gram_new), axis=(1, 2))
+        lam = np.linalg.eigvalsh(gram_new[ok])
+        ok[ok] = lam[:, 0] > _GRAM_RCOND * lam[:, -1]
+        gains = np.empty((len(deltas), data.m, n))
+        correction = u0[:, cols] @ _t(d[ok]) - k @ d_gram[ok]
+        gains[ok] = k + _t(np.linalg.solve(gram_new[ok], _t(correction)))
+        if not ok.all():
+            gains[~ok] = super().evaluate_deltas(data, support, deltas[~ok])
+        return gains
 
     def rank_deficient(self, data: TrainingData) -> bool:
         """Does X0 have rank below n?"""

@@ -19,6 +19,7 @@ from ddrobust import (
     vehicle_model,
 )
 from ddrobust import ctrlmaps
+from ddrobust.ctrlmaps import ControllerMap
 from ddrobust.lti import snapshot_batch
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -53,6 +54,81 @@ class TestPinvMap:
     def test_rank_deficiency_flagged(self):
         data = collect(vehicle_model(0.1), 1, 2, seed=0)
         assert PinvMap().rank_deficient(data)
+
+
+def record_path(data, support, deltas):
+    """The pinv gains of the base record path: one SVD per perturbed record."""
+    return ControllerMap.evaluate_deltas(PinvMap(), data, support, deltas)
+
+
+class TestPinvGramKernel:
+    """PinvMap.evaluate_deltas, the low-rank Gram update, against the record path."""
+
+    @staticmethod
+    def probes(support, scale, seed):
+        """The 2k one-entry probes of an FD bundle at h = 6e-6, then eight dense
+        draws at ``scale``."""
+        k = support.size
+        fd = np.vstack([6e-6 * np.eye(k), -6e-6 * np.eye(k)])
+        dense = scale * np.random.default_rng(seed).standard_normal((8, k))
+        return np.vstack([fd, dense])
+
+    @pytest.mark.parametrize("t_steps", [20, 200, 1600])
+    @pytest.mark.parametrize("experiments", [1, 2])
+    def test_matches_record_path(self, t_steps, experiments):
+        data = collect(vehicle_model(0.1), experiments, t_steps, seed=t_steps + experiments)
+        n, p = data.n, data.p
+        rng = np.random.default_rng(t_steps)
+        support = [rng.choice(data.x_vec.size, 6, replace=False)]
+        for e in range(experiments):
+            # States 0 and 1 of x(1) share one X0 column; x(T) is in none.
+            support.append(e * p + np.array([0, 1, p - n, p - 1]))
+        support = np.unique(np.concatenate(support))
+        for scale in (6e-6, 30.0):
+            deltas = self.probes(support, scale, seed=experiments)
+            reference = record_path(data, support, deltas)
+            gains = PinvMap().evaluate_deltas(data, support, deltas)
+            assert np.abs(gains - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_rank_deficient_record_takes_the_record_path(self):
+        # T = 3 < n: X0 and every perturbed X0 have rank 3 at most.
+        data = collect(vehicle_model(0.1), 1, 3, seed=0, x0=np.array([1.0, -0.5, 0.3, 2.0]))
+        support = np.arange(data.p)
+        deltas = self.probes(support, 30.0, seed=1)
+        assert np.array_equal(PinvMap().evaluate_deltas(data, support, deltas),
+                              record_path(data, support, deltas))
+
+    def test_singular_item_takes_the_record_path_alone(self, monkeypatch):
+        # T = n: item 1 zeroes x(1), a column of X0, so its X0 is singular.
+        data = collect(vehicle_model(0.1), 1, 4, seed=0, x0=np.array([1.0, -0.5, 0.3, 2.0]))
+        support = np.arange(4)
+        deltas = 0.01 * np.random.default_rng(2).standard_normal((3, 4))
+        deltas[1] = -data.x_vec[:4]
+        gram_only = PinvMap().evaluate_deltas(data, support, deltas[[0, 2]])
+        seen = []
+        original = PinvMap.evaluate_batch
+
+        def evaluate_batch(self, data, x_vecs):
+            seen.append(np.array(x_vecs))
+            return original(self, data, x_vecs)
+
+        monkeypatch.setattr(PinvMap, "evaluate_batch", evaluate_batch)
+        gains = PinvMap().evaluate_deltas(data, support, deltas)
+        [records] = seen
+        assert len(records) == 1 and np.array_equal(records[0, :4], np.zeros(4))
+        assert np.array_equal(gains[1], record_path(data, support, deltas[1:2])[0])
+        assert np.array_equal(gains[[0, 2]], gram_only)
+
+    @pytest.mark.parametrize("t_steps, experiments", [(4, 1), (200, 2)])
+    def test_items_do_not_depend_on_the_stack(self, t_steps, experiments):
+        data = collect(vehicle_model(0.1), experiments, t_steps, seed=0,
+                       x0=np.array([1.0, -0.5, 0.3, 2.0]))
+        support = np.arange(0, data.x_vec.size, max(1, data.x_vec.size // 30))
+        deltas = self.probes(support, 30.0, seed=3)
+        deltas[-1, :4] = -data.x_vec[support[:4]]  # singular at T = 4
+        gains = PinvMap().evaluate_deltas(data, support, deltas)
+        for i, delta in enumerate(deltas):
+            assert np.array_equal(gains[i], PinvMap().evaluate_deltas(data, support, delta[None])[0])
 
 
 class TestIdentify:

@@ -142,6 +142,27 @@ class TestFdJacobian:
         columns = fd_jacobian(PinvMap(), data, support).columns
         assert np.abs(columns - expected).max() <= 1e-7 * np.abs(columns).max()
 
+    @pytest.mark.parametrize("t_steps", [400, 1600])
+    def test_pinv_columns_are_accurate_on_long_records(self, t_steps):
+        # The closed form above, one entry dX0 = e_r e_c' at a time, reads
+        # dK = (u_c - K x_c)(G^-1 e_r)' - (K e_r)(G^-1 x_c)' with G = X0 X0'.
+        data = collect(vehicle_model(0.1), 1, t_steps, seed=t_steps)
+        n, m, t = data.n, data.m, data.t
+        support = random_support(data.p, 50, np.random.default_rng(t_steps))
+        x0 = np.column_stack([data.x0s[:, 0], data.x[: n * (t - 1), 0].reshape((t - 1, n)).T])
+        u0 = data.u[:, 0].reshape((t, m)).T
+        k = np.linalg.lstsq(x0.T, u0.T, rcond=None)[0].T
+        gram_inv = np.linalg.inv(x0 @ x0.T)
+        rows, cols = support % n, support // n + 1
+        inner = cols < t  # the final state x(T) is in no column of X0
+        rows, cols = rows[inner], cols[inner]
+        dk = (np.einsum("aj,bj->jab", u0[:, cols] - k @ x0[:, cols], gram_inv[:, rows])
+              - np.einsum("aj,bj->jab", k[:, rows], gram_inv @ x0[:, cols]))
+        expected = np.zeros((m * n, support.size))
+        expected[:, inner] = np.swapaxes(dk, 1, 2).reshape((-1, m * n)).T
+        columns = fd_jacobian(PinvMap(), data, support).columns
+        assert np.abs(columns - expected).max() <= 2e-9 * np.abs(columns).max()
+
     @pytest.mark.parametrize("seed, t_steps, experiments", [(0, 200, 1), (2, 60, 1), (5, 30, 2)])
     def test_ce_lqr_matches_closed_form_derivative(self, seed, t_steps, experiments):
         # Least squares: with W = [X0; U0], G = W W' and C = X1 W', the fit
