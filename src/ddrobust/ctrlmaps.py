@@ -11,11 +11,13 @@ which is what the sensitivity analysis needs from them. Every caller that
 evaluates a map on many perturbed records (Monte Carlo, finite differences,
 the Lemma-1 residual) goes through :func:`evaluate_perturbed`, which hands
 the finite perturbations to :meth:`ControllerMap.evaluate_deltas`. Its base
-body, the record path, builds each perturbed record and passes chunks of
-them to :meth:`ControllerMap.evaluate_batch`; ``ce-lqr`` and plugin maps
-use it. ``pinv`` overrides it with a Gram kernel: a perturbed entry of
-vec(X) moves one column of X0, so each gain is a rank-few update of
-G = X0 X0', at a cost that does not depend on T. An item whose perturbed
+body, the record path, builds each perturbed record and calls
+:meth:`ControllerMap.evaluate` on it; plugin maps use it. Both shipped maps
+are least-squares fits theta = Y pinv(W) that see the record only through
+G = W W' and Y W' (``pinv``: W = X0, Y = U0; ``ce-lqr``: W = [X0; U0],
+Y = X1), so they override it with one Gram kernel: a perturbed entry of
+vec(X) moves one column of X0 and one of X1, and each fit is a rank-few
+update of G, at a cost that does not depend on T. An item whose perturbed
 G fails the ``_GRAM_RCOND`` conditioning test takes the record path.
 """
 
@@ -27,31 +29,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import EigensolverError, as_matrix, pseudoinverse, spectral_radius
-from .lti import LtiSystem, TrainingData, snapshot_batch
+from .lti import LtiSystem, TrainingData, snapshots
 
 
 class DareError(RuntimeError):
     """The Riccati solve diverged, did not converge or failed its residual gate."""
 
 
-# Numerical failures of a map on a perturbed record. A batched evaluation
-# turns an item that raises one of these into a NaN item; any other
-# exception is a bug or a refusal and propagates.
+# Numerical failures of a map on a perturbed record. The record path turns
+# an item that raises one of these into a NaN item; any other exception is
+# a bug or a refusal and propagates.
 _TRIAL_FAILURES = (DareError, EigensolverError, np.linalg.LinAlgError)
 
-# Floats per probe stack on the record path (256 kB): each evaluate_batch
-# call gets as many whole records as fit, and at least one. A batched map's
-# work arrays are a few times that. On the vehicle, 40 records of T = 200 fit,
-# and 5 of T = 1600.
-_BATCH_FLOATS = 2**15
-
-# The pinv Gram kernel solves with a perturbed G = X0 X0' only when
-# lambda_min(G) > _GRAM_RCOND * lambda_max(G), i.e. cond(X0) < 1e4. The solve
-# amplifies rounding by cond(G) = cond(X0)^2, so this bounds the relative
-# error of the kernel's correction to K by about 1e8 * eps = 2e-8, and it lies
-# far above the SVD's rank cut near machine epsilon. Any other item, a
-# rank-deficient record above all, takes the record path and keeps its pinv
-# value exactly. Vehicle records of T = 20..1600 have a ratio of 4e-6 to 3e-2.
+# The Gram kernel solves with a perturbed G = W W' only when
+# lambda_min(G) > _GRAM_RCOND * lambda_max(G), i.e. cond(W) < 1e4. The solve
+# amplifies rounding by cond(G) = cond(W)^2, so this bounds the relative
+# error of the kernel's correction to the fit by about 1e8 * eps = 2e-8, and
+# it lies far above the SVD's rank cut near machine epsilon. Any other item,
+# a rank-deficient record above all, takes the record path and keeps its
+# pseudoinverse value exactly. Vehicle records of T = 20..1600 have a ratio
+# of 4e-6 to 3e-2 for W = X0.
 _GRAM_RCOND = 1e-8
 
 # A converged doubling iterate P is accepted only when the largest entry of
@@ -98,7 +95,7 @@ class LqrWeights:
 class IdentifiedModel:
     a: np.ndarray
     b: np.ndarray
-    rank_deficient: bool | np.ndarray
+    rank_deficient: bool
 
 
 @dataclass(frozen=True)
@@ -107,26 +104,17 @@ class StabilityCheck:
     rho: float
 
 
-def identify(data: TrainingData, x_vecs=None) -> IdentifiedModel:
+def identify(data: TrainingData) -> IdentifiedModel:
     """Least-squares fit [A B] = X1 pinv([X0; U0]).
 
     Exact on noiseless data when the regressor has full row rank; otherwise
-    the minimum-norm solution is returned and flagged. With ``x_vecs``, fits
-    each state record vec(X) in its rows by one stacked pseudoinverse, and
-    a, b and rank_deficient are (N, n, n), (N, n, m) and (N,) stacks.
+    the minimum-norm solution is returned and flagged.
     """
-    x0, x1, u0 = snapshot_batch(data, data.x_vec[None] if x_vecs is None else x_vecs)
-    n = data.n
-    # The regressors [X0; U0], laid out column by column like X0.
-    w = np.empty((len(x0), x0.shape[2], n + data.m))
-    w[..., :n] = _t(x0)
-    w[..., n:] = u0.T
-    w_pinv, rank = pseudoinverse(_t(w))
+    x0, x1, u0 = snapshots(data)
+    w_pinv, rank = pseudoinverse(np.vstack([x0, u0]))
     ab = x1 @ w_pinv
-    a, b, deficient = ab[..., :n], ab[..., n:], rank < n + data.m
-    if x_vecs is None:
-        return IdentifiedModel(a=a[0], b=b[0], rank_deficient=bool(deficient[0]))
-    return IdentifiedModel(a=a, b=b, rank_deficient=deficient)
+    n = data.n
+    return IdentifiedModel(a=ab[:, :n], b=ab[:, n:], rank_deficient=rank < n + data.m)
 
 
 def _dare_error(max_iter: int) -> DareError:
@@ -267,50 +255,27 @@ class ControllerMap(ABC):
     def evaluate(self, data: TrainingData) -> np.ndarray:
         """Return the m x n gain for these (possibly perturbed) data."""
 
-    def evaluate_batch(self, data: TrainingData, x_vecs) -> np.ndarray:
-        """Gains for the state records vec(X) in the rows of ``x_vecs``.
-
-        Item i is the gain for ``data`` with vec(X) replaced by row i; the
-        caller may overwrite ``x_vecs`` once the call returns. A non-finite
-        record is malformed input and raises ValueError.
-        Returns the (N, m, n) gains. An item on which the map fails
-        numerically (one of ``_TRIAL_FAILURES`` raised or a non-finite gain
-        returned) has non-finite entries, and its neighbours are unaffected.
-        Any other exception propagates. This fallback calls :meth:`evaluate`
-        on each record; it serves plugin maps, as both shipped maps override
-        it with vectorised kernels.
-        """
-        k = np.full((len(x_vecs), data.m, data.n), np.nan)
-        for i, x_vec in enumerate(x_vecs):
-            try:
-                k[i] = self.evaluate(data.with_x_vec(x_vec))
-            except _TRIAL_FAILURES:
-                pass
-        return k
-
     def evaluate_deltas(self, data: TrainingData, support, deltas) -> np.ndarray:
         """Gains at vec(X) + delta, one per row of ``deltas``.
 
         Row i of the N x |support| array ``deltas`` is added to the entries
-        ``support`` of vec(X); every such record is finite, as
-        :func:`evaluate_perturbed` sees to. Returns the (N, m, n) gains, with
-        failed items as in :meth:`evaluate_batch`. This record path builds the
-        records in one probe buffer and hands them to :meth:`evaluate_batch`
-        in chunks of at most ``_BATCH_FLOATS`` floats, which bounds memory; no
-        item's result depends on its chunk. A map that can update a nominal
-        factorisation instead overrides it.
+        ``support`` (distinct) of vec(X); every such record is finite, as
+        :func:`evaluate_perturbed` sees to. Returns the (N, m, n) gains. An
+        item on which the map fails numerically (one of ``_TRIAL_FAILURES``
+        raised or a non-finite gain returned) is all NaN, and its neighbours
+        are unaffected; any other exception propagates. This record path
+        calls :meth:`evaluate` on each perturbed record. A map that can
+        update a nominal factorisation instead overrides it.
         """
-        x_vec = data.x_vec
-        k = np.empty((len(deltas), data.m, data.n))
-        items = max(1, _BATCH_FLOATS // x_vec.size)
-        # One probe buffer for every chunk: evaluate_batch does not keep x_vecs.
-        probes = np.empty((min(items, len(deltas)), x_vec.size))
-        for start in range(0, len(deltas), items):
-            chunk = slice(start, start + items)
-            x_vecs = probes[: len(deltas[chunk])]
-            x_vecs[:] = x_vec
-            x_vecs[:, support] += deltas[chunk]
-            k[chunk] = self.evaluate_batch(data, x_vecs)
+        k = np.full((len(deltas), data.m, data.n), np.nan)
+        for i, delta in enumerate(deltas):
+            x_vec = data.x_vec
+            x_vec[support] += delta
+            try:
+                k[i] = self.evaluate(data.with_x_vec(x_vec))
+            except _TRIAL_FAILURES:
+                pass
+        k[~np.all(np.isfinite(k), axis=(1, 2))] = np.nan
         return k
 
     def rank_deficient(self, data: TrainingData) -> bool:
@@ -327,12 +292,16 @@ def evaluate_perturbed(cmap: ControllerMap, data: TrainingData, support,
     """Gains of the map at vec(X) + delta, one per row of ``deltas``.
 
     Row i of the N x |support| array ``deltas`` is added to the entries
-    ``support`` of vec(X). The rows that give a finite record go to
-    ``cmap.evaluate_deltas`` in one call. Returns the (N, m, n) gains. A
-    failed item has non-finite entries, as in
-    :meth:`ControllerMap.evaluate_batch`; a non-finite record is a failed
+    ``support`` of vec(X), which must be distinct. The rows that give a
+    finite record go to ``cmap.evaluate_deltas`` in one call. Returns the
+    (N, m, n) gains. A failed item has non-finite entries, as in
+    :meth:`ControllerMap.evaluate_deltas`; a non-finite record is a failed
     item that the map never sees.
     """
+    support = np.asarray(support, dtype=int)
+    ordered = np.sort(support)
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError(f"support indices must be distinct, got {support.tolist()}")
     deltas = np.asarray(deltas, dtype=float)
     k = np.full((len(deltas), data.m, data.n), np.nan)
     rows = np.all(np.isfinite(data.x_vec[support] + deltas), axis=1)
@@ -341,65 +310,82 @@ def evaluate_perturbed(cmap: ControllerMap, data: TrainingData, support,
     return k
 
 
+def _gram_gains(cmap: ControllerMap, data: TrainingData, w, y, x1_rows, support, deltas,
+                gains_of) -> np.ndarray:
+    """:meth:`ControllerMap.evaluate_deltas` for a map whose gains are
+    ``gains_of`` of the least-squares fits theta = Y pinv(W), by a low-rank
+    update of the Gram matrix G = W W', with no perturbed record and no SVD
+    per item.
+
+    W holds X0 in its first n rows, and Y holds X1 in the rows ``x1_rows``
+    (none if no row of Y moves). Entry i of vec(X) is state i % n of X1
+    column c = i // n and of X0 column c + 1, unless c + 1 starts an
+    experiment, as x(T) is in no column of X0. With D_w and D_y the
+    perturbation of W and Y on the q columns the support touches, W_q and
+    Y_q the nominal W and Y there, G' = G + dG with
+    dG = D_w W_q' + W_q D_w' + D_w D_w', and
+
+        theta' = Y' W'' G'^-1 = theta + (Y_q D_w' + D_y (W_q + D_w)' - theta dG) G'^-1
+
+    from the nominal theta of one SVD, as theta G = Y W' holds exactly for
+    the pseudoinverse at any rank. This residual form adds to theta a
+    correction of the size of D, so the rounding of theta and G is not
+    divided by h in a finite-difference column, as it is when Y' W'' G'^-1
+    is formed directly; a zero delta gives theta exactly. An item whose G'
+    fails the ``_GRAM_RCOND`` test takes the record path.
+    """
+    n, t = data.n, data.t
+    support, x1_rows = np.asarray(support, dtype=int), np.asarray(x1_rows, dtype=int)
+    if not np.all(np.isfinite(data.x_vec[support] + deltas)):
+        raise ValueError("perturbed state records must be finite")
+    theta = y @ pseudoinverse(w)[0]
+    state, col = support % n, support // n
+    inner = (col + 1) % t != 0
+    # Every entry moves Y too when Y holds X1.
+    in_y = np.full(support.size, x1_rows.size > 0)
+    cols, pos = np.unique(np.concatenate([col[inner] + 1, col[in_y]]), return_inverse=True)
+    w_pos, y_pos = np.split(pos, [inner.sum()])
+    count, w_q = len(deltas), w[:, cols]
+    d_w = np.zeros((count, len(w), cols.size))
+    d_w[:, state[inner], w_pos] = deltas[:, inner]
+    d_y = np.zeros((count, x1_rows.size, cols.size))
+    d_y[:, state[in_y], y_pos] = deltas[:, in_y]
+    # An item that overflows here fails the finiteness test below and takes
+    # the record path, so its overflow is not worth a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_gram = d_w @ _t(w_q)
+        d_gram = d_gram + _t(d_gram) + d_w @ _t(d_w)
+        gram_new = w @ w.T + d_gram
+        correction = y[:, cols] @ _t(d_w) - theta @ d_gram
+        correction[:, x1_rows] += d_y @ _t(np.add(d_w, w_q, out=d_w))  # d_w now holds W'_q
+    ok = np.all(np.isfinite(gram_new), axis=(1, 2))
+    lam = np.linalg.eigvalsh(gram_new[ok])
+    ok[ok] = lam[:, 0] > _GRAM_RCOND * lam[:, -1]
+    gains = np.empty((count, data.m, n))
+    gains[ok] = gains_of(theta + _t(np.linalg.solve(gram_new[ok], _t(correction[ok]))))
+    if not ok.all():
+        gains[~ok] = ControllerMap.evaluate_deltas(cmap, data, support, deltas[~ok])
+    return gains
+
+
 class PinvMap(ControllerMap):
     """K = U0 pinv(X0); with full-row-rank X0 the closed loop is X1 pinv(X0)."""
 
     name = "pinv"
 
     def evaluate(self, data: TrainingData) -> np.ndarray:
-        return self.evaluate_batch(data, data.x_vec[None])[0]
-
-    def evaluate_batch(self, data: TrainingData, x_vecs) -> np.ndarray:
-        """K = U0 pinv(X0) per state record in the rows of ``x_vecs``, by one stacked SVD."""
-        x0, _, u0 = snapshot_batch(data, x_vecs)
+        x0, _, u0 = snapshots(data)
         return u0 @ pseudoinverse(x0)[0]
 
     def evaluate_deltas(self, data: TrainingData, support, deltas) -> np.ndarray:
-        """K' = U0 pinv(X0') per row of ``deltas`` by a low-rank update of the Gram
-        matrix G = X0 X0', with no perturbed record and no SVD per item.
-
-        Entry i of vec(X) is state i % n of x(s + 1), s = i // n % T, of
-        experiment e = i // (nT): column eT + s + 1 = i // n + 1 of X0, unless
-        s + 1 = T, as the final state is in no column of X0. With D the
-        perturbation on the q columns the support touches and X_q, U_q the
-        nominal X0, U0 there, G' = G + dG with dG = D X_q' + X_q D' + D D', and
-
-            K' = U0 X0'' G'^-1 = K + (U_q D' - K dG) G'^-1
-
-        from the nominal K of the SVD, as K G = U0 X0' holds exactly for the
-        pseudoinverse at any rank. This residual form adds to K a correction
-        of the size of D, so the rounding of K and G is not divided by h in a
-        finite-difference column, as it is when U0 X0'' G'^-1 is formed
-        directly; a zero delta gives K exactly. An item whose G' fails the
-        ``_GRAM_RCOND`` test takes the record path.
-        """
-        n, t = data.n, data.t
-        support = np.asarray(support, dtype=int)
-        [x0], _, u0 = snapshot_batch(data, data.x_vec[None])
-        k = u0 @ pseudoinverse(x0)[0]
-        gram = x0 @ x0.T
-        col = support // n + 1
-        inner = col % t != 0
-        cols, pos = np.unique(col[inner], return_inverse=True)
-        d = np.zeros((len(deltas), n, cols.size))
-        d[:, support[inner] % n, pos] = deltas[:, inner]
-        d_gram = d @ x0[:, cols].T
-        d_gram = d_gram + _t(d_gram) + d @ _t(d)
-        gram_new = gram + d_gram
-        ok = np.all(np.isfinite(gram_new), axis=(1, 2))
-        lam = np.linalg.eigvalsh(gram_new[ok])
-        ok[ok] = lam[:, 0] > _GRAM_RCOND * lam[:, -1]
-        gains = np.empty((len(deltas), data.m, n))
-        correction = u0[:, cols] @ _t(d[ok]) - k @ d_gram[ok]
-        gains[ok] = k + _t(np.linalg.solve(gram_new[ok], _t(correction)))
-        if not ok.all():
-            gains[~ok] = super().evaluate_deltas(data, support, deltas[~ok])
-        return gains
+        """K' = U0 pinv(X0') per row of ``deltas``: the Gram kernel with
+        W = X0 and Y = U0, of which no row moves."""
+        x0, _, u0 = snapshots(data)
+        return _gram_gains(self, data, x0, u0, [], support, deltas, lambda k: k)
 
     def rank_deficient(self, data: TrainingData) -> bool:
         """Does X0 have rank below n?"""
-        x0, _, _ = snapshot_batch(data, data.x_vec[None])
-        return bool(pseudoinverse(x0)[1][0] < data.n)
+        return pseudoinverse(snapshots(data)[0])[1] < data.n
 
 
 class CeLqrMap(ControllerMap):
@@ -409,23 +395,32 @@ class CeLqrMap(ControllerMap):
         self.weights = weights
 
     def evaluate(self, data: TrainingData) -> np.ndarray:
-        """The gain on one record; a failed Riccati solve raises :class:`DareError`."""
-        [k] = self.evaluate_batch(data, data.x_vec[None])
+        """Certainty-equivalence design: identify the pair, then LQR on it
+        (identity weights by default). A failed Riccati solve raises
+        :class:`DareError`."""
+        model = identify(data)
+        [k] = self._gains(data, model.a[None], model.b[None])
         if np.isnan(k).any():
             raise _dare_error(_DARE_MAX_ITER)
         return k
 
-    def evaluate_batch(self, data: TrainingData, x_vecs) -> np.ndarray:
-        """Certainty-equivalence design: identify each pair, then LQR on it (identity
-        weights by default), by one stacked pseudoinverse of the regressors, one
-        doubling Riccati solve and one stacked gain solve. A failed solve is all NaN."""
+    def evaluate_deltas(self, data: TrainingData, support, deltas) -> np.ndarray:
+        """The design per row of ``deltas``: the Gram kernel with W = [X0; U0]
+        and Y = X1 gives each identified pair [A B], then one doubling Riccati
+        solve and one stacked gain solve. A failed solve is all NaN."""
+        x0, x1, u0 = snapshots(data)
+        n = data.n
+        return _gram_gains(self, data, np.vstack([x0, u0]), x1, np.arange(n), support, deltas,
+                           lambda ab: self._gains(data, ab[..., :n], ab[..., n:]))
+
+    def _gains(self, data: TrainingData, a, b) -> np.ndarray:
+        """LQR gains of (N, n, n) and (N, n, m) stacks of identified pairs."""
         weights = self.weights or LqrWeights.identity(data.n, data.m)
-        model = identify(data, x_vecs)
         # No identified control authority: the gain formula is zero for any cost,
         # so take that limit instead of a Riccati solve with nothing.
-        ctrl = np.any(model.b, axis=(1, 2))
+        ctrl = np.any(b, axis=(1, 2))
         k = np.zeros((len(ctrl), data.m, data.n))
-        k[ctrl] = lqr_gain(model.a[ctrl], model.b[ctrl], weights.q, weights.r)
+        k[ctrl] = lqr_gain(a[ctrl], b[ctrl], weights.q, weights.r)
         return k
 
     def rank_deficient(self, data: TrainingData) -> bool:

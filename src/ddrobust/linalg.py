@@ -144,25 +144,18 @@ def condition_number_spectral(m) -> float:
     return float(sv[0] / sv[-1])
 
 
-def pseudoinverse(m) -> tuple[np.ndarray, int | np.ndarray]:
+def pseudoinverse(m) -> tuple[np.ndarray, int]:
     """Moore-Penrose pseudoinverse via SVD truncation, with its numerical rank.
 
-    Takes one matrix or an (N, r, c) stack; a stack gets one pinv and one
-    rank per item. Singular values at or below
+    Singular values of the r x c matrix at or below
     ``max(r, c) * machine_eps * sigma_max`` are treated as zero; the rank
     counts the ones kept.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 2:
-        m = as_matrix(m)
-    elif m.ndim != 3 or 0 in m.shape[1:] or not np.all(np.isfinite(m)):
-        raise ValueError(f"pseudoinverse needs a finite matrix or stack, got shape {m.shape}")
+    m = as_matrix(m)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    keep = s > max(m.shape[-2:]) * _EPS * s[..., :1]
+    keep = s > max(m.shape) * _EPS * s[0]
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    pinv = (vt.swapaxes(-1, -2) * s_inv[..., None, :]) @ u.swapaxes(-1, -2)
-    rank = keep.sum(axis=-1)
-    return pinv, (int(rank) if m.ndim == 2 else rank)
+    return (vt.T * s_inv) @ u.T, int(keep.sum())
 
 
 def q_function(x: float) -> float:

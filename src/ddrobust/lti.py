@@ -212,36 +212,24 @@ def collect(
     )
 
 
-def snapshot_batch(data: TrainingData, x_vecs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split N state records vec(X), the rows of an (N, p*E) array, into
-    (X0, X1, U0) snapshots, experiments side by side.
+def snapshots(data: TrainingData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (X0, X1, U0) snapshots of the record, experiments side by side.
 
     Per experiment X0 = [x0, x(1..T-1)], X1 = [x(1..T)], U0 = [u(0..T-1)];
     experiment i fills columns i*T .. (i+1)*T - 1. On noiseless data these
-    satisfy X1 = A X0 + B U0 exactly. Returns the (N, n, T*E) stacks X0 and X1
-    and the shared U0; the inputs and initial states are those of ``data``.
-    Each X0 and X1 item is laid out column by column, as vec(X) is, which is
-    the layout LAPACK reads without a strided copy. Every record must be finite.
+    satisfy X1 = A X0 + B U0 exactly. X0 and X1 are n x T*E and laid out
+    column by column, as vec(X) is, which is the layout LAPACK reads without
+    a strided copy.
     """
     n, t, e = data.n, data.t, data.n_experiments
-    x_vecs = np.asarray(x_vecs, dtype=float)
-    if x_vecs.ndim != 2 or x_vecs.shape[1] != data.p * e or not np.all(np.isfinite(x_vecs)):
-        raise ValueError(f"state records must be finite and N x {data.p * e}, "
-                         f"got shape {x_vecs.shape}")
     # vec(X) runs experiment by experiment, time step by time step, state
-    # by state: axes (record, experiment, time, state).
-    states = x_vecs.reshape((-1, e, t, n))
+    # by state: axes (experiment, time, state).
+    states = data.x_vec.reshape((e, t, n))
     x0 = np.empty(states.shape)
-    x0[:, :, 0] = data.x0s.T
-    x0[:, :, 1:] = states[:, :, :-1]
+    x0[:, 0] = data.x0s.T
+    x0[:, 1:] = states[:, :-1]
     u0 = data.u.reshape((data.m, -1), order="F")
-    return _columns(x0), _columns(states), u0
-
-
-def _columns(snapshots: np.ndarray) -> np.ndarray:
-    """(N, E, T, n) snapshots as (N, n, E*T) matrices, one column per snapshot."""
-    count, e, t, n = snapshots.shape
-    return snapshots.reshape((count, e * t, n)).swapaxes(1, 2)
+    return x0.reshape((e * t, n)).T, states.reshape((e * t, n)).T, u0
 
 
 def vehicle_model(ts: float = 0.1) -> LtiSystem:

@@ -487,14 +487,14 @@ class TestEveryTrialFailed:
     def fails_far_from_nominal(self, monkeypatch):
         # The ce-lqr map fails numerically on every record with an entry
         # more than 1 away from the nominal one.
-        original = CeLqrMap.evaluate_batch
+        original = CeLqrMap.evaluate_deltas
 
-        def evaluate_batch(self, data, x_vecs):
-            k = original(self, data, x_vecs)
-            k[np.abs(x_vecs - data.x_vec).max(axis=1) > 1.0] = np.nan
+        def evaluate_deltas(self, data, support, deltas):
+            k = original(self, data, support, deltas)
+            k[np.abs(deltas).max(axis=1) > 1.0] = np.nan
             return k
 
-        monkeypatch.setattr(CeLqrMap, "evaluate_batch", evaluate_batch)
+        monkeypatch.setattr(CeLqrMap, "evaluate_deltas", evaluate_deltas)
 
     def test_mc_exits_2_with_one_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_CONFIG | {"mode": "exact",
@@ -523,16 +523,16 @@ def test_fig1_map_bug_exits_2(tmp_path, capsys, monkeypatch):
     # A TypeError, ValueError or ZeroDivisionError raised inside a map is a
     # bug, not a failed grid point: fig1 stops with one line instead of
     # writing a NaN row.
-    original = CeLqrMap.evaluate_batch
+    original = CeLqrMap.evaluate_deltas
     cfg = write_config(tmp_path, FAST_CONFIG | {"mode": "exact",
                                                 "sigma": {"grid": [1e-4, 30.0, 1e-3]}})
     for error in (TypeError, ValueError, ZeroDivisionError):
-        def evaluate_batch(self, data, x_vecs):
-            if np.abs(x_vecs - data.x_vec).max() > 1.0:
+        def evaluate_deltas(self, data, support, deltas):
+            if np.abs(deltas).max() > 1.0:
                 raise error("operands could not be broadcast together")
-            return original(self, data, x_vecs)
+            return original(self, data, support, deltas)
 
-        monkeypatch.setattr(CeLqrMap, "evaluate_batch", evaluate_batch)
+        monkeypatch.setattr(CeLqrMap, "evaluate_deltas", evaluate_deltas)
         out = tmp_path / error.__name__
         assert run(["fig1", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err

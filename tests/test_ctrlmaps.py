@@ -20,7 +20,7 @@ from ddrobust import (
 )
 from ddrobust import ctrlmaps
 from ddrobust.ctrlmaps import ControllerMap
-from ddrobust.lti import snapshot_batch
+from ddrobust.lti import snapshots
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -46,7 +46,7 @@ class TestPinvMap:
         sys = vehicle_model(0.1)
         data = collect(sys, 1, 500, seed=0)
         assert not PinvMap().rank_deficient(data)
-        [x0], [x1], _ = snapshot_batch(data, data.x_vec[None])
+        x0, x1, _ = snapshots(data)
         closed_loop = sys.a + sys.b @ PinvMap().evaluate(data)
         reference = x1 @ np.linalg.pinv(x0)
         assert np.linalg.norm(closed_loop - reference, 2) <= 1e-8
@@ -56,13 +56,18 @@ class TestPinvMap:
         assert PinvMap().rank_deficient(data)
 
 
-def record_path(data, support, deltas):
-    """The pinv gains of the base record path: one SVD per perturbed record."""
-    return ControllerMap.evaluate_deltas(PinvMap(), data, support, deltas)
+def record_path(cmap, data, support, deltas):
+    """The gains of the base record path: one evaluate per perturbed record."""
+    return ControllerMap.evaluate_deltas(cmap, data, support, deltas)
 
 
-class TestPinvGramKernel:
-    """PinvMap.evaluate_deltas, the low-rank Gram update, against the record path."""
+MAPS = pytest.mark.parametrize("cmap", [PinvMap(), CeLqrMap()], ids=["pinv", "ce-lqr"])
+
+
+@MAPS
+class TestGramKernel:
+    """The low-rank Gram update of both shipped maps' evaluate_deltas against
+    the record path."""
 
     @staticmethod
     def probes(support, scale, seed):
@@ -75,7 +80,7 @@ class TestPinvGramKernel:
 
     @pytest.mark.parametrize("t_steps", [20, 200, 1600])
     @pytest.mark.parametrize("experiments", [1, 2])
-    def test_matches_record_path(self, t_steps, experiments):
+    def test_matches_record_path(self, cmap, t_steps, experiments):
         data = collect(vehicle_model(0.1), experiments, t_steps, seed=t_steps + experiments)
         n, p = data.n, data.p
         rng = np.random.default_rng(t_steps)
@@ -86,49 +91,72 @@ class TestPinvGramKernel:
         support = np.unique(np.concatenate(support))
         for scale in (6e-6, 30.0):
             deltas = self.probes(support, scale, seed=experiments)
-            reference = record_path(data, support, deltas)
-            gains = PinvMap().evaluate_deltas(data, support, deltas)
+            reference = record_path(cmap, data, support, deltas)
+            gains = cmap.evaluate_deltas(data, support, deltas)
             assert np.abs(gains - reference).max() <= 1e-12 * np.abs(reference).max()
 
-    def test_rank_deficient_record_takes_the_record_path(self):
+    def test_rank_deficient_record_takes_the_record_path(self, cmap):
         # T = 3 < n: X0 and every perturbed X0 have rank 3 at most.
         data = collect(vehicle_model(0.1), 1, 3, seed=0, x0=np.array([1.0, -0.5, 0.3, 2.0]))
         support = np.arange(data.p)
         deltas = self.probes(support, 30.0, seed=1)
-        assert np.array_equal(PinvMap().evaluate_deltas(data, support, deltas),
-                              record_path(data, support, deltas))
+        assert np.array_equal(cmap.evaluate_deltas(data, support, deltas),
+                              record_path(cmap, data, support, deltas), equal_nan=True)
 
-    def test_singular_item_takes_the_record_path_alone(self, monkeypatch):
-        # T = n: item 1 zeroes x(1), a column of X0, so its X0 is singular.
-        data = collect(vehicle_model(0.1), 1, 4, seed=0, x0=np.array([1.0, -0.5, 0.3, 2.0]))
-        support = np.arange(4)
-        deltas = 0.01 * np.random.default_rng(2).standard_normal((3, 4))
-        deltas[1] = -data.x_vec[:4]
-        gram_only = PinvMap().evaluate_deltas(data, support, deltas[[0, 2]])
+    def test_zero_input_record_takes_the_record_path(self, cmap):
+        # U0 = 0 leaves the orbit of x0 under A, of rank 2 on the vehicle, so
+        # G is singular for both maps, and the gain is zero.
+        data = collect(vehicle_model(0.1), 1, 30, input_law=zero_inputs, seed=0,
+                       x0=np.array([1.0, -0.5, 2.0, 0.25]))
+        support = np.arange(0, data.p, 7)
+        deltas = self.probes(support, 30.0, seed=1)
+        gains = cmap.evaluate_deltas(data, support, deltas)
+        assert np.array_equal(gains, record_path(cmap, data, support, deltas))
+        assert np.array_equal(gains, np.zeros_like(gains))
+
+    def test_singular_item_takes_the_record_path_alone(self, cmap, monkeypatch):
+        # T = 6 from x0 = 0: item 1 zeroes x(1..5) in state 0, so X0 has a
+        # zero row, and so has W = [X0; U0].
+        data = collect(vehicle_model(0.1), 1, 6, seed=0)
+        support = np.arange(0, 5 * data.n, data.n)
+        deltas = 0.01 * np.random.default_rng(2).standard_normal((3, support.size))
+        deltas[1] = -data.x_vec[support]
+        gram_only = cmap.evaluate_deltas(data, support, deltas[[0, 2]])
         seen = []
-        original = PinvMap.evaluate_batch
+        original = type(cmap).evaluate
 
-        def evaluate_batch(self, data, x_vecs):
-            seen.append(np.array(x_vecs))
-            return original(self, data, x_vecs)
+        def evaluate(self, data):
+            seen.append(data.x_vec)
+            return original(self, data)
 
-        monkeypatch.setattr(PinvMap, "evaluate_batch", evaluate_batch)
-        gains = PinvMap().evaluate_deltas(data, support, deltas)
-        [records] = seen
-        assert len(records) == 1 and np.array_equal(records[0, :4], np.zeros(4))
-        assert np.array_equal(gains[1], record_path(data, support, deltas[1:2])[0])
+        monkeypatch.setattr(type(cmap), "evaluate", evaluate)
+        gains = cmap.evaluate_deltas(data, support, deltas)
+        [record] = seen
+        assert np.array_equal(record[support], np.zeros(support.size))
+        assert np.array_equal(gains[1], record_path(cmap, data, support, deltas[1:2])[0])
         assert np.array_equal(gains[[0, 2]], gram_only)
 
+    def test_overflowing_item_takes_the_record_path(self, cmap):
+        # Item 0's record is finite, but its Gram update overflows; no numpy
+        # warning escapes (pytest turns any into an error).
+        data = collect(vehicle_model(0.1), 1, 50, seed=0)
+        support = np.array([5, 9])
+        deltas = np.array([[1e200, 0.0], [0.01, 0.02]])
+        gains = cmap.evaluate_deltas(data, support, deltas)
+        assert np.array_equal(gains[0], record_path(cmap, data, support, deltas[:1])[0])
+        assert np.array_equal(gains[1], cmap.evaluate_deltas(data, support, deltas[1:])[0])
+
     @pytest.mark.parametrize("t_steps, experiments", [(4, 1), (200, 2)])
-    def test_items_do_not_depend_on_the_stack(self, t_steps, experiments):
+    def test_items_do_not_depend_on_the_stack(self, cmap, t_steps, experiments):
         data = collect(vehicle_model(0.1), experiments, t_steps, seed=0,
                        x0=np.array([1.0, -0.5, 0.3, 2.0]))
         support = np.arange(0, data.x_vec.size, max(1, data.x_vec.size // 30))
         deltas = self.probes(support, 30.0, seed=3)
         deltas[-1, :4] = -data.x_vec[support[:4]]  # singular at T = 4
-        gains = PinvMap().evaluate_deltas(data, support, deltas)
+        gains = cmap.evaluate_deltas(data, support, deltas)
         for i, delta in enumerate(deltas):
-            assert np.array_equal(gains[i], PinvMap().evaluate_deltas(data, support, delta[None])[0])
+            assert np.array_equal(gains[i], cmap.evaluate_deltas(data, support, delta[None])[0],
+                                  equal_nan=True)
 
 
 class TestIdentify:
@@ -152,17 +180,6 @@ class TestIdentify:
         assert not model.rank_deficient
         assert np.abs(model.a - sys.a).max() <= 1e-10
         assert np.abs(model.b - sys.b).max() <= 1e-10
-
-    def test_stack_matches_single_records(self):
-        data = collect(vehicle_model(0.1), 1, 30, seed=1)
-        rng = np.random.default_rng(4)
-        x_vecs = data.x_vec + 0.1 * rng.standard_normal((3, data.x_vec.size))
-        model = identify(data, x_vecs)
-        assert model.a.shape == (3, 4, 4) and model.b.shape == (3, 4, 2)
-        for i, x_vec in enumerate(x_vecs):
-            one = identify(data.with_x_vec(x_vec))
-            assert np.array_equal(model.a[i], one.a) and np.array_equal(model.b[i], one.b)
-            assert model.rank_deficient[i] == one.rank_deficient
 
     def test_difference_quotients_converge(self):
         data = collect(vehicle_model(0.1), 1, 30, seed=1)

@@ -160,16 +160,6 @@ class TestPseudoinverse:
             assert np.allclose(pseudoinverse(m)[0], oracle, atol=1e-7)
 
 
-    def test_stack_is_one_pinv_per_item(self):
-        rng = np.random.default_rng(19)
-        stack = np.stack([rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6)),
-                          rng.standard_normal((4, 6))])
-        pinvs, ranks = pseudoinverse(stack)
-        assert ranks.tolist() == [2, 4]
-        for m, p in zip(stack, pinvs):
-            assert np.array_equal(p, pseudoinverse(m)[0])
-
-
 class TestSpectralRadii:
     def test_matches_spectral_radius(self):
         stack = np.random.default_rng(21).standard_normal((5, 3, 3))

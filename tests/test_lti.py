@@ -10,17 +10,11 @@ from ddrobust import (
     simulate,
     vehicle_model,
 )
-from ddrobust.lti import snapshot_batch
+from ddrobust.lti import snapshots
 
 
 def zero_inputs(rng, m, t):
     return np.zeros((m, t))
-
-
-def snapshots(data):
-    """The (X0, X1, U0) snapshots of the record itself: the batch of one."""
-    [x0], [x1], u0 = snapshot_batch(data, data.x_vec[None])
-    return x0, x1, u0
 
 
 class TestVehicleModel:
@@ -179,15 +173,3 @@ class TestSnapshots:
             assert np.array_equal(x1[:, cols], states)
             assert np.array_equal(x0[:, cols][:, 1:], states[:, :-1])
             assert np.array_equal(u0[:, cols], data.u[:, i].reshape((2, t), order="F"))
-
-    def test_batch_matches_per_record_snapshots(self):
-        data = collect(vehicle_model(0.1), 3, 6, seed=3)
-        rng = np.random.default_rng(8)
-        x_vecs = data.x_vec + rng.standard_normal((4, data.x_vec.size))
-        x0s, x1s, u0 = snapshot_batch(data, x_vecs)
-        for x_vec, x0, x1 in zip(x_vecs, x0s, x1s):
-            ref = snapshots(data.with_x_vec(x_vec))
-            assert np.array_equal(x0, ref[0]) and np.array_equal(x1, ref[1])
-            assert np.array_equal(u0, ref[2])
-        with pytest.raises(ValueError):
-            snapshot_batch(data, x_vecs[:, 1:])

@@ -12,10 +12,11 @@ from ddrobust import (
     fd_jacobian,
     random_support,
     sample_z,
+    spectral_radius,
     vehicle_model,
     wilson_interval,
 )
-from ddrobust import DareError, ctrlmaps, lemma1_residual, mc
+from ddrobust import DareError, lemma1_residual, mc
 from ddrobust.ctrlmaps import ControllerMap, evaluate_perturbed
 from ddrobust.lti import LtiSystem
 from ddrobust.mc import MODE_EXACT, MODE_FIRST_ORDER, NoEstimateError
@@ -86,8 +87,8 @@ class BuggyMap(ControllerMap):
 
 
 class FiniteOnlyMap(ControllerMap):
-    """Delegates its batches to an inner map and keeps each one; a plugin that
-    refuses any non-finite record."""
+    """Delegates its perturbations to an inner map and keeps each stack; a
+    plugin that refuses any non-finite record."""
 
     name = "finite-only-test"
 
@@ -98,11 +99,11 @@ class FiniteOnlyMap(ControllerMap):
     def evaluate(self, data):
         return self.inner.evaluate(data)
 
-    def evaluate_batch(self, data, x_vecs):
-        if not np.isfinite(x_vecs).all():
+    def evaluate_deltas(self, data, support, deltas):
+        if not np.isfinite(data.x_vec[support] + deltas).all():
             raise AssertionError("the map was handed a non-finite record")
-        self.seen.append(np.array(x_vecs))
-        return self.inner.evaluate_batch(data, x_vecs)
+        self.seen.append(np.array(deltas))
+        return self.inner.evaluate_deltas(data, support, deltas)
 
 
 def finite_items(gains):
@@ -407,31 +408,38 @@ class TestEstimateInstability:
 
 
 class TestEvaluateBatch:
-    """evaluate_batch against per-item evaluate, and its failed items."""
+    """evaluate_deltas, the one batched hook, against per-item evaluate, and
+    its failed items."""
 
     @staticmethod
     def probes(data, count, scale, seed=0):
+        """Dense deltas on every entry of vec(X), and that support."""
         rng = np.random.default_rng(seed)
-        return data.x_vec + scale * rng.standard_normal((count, data.x_vec.size))
+        return np.arange(data.x_vec.size), scale * rng.standard_normal((count, data.x_vec.size))
+
+    @staticmethod
+    def evaluate_each(cmap, data, support, deltas):
+        """evaluate on every perturbed record, one at a time."""
+        records = data.x_vec + np.zeros((len(deltas), 1))
+        records[:, support] += deltas
+        return np.array([cmap.evaluate(data.with_x_vec(x_vec)) for x_vec in records])
 
     @pytest.mark.parametrize("cmap", [CeLqrMap(), PinvMap()], ids=["ce-lqr", "pinv"])
     def test_matches_per_item_evaluate(self, vehicle_setup, cmap):
         _, data, _ = vehicle_setup
-        x_vecs = self.probes(data, 9, 0.05)
-        gains = cmap.evaluate_batch(data, x_vecs)
+        support, deltas = self.probes(data, 9, 0.05)
+        gains = cmap.evaluate_deltas(data, support, deltas)
         assert finite_items(gains).all()
-        for x_vec, gain in zip(x_vecs, gains):
-            single = cmap.evaluate(data.with_x_vec(x_vec))
+        for gain, single in zip(gains, self.evaluate_each(cmap, data, support, deltas)):
             assert np.abs(gain - single).max() <= 1e-12 * np.abs(single).max()
 
     def test_linear_map_fallback_matches(self):
         data = collect(vehicle_model(0.1), 1, 6, seed=1)
         cmap = LinearMap(np.random.default_rng(3).standard_normal((8, data.p)), 2, 4)
-        x_vecs = self.probes(data, 5, 1.0)
-        gains = cmap.evaluate_batch(data, x_vecs)
+        support, deltas = self.probes(data, 5, 1.0)
+        gains = cmap.evaluate_deltas(data, support, deltas)
         assert finite_items(gains).all()
-        for x_vec, gain in zip(x_vecs, gains):
-            single = cmap.evaluate(data.with_x_vec(x_vec))
+        for gain, single in zip(gains, self.evaluate_each(cmap, data, support, deltas)):
             assert np.abs(gain - single).max() <= 1e-12 * np.abs(single).max()
 
     @pytest.mark.parametrize("failing", [FlakyMap, NanMap], ids=["raises", "nan"])
@@ -445,7 +453,8 @@ class TestEvaluateBatch:
         gains = evaluate_perturbed(cmap, data, support, deltas)
         ok = finite_items(gains)
         assert ok.tolist() == [True, False, True, False]
-        reference = evaluate_perturbed(CeLqrMap(), data, support, deltas[ok])
+        assert np.isnan(gains[~ok]).all()
+        reference = ControllerMap.evaluate_deltas(CeLqrMap(), data, support, deltas[ok])
         assert np.array_equal(gains[ok], reference)
 
     @staticmethod
@@ -455,32 +464,26 @@ class TestEvaluateBatch:
         deltas[1, 2] = bad
         return deltas
 
-    def test_non_finite_record_masked_in_vectorised_map(self, vehicle_setup, monkeypatch):
+    def test_non_finite_record_masked_in_vectorised_map(self, vehicle_setup):
         _, data, support = vehicle_setup
         deltas = self.one_bad_delta(support, np.nan)
         for cmap in (CeLqrMap(), PinvMap()):
-            # One chunk of all three records, then one chunk per record, so
-            # the middle chunk holds only the non-finite record.
-            for floats in (ctrlmaps._BATCH_FLOATS, data.p):
-                monkeypatch.setattr(ctrlmaps, "_BATCH_FLOATS", floats)
-                gains = evaluate_perturbed(cmap, data, support, deltas)
-                assert finite_items(gains).tolist() == [True, False, True]
-                assert np.isnan(gains[1]).all()
-                assert np.array_equal(gains[[0, 2]],
-                                      evaluate_perturbed(cmap, data, support, deltas[[0, 2]]))
+            gains = evaluate_perturbed(cmap, data, support, deltas)
+            assert finite_items(gains).tolist() == [True, False, True]
+            assert np.isnan(gains[1]).all()
+            assert np.array_equal(gains[[0, 2]],
+                                  evaluate_perturbed(cmap, data, support, deltas[[0, 2]]))
 
-    def test_non_finite_record_fails_its_item_in_fallback(self, vehicle_setup, monkeypatch):
+    def test_non_finite_record_fails_its_item_in_fallback(self, vehicle_setup):
         # A non-finite record is a failed item, not a ValueError out of
         # with_x_vec.
         _, data, support = vehicle_setup
         cmap = LinearMap(np.random.default_rng(3).standard_normal((8, data.p)), 2, 4)
         deltas = self.one_bad_delta(support, np.inf)
-        for floats in (ctrlmaps._BATCH_FLOATS, data.p):
-            monkeypatch.setattr(ctrlmaps, "_BATCH_FLOATS", floats)
-            gains = evaluate_perturbed(cmap, data, support, deltas)
-            assert finite_items(gains).tolist() == [True, False, True]
-            assert np.array_equal(gains[[0, 2]],
-                                  evaluate_perturbed(cmap, data, support, deltas[[0, 2]]))
+        gains = evaluate_perturbed(cmap, data, support, deltas)
+        assert finite_items(gains).tolist() == [True, False, True]
+        assert np.array_equal(gains[[0, 2]],
+                              evaluate_perturbed(cmap, data, support, deltas[[0, 2]]))
 
     def test_map_never_sees_a_non_finite_record(self, vehicle_setup):
         _, data, support = vehicle_setup
@@ -495,45 +498,42 @@ class TestEvaluateBatch:
                              ids=["ce-lqr", "pinv", "fallback"])
     @pytest.mark.parametrize("entry", [5, -1], ids=["inner-state", "final-state"])
     def test_evaluate_batch_refuses_a_non_finite_record(self, vehicle_setup, cmap, entry):
+        # Called directly, evaluate_deltas refuses a non-finite record; a
+        # final state is in X1 only, and in no snapshot of the pinv map.
         _, data, _ = vehicle_setup
         if cmap == "linear":
             cmap = LinearMap(np.random.default_rng(3).standard_normal((8, data.p)), 2, 4)
-        x_vecs = self.probes(data, 3, 0.01)
-        x_vecs[1, entry] = np.nan
+        support, deltas = self.probes(data, 3, 0.01)
+        deltas[1, entry] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            cmap.evaluate_batch(data, x_vecs)
+            cmap.evaluate_deltas(data, support, deltas)
 
     @pytest.mark.parametrize("cmap", [CeLqrMap(), "flaky"], ids=["ce-lqr", "flaky"])
-    def test_estimate_does_not_depend_on_chunking(self, vehicle_setup, k_ce, monkeypatch,
-                                                  cmap):
+    def test_estimate_does_not_depend_on_chunking(self, vehicle_setup, k_ce, cmap):
+        # Trial t's outcome is that of its record evaluated alone.
         sys, data, support = vehicle_setup
         if cmap == "flaky":
             watched = int(support[0])
             cmap = FlakyMap(CeLqrMap(), watched, float(data.x_vec[watched]), width=3.0)
         model = PerturbationModel(support, np.full(20, 3.0))
-        reports = []
-        # Chunks of 1 record, 7 records and the default 81 (all 60 at once).
-        for floats in (1, 7 * data.p, ctrlmaps._BATCH_FLOATS):
-            monkeypatch.setattr(ctrlmaps, "_BATCH_FLOATS", floats)
-            reports.append(estimate_instability(sys, data, cmap, k_ce, model, 60,
-                                                MODE_EXACT, seed=4))
-        assert reports[0] == reports[1] == reports[2]
-        assert reports[0].unstable_count > 0
+        report = estimate_instability(sys, data, cmap, k_ce, model, 60, MODE_EXACT, seed=4)
+        z = sample_z(model, 4, 60)
+        gains = np.concatenate([evaluate_perturbed(cmap, data, support, row[None]) for row in z])
+        rho = spectral_radius(sys.a + sys.b @ gains)
+        assert report.skipped == np.isnan(rho).sum()
+        assert report.unstable_count == np.sum(rho >= 1.0) > 0
 
-
-    def test_pinv_batch_does_not_depend_on_chunking(self, vehicle_setup, monkeypatch):
+    def test_pinv_batch_does_not_depend_on_chunking(self, vehicle_setup):
         # The pinv loop on the vehicle is not stable, so estimate_instability
         # refuses it; the gains themselves are the stronger check.
         _, data, support = vehicle_setup
         deltas = 3.0 * np.random.default_rng(4).standard_normal((60, support.size))
-        deltas[7, 0] = np.nan  # one failed item inside a chunk
-        gains = []
-        for floats in (1, 7 * data.p, ctrlmaps._BATCH_FLOATS):
-            monkeypatch.setattr(ctrlmaps, "_BATCH_FLOATS", floats)
-            gains.append(evaluate_perturbed(PinvMap(), data, support, deltas))
-        assert finite_items(gains[0]).tolist() == [i != 7 for i in range(60)]
-        assert np.array_equal(gains[0], gains[1], equal_nan=True)
-        assert np.array_equal(gains[0], gains[2], equal_nan=True)
+        deltas[7, 0] = np.nan  # one failed item inside the stack
+        gains = evaluate_perturbed(PinvMap(), data, support, deltas)
+        assert finite_items(gains).tolist() == [i != 7 for i in range(60)]
+        alone = np.concatenate([evaluate_perturbed(PinvMap(), data, support, row[None])
+                                for row in deltas])
+        assert np.array_equal(gains, alone, equal_nan=True)
 
 
 class TestProgrammingErrorsSurface:

@@ -18,7 +18,7 @@ from ddrobust import (
     vec,
     vehicle_model,
 )
-from ddrobust.ctrlmaps import ControllerMap
+from ddrobust.ctrlmaps import ControllerMap, evaluate_perturbed
 from ddrobust.sensitivity import B_SOURCE_IDENTIFIED, B_SOURCE_TRUE
 from ddrobust.mc import expected_vec_norm, random_support
 
@@ -74,6 +74,59 @@ def synthetic_bundle(bj_stack) -> JacobianBundle:
         failures={},
     )
     return bundle.with_b(np.eye(n), B_SOURCE_TRUE)
+
+
+def ce_lqr_derivative(data, support):
+    """The ce-lqr gain K (identity weights) and its exact derivative columns
+    d vec(K) / d vec(X)_i on the support, in closed form.
+
+    Least squares: with W = [X0; U0], G = W W' and C = X1 W', the fit
+    Theta = [A B] = C G^-1 moves by dTheta = (dC - Theta dG) G^-1.
+    Riccati: dP solves the Stein equation dP - Acl' dP Acl = E' P Acl
+    + Acl' P E with E = dA + dB K (the dK terms vanish at the optimum).
+    Gain: K = -M^-1 N with M = R + B'PB and N = B'PA, so
+    dK = -M^-1 (dN + dM K). See Mania, Tu & Recht, arXiv 1902.07826.
+    """
+    n, m, t = data.n, data.m, data.t
+    states = data.x.T.reshape((data.n_experiments, t, n))
+    x0s = np.concatenate([data.x0s.T[:, None], states[:, :-1]], axis=1)
+    x0, x1 = x0s.reshape((-1, n)).T, states.reshape((-1, n)).T
+    w = np.vstack([x0, data.u.reshape((m, -1), order="F")])
+    gram_inv = np.linalg.inv(w @ w.T)
+    theta = x1 @ w.T @ gram_inv
+    a, b = theta[:, :n], theta[:, n:]
+    p = np.eye(n)
+    for _ in range(100_000):
+        p_next = np.eye(n) + a.T @ p @ a - a.T @ p @ b @ np.linalg.solve(
+            np.eye(m) + b.T @ p @ b, b.T @ p @ a)
+        if np.abs(p_next - p).max() <= 1e-15 * np.abs(p).max():
+            break
+        p = p_next
+    gain_m = np.eye(m) + b.T @ p @ b
+    k = -np.linalg.solve(gain_m, b.T @ p @ a)
+    a_cl = a + b @ k
+    stein = np.eye(n * n) - np.kron(a_cl.T, a_cl.T)
+    expected = np.empty((m * n, support.size))
+    for j, i in enumerate(support):
+        # Entry i is state i % n of x(s + 1), s = i // n % T, in experiment
+        # i // (nT): column e T + s of X1 and, unless s + 1 = T, column
+        # e T + s + 1 of X0.
+        col = i // (n * t) * t + i // n % t
+        dx1 = np.zeros_like(x1)
+        dx1[i % n, col] = 1.0
+        dw = np.zeros_like(w)
+        if i // n % t + 1 < t:
+            dw[i % n, col + 1] = 1.0
+        d_gram = dw @ w.T + w @ dw.T
+        d_theta = (dx1 @ w.T + x1 @ dw.T - theta @ d_gram) @ gram_inv
+        da, db = d_theta[:, :n], d_theta[:, n:]
+        e = da + db @ k
+        rhs = e.T @ p @ a_cl + a_cl.T @ p @ e
+        dp = np.linalg.solve(stein, rhs.flatten(order="F")).reshape((n, n), order="F")
+        dm = db.T @ p @ b + b.T @ dp @ b + b.T @ p @ db
+        dn = db.T @ p @ a + b.T @ dp @ a + b.T @ p @ da
+        expected[:, j] = -np.linalg.solve(gain_m, dn + dm @ k).flatten(order="F")
+    return k, expected
 
 
 class TestPerturbationModel:
@@ -165,59 +218,25 @@ class TestFdJacobian:
 
     @pytest.mark.parametrize("seed, t_steps, experiments", [(0, 200, 1), (2, 60, 1), (5, 30, 2)])
     def test_ce_lqr_matches_closed_form_derivative(self, seed, t_steps, experiments):
-        # Least squares: with W = [X0; U0], G = W W' and C = X1 W', the fit
-        # Theta = [A B] = C G^-1 moves by dTheta = (dC - Theta dG) G^-1.
-        # Riccati: dP solves the Stein equation dP - Acl' dP Acl = E' P Acl
-        # + Acl' P E with E = dA + dB K (the dK terms vanish at the optimum).
-        # Gain: K = -M^-1 N with M = R + B'PB and N = B'PA, so
-        # dK = -M^-1 (dN + dM K). See Mania, Tu & Recht, arXiv 1902.07826.
         data = collect(vehicle_model(0.1), experiments, t_steps, seed=seed)
-        n, m, t = data.n, data.m, data.t
-        states = data.x.T.reshape((experiments, t, n))
-        x0s = np.concatenate([data.x0s.T[:, None], states[:, :-1]], axis=1)
-        x0, x1 = x0s.reshape((-1, n)).T, states.reshape((-1, n)).T
-        w = np.vstack([x0, data.u.reshape((m, -1), order="F")])
-        gram_inv = np.linalg.inv(w @ w.T)
-        theta = x1 @ w.T @ gram_inv
-        a, b = theta[:, :n], theta[:, n:]
-        p = np.eye(n)
-        for _ in range(100_000):
-            p_next = np.eye(n) + a.T @ p @ a - a.T @ p @ b @ np.linalg.solve(
-                np.eye(m) + b.T @ p @ b, b.T @ p @ a)
-            if np.abs(p_next - p).max() <= 1e-15 * np.abs(p).max():
-                break
-            p = p_next
-        gain_m = np.eye(m) + b.T @ p @ b
-        k = -np.linalg.solve(gain_m, b.T @ p @ a)
-        a_cl = a + b @ k
-        assert np.abs(k - CeLqrMap().evaluate(data)).max() <= 1e-9 * np.abs(k).max()
-        stein = np.eye(n * n) - np.kron(a_cl.T, a_cl.T)
-
         rng = np.random.default_rng(seed)
         support = np.append(rng.choice(data.p * experiments - 1, 20, replace=False),
                             data.p * experiments - 1)  # the last entry is a final state
-        expected = np.empty((m * n, support.size))
-        for j, i in enumerate(support):
-            # Entry i is state i % n of x(s + 1), s = i // n % T, in experiment
-            # i // (nT): column e T + s of X1 and, unless s + 1 = T, column
-            # e T + s + 1 of X0.
-            col = i // (n * t) * t + i // n % t
-            dx1 = np.zeros_like(x1)
-            dx1[i % n, col] = 1.0
-            dw = np.zeros_like(w)
-            if i // n % t + 1 < t:
-                dw[i % n, col + 1] = 1.0
-            d_gram = dw @ w.T + w @ dw.T
-            d_theta = (dx1 @ w.T + x1 @ dw.T - theta @ d_gram) @ gram_inv
-            da, db = d_theta[:, :n], d_theta[:, n:]
-            e = da + db @ k
-            rhs = e.T @ p @ a_cl + a_cl.T @ p @ e
-            dp = np.linalg.solve(stein, rhs.flatten(order="F")).reshape((n, n), order="F")
-            dm = db.T @ p @ b + b.T @ dp @ b + b.T @ p @ db
-            dn = db.T @ p @ a + b.T @ dp @ a + b.T @ p @ da
-            expected[:, j] = -np.linalg.solve(gain_m, dn + dm @ k).flatten(order="F")
+        k, expected = ce_lqr_derivative(data, support)
+        assert np.abs(k - CeLqrMap().evaluate(data)).max() <= 1e-9 * np.abs(k).max()
         columns = fd_jacobian(CeLqrMap(), data, support).columns
         assert np.abs(columns - expected).max() <= 1e-6 * np.abs(columns).max()
+
+    @pytest.mark.parametrize("t_steps", [400, 1600])
+    def test_ce_lqr_columns_are_accurate_on_long_records(self, t_steps):
+        # Refitting a perturbed record by SVD leaves rounding of order
+        # eps * cond(W) in each fit, which the FD quotient divides by 2h; the
+        # Gram update adds to the nominal fit a correction of the size of h.
+        data = collect(vehicle_model(0.1), 1, t_steps, seed=t_steps)
+        support = random_support(data.p, 50, np.random.default_rng(t_steps))
+        _, expected = ce_lqr_derivative(data, support)
+        columns = fd_jacobian(CeLqrMap(), data, support).columns
+        assert np.abs(columns - expected).max() <= 5e-8 * np.abs(columns).max()
 
     def test_pinv_ignores_final_state(self):
         # The regressor snapshot stops at x(T-1), so the last measured state
@@ -237,6 +256,16 @@ class TestFdJacobian:
         d1 = np.linalg.norm(cols[1e-3] - cols[5e-4])
         d2 = np.linalg.norm(cols[5e-4] - cols[2.5e-4])
         assert 2.5 < d1 / d2 < 6.0
+
+    @pytest.mark.parametrize("cmap", [PinvMap(), CeLqrMap()], ids=["pinv", "ce-lqr"])
+    def test_duplicate_support_is_refused(self, cmap):
+        # A repeated entry would be perturbed once, by its last delta, so its
+        # first column would read exactly zero with no failure recorded.
+        data = collect(vehicle_model(0.1), 1, 20, seed=0)
+        with pytest.raises(ValueError, match="distinct"):
+            fd_jacobian(cmap, data, [5, 5])
+        with pytest.raises(ValueError, match="distinct"):
+            evaluate_perturbed(cmap, data, [3, 9, 3], np.ones((2, 3)))
 
     def test_out_of_range_support(self):
         data = collect(vehicle_model(0.1), 1, 5, seed=0)
