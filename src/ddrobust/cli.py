@@ -5,7 +5,9 @@ of its config and input artifacts — no timestamps, no hidden state — so a
 rerun with the same seed produces byte-identical files. Artifacts live in
 the configured output directory under fixed names (data.json,
 controller.json, jacobian.json, ...), which is how downstream commands find
-their inputs.
+their inputs. This module alone reads and writes files: every JSON artifact
+goes through ``_write_json`` and ``_read_json``, and the library types only
+convert to and from dicts.
 """
 
 from __future__ import annotations
@@ -281,9 +283,19 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _write_json(path: Path, doc) -> None:
+    """Every JSON artifact's one format: 2-space indent, sorted keys, final newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _read_json(cls, path: Path):
+    """``cls.from_json`` of a JSON artifact; every parse error names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return cls.from_json(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -296,7 +308,7 @@ def _load_data(out: Path) -> TrainingData:
     path = out / _DATA_FILE
     if not path.exists():
         raise FileNotFoundError(f"missing input artifact {path}; run `ddrobust collect` first")
-    return TrainingData.load(path)
+    return _read_json(TrainingData, path)
 
 
 def _collect(cfg: ExperimentConfig, system: LtiSystem) -> TrainingData:
@@ -349,7 +361,7 @@ def _load_bundle(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
     support = _resolve_support(cfg, data)
     if not path.exists():
         return _fd_bundle(cfg, system, data, cmap, support)
-    bundle = JacobianBundle.load(path)
+    bundle = _read_json(JacobianBundle, path)
     if not np.array_equal(bundle.support, support):
         raise ConfigError(f"{path} is for support {bundle.support.tolist()}, but the config "
                           f"gives {support.tolist()}; rerun jacobian")
@@ -376,7 +388,7 @@ def _mc_at(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
 def cmd_collect(cfg: ExperimentConfig) -> list[Path]:
     data = _collect(cfg, cfg.build_system())
     out = _out_dir(cfg)
-    data.save(out / _DATA_FILE)
+    _write_json(out / _DATA_FILE, data.to_json())
     _write_csv(out / "collect.csv",
                ["t_steps", "n_experiments", "n", "m", "p", "seed"],
                [[data.t, data.n_experiments, data.n, data.m, data.p, cfg.seed]])
@@ -409,7 +421,7 @@ def cmd_jacobian(cfg: ExperimentConfig) -> list[Path]:
     data = _load_data(out)
     bundle = _fd_bundle(cfg, cfg.build_system(), data, cfg.build_map(),
                         _resolve_support(cfg, data))
-    bundle.save(out / _JACOBIAN_FILE)
+    _write_json(out / _JACOBIAN_FILE, bundle.to_json())
     _write_csv(out / "jacobian.csv",
                ["k", "j_max", "b_source", "failed_columns"],
                [[bundle.size, j_max(bundle), bundle.b_source, len(bundle.failures)]])

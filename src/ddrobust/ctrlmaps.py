@@ -292,9 +292,9 @@ def evaluate_perturbed(cmap: ControllerMap, data: TrainingData, support,
     """Gains of the map at vec(X) + delta, one per row of ``deltas``.
 
     Row i of the N x |support| array ``deltas`` is added to the entries
-    ``support`` of vec(X), which must be distinct. The rows that give a
-    finite record go to ``cmap.evaluate_deltas`` in one call. Returns the
-    (N, m, n) gains. A failed item has non-finite entries, as in
+    ``support`` of vec(X), which must be distinct and in range. The rows
+    that give a finite record go to ``cmap.evaluate_deltas`` in one call.
+    Returns the (N, m, n) gains. A failed item has non-finite entries, as in
     :meth:`ControllerMap.evaluate_deltas`; a non-finite record is a failed
     item that the map never sees.
     """
@@ -302,6 +302,9 @@ def evaluate_perturbed(cmap: ControllerMap, data: TrainingData, support,
     ordered = np.sort(support)
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError(f"support indices must be distinct, got {support.tolist()}")
+    if np.any(support < 0) or np.any(support >= data.x.size):
+        raise ValueError(f"support indices must index vec(X) of length {data.x.size}, "
+                         f"got {support.tolist()}")
     deltas = np.asarray(deltas, dtype=float)
     k = np.full((len(deltas), data.m, data.n), np.nan)
     rows = np.all(np.isfinite(data.x_vec[support] + deltas), axis=1)

@@ -8,7 +8,6 @@ experiment. ``X`` stores the states x(1..T); x(0) is kept separately in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -19,7 +18,7 @@ from .linalg import as_matrix, vec, vec_inverse
 InputLaw = Callable[[np.random.Generator, int, int], np.ndarray]
 
 # The only sample selection the controller maps accept. data.json records
-# it, and the loader rejects any other.
+# it, and from_json rejects any other.
 _FULL_TRAJECTORY = {"kind": "full_trajectory"}
 
 
@@ -30,15 +29,6 @@ def check_fields(doc, keys, what: str) -> None:
     missing = [key for key in keys if key not in doc]
     if missing:
         raise ValueError(f"{what} lacks key(s): {', '.join(missing)}")
-
-
-def load_json(cls, path):
-    """``cls.from_json`` of a JSON file; every parse error names the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return cls.from_json(json.load(fh))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -140,15 +130,6 @@ class TrainingData:
         except TypeError as exc:
             raise ValueError(f"training record has a malformed field: {exc}") from exc
         return cls(**fields, seed=doc.get("seed"))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "TrainingData":
-        return load_json(cls, path)
 
 
 def simulate(sys: LtiSystem, x0, u_seq) -> np.ndarray:

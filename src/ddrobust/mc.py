@@ -2,9 +2,11 @@
 the instability probability and the Lemma-1 remainder of the linearization.
 
 Both draw through ``sample_z``: trial t's row comes from numpy's
-``SeedSequence(seed, spawn_key=(t,))`` stream, a stable contract, with the
-seeds of all trials hashed in one pass. So estimates are reproducible, and a
-row depends neither on how many trials are drawn nor on their evaluation order.
+``SeedSequence(seed, spawn_key=(t,))`` stream, a stable contract. The seeds
+of all trials are hashed in one pass that starts from the pool of
+``SeedSequence(seed)``, which the trials share. So estimates are reproducible,
+and a row depends neither on how many trials are drawn nor on their
+evaluation order.
 """
 
 from __future__ import annotations
@@ -51,13 +53,14 @@ class MonteCarloReport:
         return asdict(self)
 
 
-def wilson_interval(successes: int, n: int, z: float = _WILSON_Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default)."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("Wilson interval needs at least one observation")
     if not 0 <= successes <= n:
         raise ValueError("successes must lie in [0, n]")
     p = successes / n
+    z = _WILSON_Z95
     z2 = z * z
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom
@@ -69,11 +72,10 @@ def wilson_interval(successes: int, n: int, z: float = _WILSON_Z95) -> tuple[flo
     return low, high
 
 
-def _hashmix(value, const, mult: int = _MULT_A):
-    """SeedSequence's hashmix of uint32 words (ints or arrays); returns the next const too."""
-    const_next = const * mult & _MASK32
-    value = (value ^ const) * const_next & _MASK32
-    return value ^ value >> 16, const_next
+def _hashmix(value: np.ndarray, const: np.ndarray, mult: int = _MULT_A) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 words, each with its own hash constant."""
+    value = (value ^ const) * (const * mult & _MASK32) & _MASK32
+    return value ^ value >> 16
 
 
 def _mix(x, y):
@@ -81,34 +83,27 @@ def _mix(x, y):
     return mixed ^ mixed >> 16
 
 
-def _successive(const: int, mult: int, n: int) -> np.ndarray:
-    """The hash constants of n successive hashmix calls from ``const``."""
-    return np.array([const * pow(mult, i, 1 << 32) & _MASK32 for i in range(n)], dtype=np.uint32)
+def _successive(const: int, mult: int, start: int, n: int) -> np.ndarray:
+    """The hash constants of hashmix calls start .. start + n - 1 from ``const``."""
+    return np.array([const * pow(mult, i, 1 << 32) & _MASK32 for i in range(start, start + n)],
+                    dtype=np.uint32)
 
 
 def _spawn_words(seed: int, trials: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(t,)).generate_state(4, np.uint64)`` for every t
-    in ``trials``, as (N, 4) uint64: numpy's hash with the seed's 32-bit words (low
-    first, zero-padded to the pool size) and then t as the entropy words."""
+    in ``trials``, as (N, 4) uint64. numpy mixes the seed's 32-bit words into the
+    pool first, which leaves ``SeedSequence(seed).pool`` after
+    _POOL_SIZE * max(_POOL_SIZE, words) hashmix calls; t is then the next entropy
+    word, mixed into every pool word."""
     seed, trials = operator.index(seed), np.asarray(trials, dtype=np.int64)
     lanes = trials.astype(np.uint32)
     if seed < 0 or (lanes != trials).any():
         raise ValueError(f"need a seed >= 0 and trial indices in [0, 2**32), got seed {seed}")
-    run = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 32 * _POOL_SIZE), 32)]
-    # The seed's words are the same for every trial, so they are mixed as ints.
-    const, pool = _INIT_A, []
-    for word in run[:_POOL_SIZE]:
-        hashed, const = _hashmix(word, const)
-        pool.append(hashed)
-    for src in range(len(run)):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, const = _hashmix(pool[src] if src < _POOL_SIZE else run[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
+    words = max(1, -(-seed.bit_length() // 32))
     # t mixes into pool word d at the d-th next constant: one (N, 4) step.
-    hashed, _ = _hashmix(lanes[:, None], _successive(const, _MULT_A, _POOL_SIZE))
-    pool = _mix(np.array(pool, dtype=np.uint32), hashed)
-    state, _ = _hashmix(np.tile(pool, 2), _successive(_INIT_B, _MULT_B, 8), _MULT_B)
+    consts = _successive(_INIT_A, _MULT_A, _POOL_SIZE * max(_POOL_SIZE, words), _POOL_SIZE)
+    pool = _mix(np.random.SeedSequence(seed).pool, _hashmix(lanes[:, None], consts))
+    state = _hashmix(np.tile(pool, 2), _successive(_INIT_B, _MULT_B, 0, 8), _MULT_B)
     state = state.astype(np.uint64)
     return state[:, 0::2] | state[:, 1::2] << 32  # little-endian word pairs
 
@@ -158,8 +153,9 @@ def estimate_instability(
     """Estimate P[rho of the perturbed closed loop >= 1].
 
     ``k_nom`` is the map's gain on the unperturbed data, which the caller
-    has already evaluated. ``exact`` mode re-runs the controller map on
-    every perturbed copy of the data (one batched evaluation);
+    has already evaluated. ``exact`` mode evaluates the controller map at
+    every perturbed vec(X) in one ``evaluate_perturbed`` call (the shipped
+    maps update their nominal fit and build no perturbed record);
     ``first_order`` tests the linearized closed loop instead (the bundle is
     computed with the true B when not supplied). Numerical map failures on a
     sample are skipped and counted; the estimate conditions on success.

@@ -10,13 +10,12 @@ bound downstream.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ctrlmaps import evaluate_perturbed
-from .lti import TrainingData, check_fields, load_json
+from .lti import TrainingData, check_fields
 from .linalg import as_matrix
 
 # Optimal central-difference step scale for O(h^2) schemes.
@@ -127,15 +126,6 @@ class JacobianBundle:
             )
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"Jacobian bundle has a malformed field: {exc}") from exc
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "JacobianBundle":
-        return load_json(cls, path)
 
 
 def fd_jacobian(cmap, data: TrainingData, support, step: float | None = None) -> JacobianBundle:

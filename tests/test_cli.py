@@ -133,14 +133,28 @@ class TestArgumentParsing:
         assert f"vec(X) of length {length}, got " in err
 
 
+def run_stages(cfg, out):
+    for command in ("collect", "design", "jacobian", "bounds", "mc"):
+        assert run([command, "--config", cfg, "--out", str(out)]) == 0
+    return out
+
+
 class TestCommandChain:
     @pytest.fixture()
     def out(self, tmp_path):
+        return run_stages(write_config(tmp_path, FAST_CONFIG), tmp_path / "run")
+
+    def test_rerun_is_byte_identical_in_one_json_format(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)
-        out = tmp_path / "run"
-        for command in ("collect", "design", "jacobian", "bounds", "mc"):
-            assert run([command, "--config", cfg, "--out", str(out)]) == 0
-        return out
+        first, second = (run_stages(cfg, tmp_path / name) for name in ("a", "b"))
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in second.iterdir())
+        for name in names:
+            text = (first / name).read_bytes()
+            assert text == (second / name).read_bytes(), name
+            if name.endswith(".json"):
+                doc = json.loads(text)
+                assert text.decode() == json.dumps(doc, indent=2, sort_keys=True) + "\n", name
 
     def test_artifacts_exist(self, out):
         for name in ("data.json", "collect.csv", "controller.json", "design.csv",

@@ -10,6 +10,7 @@ from ddrobust import (
     simulate,
     vehicle_model,
 )
+from ddrobust.cli import _read_json, _write_json
 from ddrobust.lti import snapshots
 
 
@@ -121,8 +122,8 @@ class TestCollect:
     def test_save_load_round_trip(self, tmp_path):
         data = collect(vehicle_model(0.1), 1, 25, seed=8)
         path = tmp_path / "data.json"
-        data.save(path)
-        back = TrainingData.load(path)
+        _write_json(path, data.to_json())
+        back = _read_json(TrainingData, path)
         assert np.array_equal(back.x, data.x)
         assert np.array_equal(back.u, data.u)
 

@@ -224,7 +224,7 @@ class TestTrialStreams:
             for t in range(trials)])
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5,
-                                      2**99 + 12345])
+                                      2**99 + 12345, 2**200 + 3])
     def test_vectorised_streams_match_seed_sequence(self, seed):
         model = PerturbationModel(np.arange(6), 1.0)
         z = sample_z(model, seed, 2000)

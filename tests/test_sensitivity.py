@@ -18,6 +18,7 @@ from ddrobust import (
     vec,
     vehicle_model,
 )
+from ddrobust.cli import _read_json, _write_json
 from ddrobust.ctrlmaps import ControllerMap, evaluate_perturbed
 from ddrobust.sensitivity import B_SOURCE_IDENTIFIED, B_SOURCE_TRUE
 from ddrobust.mc import expected_vec_norm, random_support
@@ -272,6 +273,18 @@ class TestFdJacobian:
         with pytest.raises(ValueError):
             fd_jacobian(PinvMap(), data, np.array([data.p]))
 
+    @pytest.mark.parametrize("cmap", [PinvMap(), CeLqrMap()], ids=["pinv", "ce-lqr"])
+    @pytest.mark.parametrize("support_of", [lambda p: [p - 5, -5], lambda p: [-1], lambda p: [p]],
+                             ids=["aliased", "negative", "past-end"])
+    def test_evaluation_refuses_support_outside_vec_x(self, cmap, support_of):
+        # numpy would wrap a negative index, so p - 5 and -5 would both name
+        # entry p - 5 and pass the distinctness check.
+        data = collect(vehicle_model(0.1), 1, 200, seed=0)
+        p = data.x.size
+        support = support_of(p)
+        with pytest.raises(ValueError, match=rf"vec\(X\) of length {p}"):
+            evaluate_perturbed(cmap, data, support, np.tile([0.3, 0.6][:len(support)], (2, 1)))
+
     def test_probe_failures_recorded_per_column(self):
         data = collect(vehicle_model(0.1), 1, 10, seed=0)
         cmap = FragileMap(PinvMap(), watched=3, nominal=data.x_vec[3])
@@ -287,8 +300,8 @@ class TestFdJacobian:
         bundle = fd_jacobian(PinvMap(), data, np.array([1, 7, 30]))
         bundle = bundle.with_b(vehicle_model(0.1).b, B_SOURCE_TRUE)
         path = tmp_path / "bundle.json"
-        bundle.save(path)
-        back = JacobianBundle.load(path)
+        _write_json(path, bundle.to_json())
+        back = _read_json(JacobianBundle, path)
         assert np.array_equal(back.columns, bundle.columns)
         assert np.array_equal(back.support, bundle.support)
         assert back.bj is None  # products are recomputed by with_b
