@@ -51,9 +51,15 @@ _TRIAL_FAILURES = (DareError, EigensolverError, np.linalg.LinAlgError)
 # of 4e-6 to 3e-2 for W = X0.
 _GRAM_RCOND = 1e-8
 
+# The Gram kernel holds the perturbations D_w and D_y of at most this many
+# floats (2 MB) at once, so its memory does not grow with the item count.
+_GRAM_CHUNK_FLOATS = 2**18
+
 # A converged doubling iterate P is accepted only when the largest entry of
-# its Riccati residual is at most this fraction of the largest entry of P.
-# Accurate solutions land near 1e-15.
+# its Riccati residual is at most this fraction of the largest entry of the
+# terms Q, A'PA and P it is a difference of. Accurate solutions land near
+# 1e-15. On a badly scaled identified pair A'PA can exceed P by orders of
+# magnitude, and the residual's rounding scales with it.
 _DARE_RESIDUAL_RTOL = 1e-8
 
 # A doubling iterate stops when its relative step, max|H+ - H| over max|H+|,
@@ -154,8 +160,9 @@ def _doubling(a, b, q, r, max_iter: int) -> np.ndarray:
     H converges quadratically to P when (A, B) is stabilizable. An item
     stops when its relative step passes ``_DARE_STEP_RTOL`` (entrywise), and
     its P is accepted only if the Riccati residual passes
-    ``_DARE_RESIDUAL_RTOL``. Each item is iterated alone until it stops, so
-    its result does not depend on the rest of the stack.
+    ``_DARE_RESIDUAL_RTOL`` relative to the terms of the equation. Each item
+    is iterated alone until it stops, so its result does not depend on the
+    rest of the stack.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     count, n, m = len(a), a.shape[-1], b.shape[-1]
@@ -194,8 +201,8 @@ def _doubling(a, b, q, r, max_iter: int) -> np.ndarray:
             done = finite & (_max_abs(h_next - hk) <= _DARE_STEP_RTOL * size)
             if np.any(done):
                 idx = active[done]
-                resid = _riccati_residual(a[idx], b[idx], q[idx], r[idx], h_next[done])
-                passed = resid <= _DARE_RESIDUAL_RTOL * size[done]
+                resid, scale = _riccati_residual(a[idx], b[idx], q[idx], r[idx], h_next[done])
+                passed = resid <= _DARE_RESIDUAL_RTOL * scale
                 p[idx[passed]] = h_next[done][passed]
             keep = finite & ~done
             active = active[keep]
@@ -218,12 +225,16 @@ def _max_abs(m: np.ndarray) -> np.ndarray:
     return np.max(np.abs(m), axis=(-2, -1))
 
 
-def _riccati_residual(a, b, q, r, p) -> np.ndarray:
-    """Largest entry of |Q + A'PA - A'PB (R + B'PB)^-1 B'PA - P| per item."""
+def _riccati_residual(a, b, q, r, p) -> tuple[np.ndarray, np.ndarray]:
+    """Largest entry of |Q + A'PA - A'PB (R + B'PB)^-1 B'PA - P| per item,
+    and the largest entry of the terms Q, A'PA and P, the scale of its
+    rounding."""
     pa = p @ a
+    apa = _t(a) @ pa
     gain_term = np.linalg.inv(r + _t(b) @ p @ b) @ (_t(b) @ pa)
-    resid = q + _t(a) @ pa - _t(a) @ p @ b @ gain_term - p
-    return _max_abs(resid)
+    resid = q + apa - _t(a) @ p @ b @ gain_term - p
+    scale = np.maximum(np.maximum(_max_abs(q), _max_abs(apa)), _max_abs(p))
+    return _max_abs(resid), scale
 
 
 def lqr_gain(a, b, q, r) -> np.ndarray:
@@ -335,7 +346,8 @@ def _gram_gains(cmap: ControllerMap, data: TrainingData, w, y, x1_rows, support,
     correction of the size of D, so the rounding of theta and G is not
     divided by h in a finite-difference column, as it is when Y' W'' G'^-1
     is formed directly; a zero delta gives theta exactly. An item whose G'
-    fails the ``_GRAM_RCOND`` test takes the record path.
+    fails the ``_GRAM_RCOND`` test takes the record path. D_w and D_y are
+    formed for chunks of items of at most ``_GRAM_CHUNK_FLOATS`` floats.
     """
     n, t = data.n, data.t
     support, x1_rows = np.asarray(support, dtype=int), np.asarray(x1_rows, dtype=int)
@@ -348,24 +360,34 @@ def _gram_gains(cmap: ControllerMap, data: TrainingData, w, y, x1_rows, support,
     in_y = np.full(support.size, x1_rows.size > 0)
     cols, pos = np.unique(np.concatenate([col[inner] + 1, col[in_y]]), return_inverse=True)
     w_pos, y_pos = np.split(pos, [inner.sum()])
-    count, w_q = len(deltas), w[:, cols]
-    d_w = np.zeros((count, len(w), cols.size))
-    d_w[:, state[inner], w_pos] = deltas[:, inner]
-    d_y = np.zeros((count, x1_rows.size, cols.size))
-    d_y[:, state[in_y], y_pos] = deltas[:, in_y]
-    # An item that overflows here fails the finiteness test below and takes
-    # the record path, so its overflow is not worth a numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        d_gram = d_w @ _t(w_q)
-        d_gram = d_gram + _t(d_gram) + d_w @ _t(d_w)
-        gram_new = w @ w.T + d_gram
-        correction = y[:, cols] @ _t(d_w) - theta @ d_gram
-        correction[:, x1_rows] += d_y @ _t(np.add(d_w, w_q, out=d_w))  # d_w now holds W'_q
-    ok = np.all(np.isfinite(gram_new), axis=(1, 2))
-    lam = np.linalg.eigvalsh(gram_new[ok])
-    ok[ok] = lam[:, 0] > _GRAM_RCOND * lam[:, -1]
+    count, gram, w_q, y_q = len(deltas), w @ w.T, w[:, cols], y[:, cols]
+    fits = np.empty((count,) + theta.shape)
+    ok = np.empty(count, dtype=bool)
+    # The items are independent, so chunking them changes no float.
+    item_floats = (len(w) + x1_rows.size) * cols.size
+    step = max(1, _GRAM_CHUNK_FLOATS // max(1, item_floats))
+    for start in range(0, count, step):
+        chunk = slice(start, start + step)
+        part = deltas[chunk]
+        d_w = np.zeros((len(part), len(w), cols.size))
+        d_w[:, state[inner], w_pos] = part[:, inner]
+        d_y = np.zeros((len(part), x1_rows.size, cols.size))
+        d_y[:, state[in_y], y_pos] = part[:, in_y]
+        # An item that overflows here fails the finiteness test below and
+        # takes the record path, so its overflow is not worth a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_gram = d_w @ _t(w_q)
+            d_gram = d_gram + _t(d_gram) + d_w @ _t(d_w)
+            gram_new = gram + d_gram
+            correction = y_q @ _t(d_w) - theta @ d_gram
+            correction[:, x1_rows] += d_y @ _t(np.add(d_w, w_q, out=d_w))  # d_w now holds W'_q
+        good = np.all(np.isfinite(gram_new), axis=(1, 2))
+        lam = np.linalg.eigvalsh(gram_new[good])
+        good[good] = lam[:, 0] > _GRAM_RCOND * lam[:, -1]
+        fits[chunk][good] = theta + _t(np.linalg.solve(gram_new[good], _t(correction[good])))
+        ok[chunk] = good
     gains = np.empty((count, data.m, n))
-    gains[ok] = gains_of(theta + _t(np.linalg.solve(gram_new[ok], _t(correction[ok]))))
+    gains[ok] = gains_of(fits[ok])
     if not ok.all():
         gains[~ok] = ControllerMap.evaluate_deltas(cmap, data, support, deltas[~ok])
     return gains

@@ -140,13 +140,16 @@ def simulate(sys: LtiSystem, x0, u_seq) -> np.ndarray:
     u = np.asarray(u_seq, dtype=float)
     if u.ndim != 2 or u.shape[0] != sys.m:
         raise ValueError(f"input sequence has shape {u.shape}, expected {sys.m} x T")
-    t_steps = u.shape[1]
-    states = np.empty((sys.n, t_steps))
+    a = sys.a
+    # Row t starts as B u(t), one matrix-vector product per step as in
+    # B @ u[:, t], and becomes x(t+1) when A x(t) is added in place: the
+    # same two products and the same sum as the step x = A x + B u(t).
+    states = np.matmul(sys.b, u.T[:, :, None])[:, :, 0]
     x = x0
-    for k in range(t_steps):
-        x = sys.a @ x + sys.b @ u[:, k]
-        states[:, k] = x
-    return states
+    for row in states:
+        row += np.dot(a, x)
+        x = row
+    return states.T
 
 
 def gaussian_inputs(rng: np.random.Generator, m: int, t: int) -> np.ndarray:

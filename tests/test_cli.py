@@ -587,6 +587,20 @@ def test_one_entry_support_at_large_sigma(tmp_path):
     assert run(["bounds", "--config", cfg, "--out", str(out)]) == 0
 
 
+def test_badly_scaled_trials_pass_the_riccati_gate(tmp_path):
+    # At sigma = 1e5 on entry 100 of a T = 60 record the identified A has
+    # entries up to 1.7e4, and A'PA exceeds P by up to 8e5. Every trial's
+    # Riccati solution agrees with scipy's to 2e-13 and passes the gate
+    # scaled by the terms of the equation; scaled by max|P| alone, the gate
+    # skipped 14 of the 20 trials and reported p_hat = 1/6.
+    cfg = write_config(tmp_path, {"t_steps": 60, "support": {"indices": [100]}, "trials": 20})
+    out = tmp_path / "run"
+    assert run(["collect", "--config", cfg, "--out", str(out)]) == 0
+    assert run(["mc", "--config", cfg, "--out", str(out), "--sigma", "1e5"]) == 0
+    [report] = json.loads((out / "mc.json").read_text())
+    assert (report["skipped"], report["unstable_count"], report["trials"]) == (0, 6, 20)
+
+
 def test_shipped_maps_never_reach_the_per_record_fallback(tmp_path, monkeypatch):
     # The base-class fallback builds one TrainingData per record through
     # with_x_vec; both shipped maps evaluate every stack without it.

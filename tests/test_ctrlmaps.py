@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,49 @@ class TestGramKernel:
         for i, delta in enumerate(deltas):
             assert np.array_equal(gains[i], cmap.evaluate_deltas(data, support, delta[None])[0],
                                   equal_nan=True)
+
+    @pytest.mark.parametrize("chunk_items", [1, 7])
+    def test_chunks_change_no_gain(self, cmap, chunk_items, monkeypatch):
+        # T = 6 from x0 = 0: item 4 zeroes x(1..5) in state 0 and takes the
+        # record path. The support moves X0 columns 1..5 and, for ce-lqr,
+        # X1 columns 0..4, so one item holds 4 x 5 floats of D_w for pinv
+        # and (6 + 4) x 6 of D_w and D_y for ce-lqr.
+        data = collect(vehicle_model(0.1), 1, 6, seed=0)
+        support = np.arange(0, 5 * data.n, data.n)
+        deltas = 0.01 * np.random.default_rng(2).standard_normal((20, support.size))
+        deltas[4] = -data.x_vec[support]
+        whole = cmap.evaluate_deltas(data, support, deltas)
+        item_floats = 20 if cmap.name == "pinv" else 60
+        monkeypatch.setattr(ctrlmaps, "_GRAM_CHUNK_FLOATS", chunk_items * item_floats)
+        stacks = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(m):
+            if np.ndim(m) == 3:
+                stacks.append(len(m))
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        chunked = cmap.evaluate_deltas(data, support, deltas)
+        assert stacks == [min(chunk_items, 20 - i) for i in range(0, 20, chunk_items)]
+        assert np.array_equal(chunked, whole)
+        assert np.array_equal(whole[4], record_path(cmap, data, support, deltas[4:5])[0])
+
+    def test_memory_does_not_grow_with_the_item_count(self, cmap):
+        # 2000 exact trials on a record of the default length (T = 200, k = 50):
+        # with the perturbations of all items held at once the ce-lqr call
+        # peaked at 21.8 MB, and chunked it peaks at 8.3 MB.
+        data = collect(vehicle_model(0.1), 1, 200, seed=0)
+        support = np.sort(np.random.default_rng(0).choice(data.x_vec.size, 50, replace=False))
+        deltas = 0.01 * np.random.default_rng(1).standard_normal((2000, support.size))
+        tracemalloc.start()
+        try:
+            gains = ctrlmaps.evaluate_perturbed(cmap, data, support, deltas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(gains))
+        assert peak <= 12e6
 
 
 class TestIdentify:
@@ -324,6 +368,18 @@ class TestDareOracle:
 
     def test_identified_vehicle_pair(self):
         model = identify(collect(vehicle_model(0.1), 1, 200, seed=0))
+        self.check(model.a, model.b, np.eye(4), np.eye(2))
+
+    def test_badly_scaled_identified_pair(self):
+        # A 1e5 error in one entry of a T = 60 record gives identified A
+        # entries of 7e3 and A'PA entries 1e5 times those of P. scipy's P
+        # then has a Riccati residual of 1e-6 of max|P|, 6e-12 of the
+        # equation's largest term, and the gate accepts the doubling P.
+        data = collect(vehicle_model(0.1), 1, 60, seed=0)
+        x_vec = data.x_vec
+        x_vec[100] += 1e5
+        model = identify(data.with_x_vec(x_vec))
+        assert np.abs(model.a).max() > 1e3
         self.check(model.a, model.b, np.eye(4), np.eye(2))
 
 

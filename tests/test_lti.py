@@ -46,7 +46,41 @@ class TestVehicleModel:
             vehicle_model(0.0)
 
 
+def step_oracle(sys, x0, u):
+    """x(t+1) = A x(t) + B u(t), one step at a time; returns x(1..T) as n x T."""
+    states = np.empty((sys.n, u.shape[1]))
+    x = np.asarray(x0, dtype=float)
+    for t in range(u.shape[1]):
+        x = sys.a @ x + sys.b @ u[:, t]
+        states[:, t] = x
+    return states
+
+
+def random_plant(seed, n, m):
+    rng = np.random.default_rng(seed)
+    return LtiSystem(0.4 * rng.standard_normal((n, n)), rng.standard_normal((n, m)))
+
+
+PLANTS = [
+    pytest.param(vehicle_model(0.1), False, id="vehicle-x0-zero"),
+    pytest.param(vehicle_model(0.1), True, id="vehicle-x0-nonzero"),
+    pytest.param(LtiSystem(np.array([[0.9, 0.3], [-0.2, 0.7]]), np.array([[0.0], [1.0]])),
+                 True, id="single-input"),
+] + [pytest.param(random_plant(10 * n + m, n, m), True, id=f"random-n{n}-m{m}")
+     for n in (3, 4, 5) for m in (2, 3)]
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("sys, nonzero_x0", PLANTS)
+    @pytest.mark.parametrize("t_steps", [1, 400])
+    def test_matches_step_recursion_bit_for_bit(self, sys, nonzero_x0, t_steps):
+        rng = np.random.default_rng(t_steps)
+        x0 = rng.standard_normal(sys.n) if nonzero_x0 else np.zeros(sys.n)
+        u = rng.standard_normal((sys.m, t_steps))
+        states = simulate(sys, x0, u)
+        assert states.shape == (sys.n, t_steps)
+        assert np.array_equal(states, step_oracle(sys, x0, u))
+
     def test_zero_everything(self):
         sys = vehicle_model(0.1)
         states = simulate(sys, np.zeros(4), np.zeros((2, 5)))
@@ -96,6 +130,20 @@ class TestCollect:
         assert np.array_equal(a.u, b.u) and np.array_equal(a.x, b.x)
         c = collect(vehicle_model(0.1), 2, 40, seed=10)
         assert not np.array_equal(a.x, c.x)
+
+    @pytest.mark.parametrize("sys, nonzero_x0", PLANTS)
+    @pytest.mark.parametrize("t_steps", [1, 150])
+    def test_each_experiment_matches_step_recursion(self, sys, nonzero_x0, t_steps):
+        x0 = np.linspace(-1.0, 1.0, sys.n) if nonzero_x0 else None
+        data = collect(sys, 2, t_steps, seed=5, x0=x0)
+        # The default input law draws each experiment's m x T block in turn.
+        rng = np.random.default_rng(5)
+        start = np.zeros(sys.n) if x0 is None else x0
+        for i in range(2):
+            u = rng.standard_normal((sys.m, t_steps))
+            assert np.array_equal(data.u[:, i], u.flatten(order="F"))
+            states = data.x[:, i].reshape((sys.n, t_steps), order="F")
+            assert np.array_equal(states, step_oracle(sys, start, u))
 
     def test_default_initial_state_is_zero(self):
         data = collect(vehicle_model(0.1), 2, 10, seed=0)
