@@ -10,6 +10,7 @@ from .linalg import (
     q_function,
     spectral_norm,
     spectral_radius,
+    unstable,
     vec,
     vec_inverse,
 )

@@ -284,9 +284,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _write_json(path: Path, doc) -> None:
     """Every JSON artifact's one format: 2-space indent, sorted keys, final newline."""
+    # One write: json.dump would stream every token through its own write.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _read_json(cls, path: Path):

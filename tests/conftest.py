@@ -3,7 +3,8 @@
 These deliberately avoid the code paths used by the package (LAPACK eig/svd,
 erfc): an inverse by Gauss-Jordan elimination, a spectral norm by power
 iteration, cubic roots by the depressed-cubic formula, and the Gaussian tail
-by Simpson quadrature. Slow and simple on purpose.
+by Simpson quadrature. Slow and simple on purpose. ``spy_eigvals`` records
+which stacks reach ``np.linalg.eigvals``.
 """
 
 from __future__ import annotations
@@ -119,3 +120,16 @@ def q_quadrature(x: float, steps: int = 100_000) -> float:
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return float((t[1] - t[0]) / 3.0 * (weights @ pdf))
+
+
+def spy_eigvals(monkeypatch) -> list[int]:
+    """From now on, the size of every stack handed to ``np.linalg.eigvals``."""
+    items = []
+    eigvals = np.linalg.eigvals
+
+    def spy(a):
+        items.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    return items

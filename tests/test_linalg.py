@@ -9,6 +9,7 @@ from conftest import (
     match_complex_sets,
     power_norm,
     q_quadrature,
+    spy_eigvals,
 )
 from ddrobust.linalg import (
     EPS_FLOOR,
@@ -20,6 +21,7 @@ from ddrobust.linalg import (
     q_function,
     spectral_norm,
     spectral_radius,
+    unstable,
     vec,
     vec_inverse,
 )
@@ -190,6 +192,111 @@ class TestSpectralRadii:
         # One matrix is no stack: its failure raises.
         with pytest.raises(EigensolverError):
             spectral_radius(stack[1])
+
+
+def radius_verdict(stack):
+    """What ``unstable`` must return: spectral_radius >= 1, NaN where rho is NaN."""
+    rho = spectral_radius(stack)
+    return np.where(np.isnan(rho), np.nan, rho >= 1.0)
+
+
+def on_the_edge(stack, deltas):
+    """Each matrix scaled to rho = 1 + d for every d of ``deltas``."""
+    unit = stack / spectral_radius(stack)[:, None, None]
+    return np.concatenate([unit * (1.0 + d) for d in deltas])
+
+
+def repeated(*items):
+    """The items, stacked and repeated 8 times: enough for the polynomial test."""
+    return np.tile(np.stack(items), (8, 1, 1))
+
+
+EDGE = np.concatenate([-np.logspace(-16, -3, 27), [0.0], np.logspace(-16, -3, 27)])
+
+
+class TestUnstable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_stacks_match_the_radius(self, n):
+        rng = np.random.default_rng(30 + n)
+        for count, scale in [(2000, 0.3), (2000, 1.0), (2000, 3.0), (10, 1.0)]:
+            stack = rng.standard_normal((count, n, n)) * scale / math.sqrt(n)
+            np.testing.assert_array_equal(unstable(stack), radius_verdict(stack))
+
+    def test_vehicle_lqr_loop_on_the_edge(self):
+        # Each eigenvalue of this loop is double.
+        from ddrobust import LqrWeights, lqr_gain, vehicle_model
+
+        sys = vehicle_model(0.1)
+        w = LqrWeights.identity(4, 2)
+        stack = on_the_edge((sys.a + sys.b @ lqr_gain(sys.a, sys.b, w.q, w.r))[None], EDGE)
+        np.testing.assert_array_equal(unstable(stack), radius_verdict(stack))
+
+    def test_jordan_block_on_the_edge(self):
+        stack = on_the_edge((np.eye(4) + np.eye(4, k=1))[None], EDGE)
+        np.testing.assert_array_equal(unstable(stack), radius_verdict(stack))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_orthogonal_matrices_on_the_edge(self, n):
+        q = np.linalg.qr(np.random.default_rng(40 + n).standard_normal((40, n, n)))[0]
+        stack = on_the_edge(q, EDGE)
+        np.testing.assert_array_equal(unstable(stack), radius_verdict(stack))
+
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])
+    def test_ill_conditioned_eigenvectors_on_the_edge(self, cond):
+        # Large entries around a spectrum near |z| = 1: the characteristic
+        # polynomial's rounding error grows with ||A||^n, and the margin with it.
+        rng = np.random.default_rng(50)
+        n, count = 4, 300
+        u = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+        basis = u * np.logspace(0, math.log10(cond), n) @ v
+        lam = rng.uniform(-1.0, 1.0, (count, n))
+        stack = basis * lam[:, None, :] @ np.linalg.inv(basis)
+        stack = on_the_edge(stack, [-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3])
+        np.testing.assert_array_equal(unstable(stack), radius_verdict(stack))
+
+    def test_non_finite_item_is_nan(self):
+        stack = repeated(0.5 * np.eye(2), np.full((2, 2), np.nan),
+                         np.array([[1.0, np.inf], [0.0, 0.5]]), 2.0 * np.eye(2))
+        np.testing.assert_array_equal(unstable(stack).reshape(-1, 4),
+                                      np.tile([0.0, np.nan, np.nan, 1.0], (8, 1)))
+
+    def test_finite_item_whose_radius_overflows_is_unstable(self):
+        stack = repeated(np.full((2, 2), 1e308), 0.5 * np.eye(2))
+        assert np.isinf(spectral_radius(stack)[0])
+        assert unstable(stack).tolist() == [1.0, 0.0] * 8
+
+    def test_eigensolver_failure_masks_its_item_alone(self, monkeypatch):
+        # Only an item on the edge reaches eigvals, and so can fail there:
+        # the marked one has eigenvalues +-1.
+        eigvals = np.linalg.eigvals
+
+        def failing_eigvals(a):
+            if np.any(a == 7.0):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+        stack = repeated(0.5 * np.eye(2), np.array([[0.0, 7.0], [1.0 / 7.0, 0.0]]),
+                         2.0 * np.eye(2), np.eye(2))
+        verdict = unstable(stack)
+        np.testing.assert_array_equal(verdict.reshape(-1, 4),
+                                      np.tile([0.0, np.nan, 1.0, 1.0], (8, 1)))
+        np.testing.assert_array_equal(verdict, radius_verdict(stack))
+
+    @pytest.mark.parametrize("count, n, reaching", [(500, 4, 0), (15, 4, 15), (500, 5, 500)])
+    def test_what_reaches_eigvals(self, monkeypatch, count, n, reaching):
+        # No item of these stacks is near |z| = 1; larger n and stacks of
+        # fewer than 16 items go to eigvals whole.
+        stack = np.random.default_rng(60).standard_normal((count, n, n)) / math.sqrt(n)
+        expected = radius_verdict(stack)
+        items = spy_eigvals(monkeypatch)
+        np.testing.assert_array_equal(unstable(stack), expected)
+        assert sum(items) == reaching
+
+    def test_refuses_one_matrix(self):
+        with pytest.raises(ValueError):
+            unstable(np.eye(2))
 
 
 class TestQFunction:

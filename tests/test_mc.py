@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import spy_eigvals
 from ddrobust import (
     B_SOURCE_TRUE,
     CeLqrMap,
@@ -405,6 +406,36 @@ class TestEstimateInstability:
         with pytest.raises(NoEstimateError):
             estimate_instability(sys, data, always_fails, k_ce, model, 20,
                                  MODE_EXACT, seed=2)
+
+
+class TestStabilityVerdict:
+    """Trials are judged from their characteristic polynomials: eigvals sees
+    only the trials that test leaves undecided, and every trial when n > 4."""
+
+    def test_vehicle_trials_rarely_reach_eigvals(self, vehicle_setup, k_ce, monkeypatch):
+        sys, data, _ = vehicle_setup
+        support = random_support(data.p, 10, np.random.default_rng(10))
+        model = PerturbationModel(support, np.full(10, 3.0))
+        bundle = fd_jacobian(CeLqrMap(), data, support).with_b(sys.b, B_SOURCE_TRUE)
+        items = spy_eigvals(monkeypatch)
+        report = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 1000,
+                                      MODE_FIRST_ORDER, seed=3, bundle=bundle)
+        assert 0.0 < report.p_hat < 1.0
+        assert items[0] == 1  # the nominal loop
+        assert sum(items[1:]) <= 10
+
+    def test_five_state_trials_all_reach_eigvals(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        sys = LtiSystem(a=0.6 * np.eye(5) + 0.1 * rng.standard_normal((5, 5)),
+                        b=rng.standard_normal((5, 2)))
+        data = collect(sys, 1, 40, seed=4)
+        k_nom = CeLqrMap().evaluate(data)
+        model = PerturbationModel(np.arange(10), np.full(10, 0.1))
+        bundle = fd_jacobian(CeLqrMap(), data, model.support).with_b(sys.b, B_SOURCE_TRUE)
+        items = spy_eigvals(monkeypatch)
+        estimate_instability(sys, data, CeLqrMap(), k_nom, model, 200,
+                             MODE_FIRST_ORDER, seed=1, bundle=bundle)
+        assert items == [1, 200]
 
 
 class TestEvaluateBatch:
