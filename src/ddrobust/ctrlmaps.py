@@ -17,8 +17,9 @@ are least-squares fits theta = Y pinv(W) that see the record only through
 G = W W' and Y W' (``pinv``: W = X0, Y = U0; ``ce-lqr``: W = [X0; U0],
 Y = X1), so they override it with one Gram kernel: a perturbed entry of
 vec(X) moves one column of X0 and one of X1, and each fit is a rank-few
-update of G, at a cost that does not depend on T. An item whose perturbed
-G fails the ``_GRAM_RCOND`` conditioning test takes the record path.
+update of G, at a cost that does not depend on T. Chunks of items run the
+whole kernel in turn, so its memory does not grow with the item count. An
+item whose perturbed G fails the ``_GRAM_RCOND`` test takes the record path.
 """
 
 from __future__ import annotations
@@ -51,9 +52,10 @@ _TRIAL_FAILURES = (DareError, EigensolverError, np.linalg.LinAlgError)
 # of 4e-6 to 3e-2 for W = X0.
 _GRAM_RCOND = 1e-8
 
-# The Gram kernel holds the perturbations D_w and D_y of at most this many
-# floats (2 MB) at once, so its memory does not grow with the item count.
-_GRAM_CHUNK_FLOATS = 2**18
+# The Gram kernel runs chunk by chunk, from D_w and D_y to the gains; a
+# chunk's D_w, D_y, G' and fits hold at most this many floats (8 MB). Smaller
+# chunks make short doubling stacks, whose fixed cost slows the acceptance fig1.
+_GRAM_CHUNK_FLOATS = 2**20
 
 # A converged doubling iterate P is accepted only when the largest entry of
 # its Riccati residual is at most this fraction of the largest entry of the
@@ -346,8 +348,8 @@ def _gram_gains(cmap: ControllerMap, data: TrainingData, w, y, x1_rows, support,
     correction of the size of D, so the rounding of theta and G is not
     divided by h in a finite-difference column, as it is when Y' W'' G'^-1
     is formed directly; a zero delta gives theta exactly. An item whose G'
-    fails the ``_GRAM_RCOND`` test takes the record path. D_w and D_y are
-    formed for chunks of items of at most ``_GRAM_CHUNK_FLOATS`` floats.
+    fails the ``_GRAM_RCOND`` test takes the record path. Chunks of items of
+    at most ``_GRAM_CHUNK_FLOATS`` floats run the whole kernel in turn.
     """
     n, t = data.n, data.t
     support, x1_rows = np.asarray(support, dtype=int), np.asarray(x1_rows, dtype=int)
@@ -361,14 +363,13 @@ def _gram_gains(cmap: ControllerMap, data: TrainingData, w, y, x1_rows, support,
     cols, pos = np.unique(np.concatenate([col[inner] + 1, col[in_y]]), return_inverse=True)
     w_pos, y_pos = np.split(pos, [inner.sum()])
     count, gram, w_q, y_q = len(deltas), w @ w.T, w[:, cols], y[:, cols]
-    fits = np.empty((count,) + theta.shape)
-    ok = np.empty(count, dtype=bool)
-    # The items are independent, so chunking them changes no float.
-    item_floats = (len(w) + x1_rows.size) * cols.size
-    step = max(1, _GRAM_CHUNK_FLOATS // max(1, item_floats))
+    gains = np.empty((count, data.m, n))
+    # The items are independent, so chunking them changes no float. An item
+    # holds D_w and D_y, G' and the correction or fit.
+    item_floats = (len(w) + x1_rows.size) * cols.size + len(w) * (len(w) + len(y))
+    step = max(1, _GRAM_CHUNK_FLOATS // item_floats)
     for start in range(0, count, step):
-        chunk = slice(start, start + step)
-        part = deltas[chunk]
+        part, out = deltas[start:start + step], gains[start:start + step]
         d_w = np.zeros((len(part), len(w), cols.size))
         d_w[:, state[inner], w_pos] = part[:, inner]
         d_y = np.zeros((len(part), x1_rows.size, cols.size))
@@ -381,15 +382,13 @@ def _gram_gains(cmap: ControllerMap, data: TrainingData, w, y, x1_rows, support,
             gram_new = gram + d_gram
             correction = y_q @ _t(d_w) - theta @ d_gram
             correction[:, x1_rows] += d_y @ _t(np.add(d_w, w_q, out=d_w))  # d_w now holds W'_q
+        del d_w, d_y, d_gram  # so that they and the arrays of gains_of never coexist
         good = np.all(np.isfinite(gram_new), axis=(1, 2))
         lam = np.linalg.eigvalsh(gram_new[good])
         good[good] = lam[:, 0] > _GRAM_RCOND * lam[:, -1]
-        fits[chunk][good] = theta + _t(np.linalg.solve(gram_new[good], _t(correction[good])))
-        ok[chunk] = good
-    gains = np.empty((count, data.m, n))
-    gains[ok] = gains_of(fits[ok])
-    if not ok.all():
-        gains[~ok] = ControllerMap.evaluate_deltas(cmap, data, support, deltas[~ok])
+        out[good] = gains_of(theta + _t(np.linalg.solve(gram_new[good], _t(correction[good]))))
+        if not good.all():
+            out[~good] = ControllerMap.evaluate_deltas(cmap, data, support, part[~good])
     return gains
 
 

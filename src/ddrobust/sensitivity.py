@@ -132,9 +132,9 @@ def fd_jacobian(cmap, data: TrainingData, support, step: float | None = None) ->
     """Central-difference Jacobian columns of the map on the given support.
 
     The step follows h = cbrt(eps) * max(1, |x_i|) per entry unless a fixed
-    ``step`` is forced (step-halving studies). All 2k probes go through one
-    batched evaluation; a numerical map failure at a probe is recorded per
-    column instead of aborting the whole bundle.
+    positive, finite ``step`` is forced (step-halving studies). All 2k probes
+    go through one batched evaluation; a numerical map failure at a probe is
+    recorded per column instead of aborting the whole bundle.
     """
     support = np.asarray(support, dtype=int).ravel()
     xv = data.x_vec
@@ -143,8 +143,10 @@ def fd_jacobian(cmap, data: TrainingData, support, step: float | None = None) ->
     k = support.size
     if step is None:
         steps = _FD_STEP_SCALE * np.maximum(1.0, np.abs(xv[support]))
-    else:
+    elif 0.0 < step < np.inf:
         steps = np.full(k, float(step))
+    else:
+        raise ValueError(f"a forced FD step must be positive and finite, got {step!r}")
     # Probe 2j moves entry j by +h_j, probe 2j + 1 by -h_j.
     deltas = np.zeros((2 * k, k))
     deltas[0::2][np.arange(k), np.arange(k)] = steps

@@ -62,6 +62,15 @@ def record_path(cmap, data, support, deltas):
     return ControllerMap.evaluate_deltas(cmap, data, support, deltas)
 
 
+def traced_peak(call):
+    """The result of ``call()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 MAPS = pytest.mark.parametrize("cmap", [PinvMap(), CeLqrMap()], ids=["pinv", "ce-lqr"])
 
 
@@ -163,44 +172,68 @@ class TestGramKernel:
     def test_chunks_change_no_gain(self, cmap, chunk_items, monkeypatch):
         # T = 6 from x0 = 0: item 4 zeroes x(1..5) in state 0 and takes the
         # record path. The support moves X0 columns 1..5 and, for ce-lqr,
-        # X1 columns 0..4, so one item holds 4 x 5 floats of D_w for pinv
-        # and (6 + 4) x 6 of D_w and D_y for ce-lqr.
+        # X1 columns 0..4. One item holds D_w and D_y on those columns, and
+        # G' and the fit: 4 x 5 + 4 x (4 + 2) floats for pinv (W = X0,
+        # Y = U0) and (6 + 4) x 6 + 6 x (6 + 4) for ce-lqr (W = [X0; U0],
+        # Y = X1).
         data = collect(vehicle_model(0.1), 1, 6, seed=0)
         support = np.arange(0, 5 * data.n, data.n)
         deltas = 0.01 * np.random.default_rng(2).standard_normal((20, support.size))
         deltas[4] = -data.x_vec[support]
         whole = cmap.evaluate_deltas(data, support, deltas)
-        item_floats = 20 if cmap.name == "pinv" else 60
+        item_floats = 4 * 5 + 4 * (4 + 2) if cmap.name == "pinv" else (6 + 4) * 6 + 6 * (6 + 4)
         monkeypatch.setattr(ctrlmaps, "_GRAM_CHUNK_FLOATS", chunk_items * item_floats)
-        stacks = []
-        eigvalsh = np.linalg.eigvalsh
+        stacks, gain_stacks = [], []
+        eigvalsh, lqr_gain = np.linalg.eigvalsh, ctrlmaps.lqr_gain
 
         def spy(m):
             if np.ndim(m) == 3:
                 stacks.append(len(m))
             return eigvalsh(m)
 
+        def gain_spy(a, b, q, r):
+            gain_stacks.append(len(a))
+            return lqr_gain(a, b, q, r)
+
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(ctrlmaps, "lqr_gain", gain_spy)
         chunked = cmap.evaluate_deltas(data, support, deltas)
-        assert stacks == [min(chunk_items, 20 - i) for i in range(0, 20, chunk_items)]
+        sizes = [min(chunk_items, 20 - i) for i in range(0, 20, chunk_items)]
+        assert stacks == sizes
+        if cmap.name == "ce-lqr":
+            # Each chunk solves its kernel items; the one holding item 4
+            # then solves item 4 alone on the record path.
+            first = 4 // chunk_items
+            sizes[first] -= 1
+            sizes.insert(first + 1, 1)
+            assert gain_stacks == sizes
         assert np.array_equal(chunked, whole)
         assert np.array_equal(whole[4], record_path(cmap, data, support, deltas[4:5])[0])
 
     def test_memory_does_not_grow_with_the_item_count(self, cmap):
         # 2000 exact trials on a record of the default length (T = 200, k = 50):
         # with the perturbations of all items held at once the ce-lqr call
-        # peaked at 21.8 MB, and chunked it peaks at 8.3 MB.
+        # peaked at 21.8 MB; with the whole kernel chunked it peaks at 10.4 MB.
         data = collect(vehicle_model(0.1), 1, 200, seed=0)
         support = np.sort(np.random.default_rng(0).choice(data.x_vec.size, 50, replace=False))
         deltas = 0.01 * np.random.default_rng(1).standard_normal((2000, support.size))
-        tracemalloc.start()
-        try:
-            gains = ctrlmaps.evaluate_perturbed(cmap, data, support, deltas)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        gains, peak = traced_peak(lambda: ctrlmaps.evaluate_perturbed(cmap, data, support, deltas))
         assert np.all(np.isfinite(gains))
         assert peak <= 12e6
+
+    def test_memory_stays_flat_on_a_platoon(self, cmap, monkeypatch):
+        # n = 20: five vehicles, T = 200, k = 50. With only D_w and D_y
+        # chunked, 1000 ce-lqr items peaked at 88.6 MB; with the whole kernel
+        # chunked, the Riccati solves included, they peak at 21.3 MB.
+        vehicle = vehicle_model(0.1)
+        platoon = LtiSystem(np.kron(np.eye(5), vehicle.a), np.kron(np.eye(5), vehicle.b))
+        data = collect(platoon, 1, 200, seed=0)
+        support = np.sort(np.random.default_rng(0).choice(data.x_vec.size, 50, replace=False))
+        deltas = 0.01 * np.random.default_rng(1).standard_normal((1000, support.size))
+        gains, peak = traced_peak(lambda: ctrlmaps.evaluate_perturbed(cmap, data, support, deltas))
+        monkeypatch.setattr(ctrlmaps, "_GRAM_CHUNK_FLOATS", 2**40)
+        assert np.array_equal(gains, ctrlmaps.evaluate_perturbed(cmap, data, support, deltas))
+        assert peak <= 30e6
 
 
 class TestIdentify:

@@ -258,6 +258,14 @@ class TestFdJacobian:
         d2 = np.linalg.norm(cols[5e-4] - cols[2.5e-4])
         assert 2.5 < d1 / d2 < 6.0
 
+    @pytest.mark.parametrize("step", [0.0, -1e-6, math.nan, math.inf])
+    def test_forced_step_must_be_positive_and_finite(self, step):
+        # A zero step divided 0 by 0, a negative one was recorded as such,
+        # and a non-finite one was reported as a map failure at both probes.
+        data = collect(vehicle_model(0.1), 1, 20, seed=0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            fd_jacobian(PinvMap(), data, [5, 17], step=step)
+
     @pytest.mark.parametrize("cmap", [PinvMap(), CeLqrMap()], ids=["pinv", "ce-lqr"])
     def test_duplicate_support_is_refused(self, cmap):
         # A repeated entry would be perturbed once, by its last delta, so its
