@@ -8,6 +8,12 @@ controller.json, jacobian.json, ...), which is how downstream commands find
 their inputs. This module alone reads and writes files: every JSON artifact
 goes through ``_write_json`` and ``_read_json``, and the library types only
 convert to and from dicts.
+
+The front end is one parser: ``ddrobust <command> [flags]``. Each flag is
+written into the config document under its key before the one validation
+of ``ExperimentConfig.from_json``, so it overrides that key for every
+command. Every failure, a usage error included, exits 2 with one line,
+``ddrobust: error: <type>: <message>``.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +104,7 @@ def _typed(value, key: str, kind: type, item: type | None = None):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description shared by all subcommands."""
+    """Validated experiment description shared by all commands."""
 
     system_name: str = "vehicle"
     ts: float = 0.1
@@ -204,7 +210,8 @@ class ExperimentConfig:
             if key in doc:
                 kwargs[key] = _typed(doc[key], key, int)
         if "mode" in doc:
-            kwargs["mode"] = _canon_mode(_typed(doc["mode"], "mode", str))
+            mode = _typed(doc["mode"], "mode", str)
+            kwargs["mode"] = MODE_FIRST_ORDER if mode == "first-order" else mode
         for key in ("b_source", "out"):
             if key in doc:
                 kwargs[key] = _typed(doc[key], key, str)
@@ -224,14 +231,10 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def _canon_mode(mode: str) -> str:
-    if mode in ("first-order", MODE_FIRST_ORDER):
-        return MODE_FIRST_ORDER
-    return mode
-
-
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Read the JSON config (if given) and apply command-line overrides."""
+    """The JSON config (an empty one when none is given) with each given flag
+    written in under its key, validated once by ``ExperimentConfig.from_json``."""
+    doc: dict = {}
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -240,23 +243,10 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        cfg = ExperimentConfig.from_json(doc)
-    else:
-        cfg = ExperimentConfig()
-    updates: dict = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["out"] = str(args.out)
-    if args.mode is not None:
-        updates["mode"] = _canon_mode(args.mode)
-    if args.b_source is not None:
-        updates["b_source"] = args.b_source
-    if getattr(args, "sigma", None) is not None:
-        updates["sigma_grid"] = (float(args.sigma),)
-    if getattr(args, "trials", None) is not None:
-        updates["trials"] = int(args.trials)
-    return replace(cfg, **updates) if updates else cfg
+    for key, value in vars(args).items():
+        if key not in ("command", "config") and value is not None:
+            doc[key] = {"value": value} if key == "sigma" else value
+    return ExperimentConfig.from_json(doc)
 
 
 def _fmt(value) -> str:
@@ -355,16 +345,19 @@ def _fd_bundle(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
 
 def _load_bundle(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
                  cmap: ControllerMap, out: Path) -> JacobianBundle:
-    """The bundle in jacobian.json, which must be on the configured support, or
-    a fresh FD bundle when there is none."""
+    """The bundle in jacobian.json, which must be of the configured map and on
+    the configured support, or a fresh FD bundle when there is none."""
     path = out / _JACOBIAN_FILE
     support = _resolve_support(cfg, data)
     if not path.exists():
         return _fd_bundle(cfg, system, data, cmap, support)
     bundle = _read_json(JacobianBundle, path)
-    if not np.array_equal(bundle.support, support):
-        raise ConfigError(f"{path} is for support {bundle.support.tolist()}, but the config "
-                          f"gives {support.tolist()}; rerun jacobian")
+    for what, saved, given in (("map", bundle.map, cmap.descriptor()),
+                               ("support", bundle.support.tolist(), support.tolist())):
+        if saved != given:
+            raise ConfigError(f"{path} is for {what} {json.dumps(saved, sort_keys=True)}, but "
+                              f"the config gives {json.dumps(given, sort_keys=True)}; "
+                              "rerun jacobian")
     return _attach_b(bundle, cfg, system, data)
 
 
@@ -386,6 +379,7 @@ def _mc_at(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
 
 
 def cmd_collect(cfg: ExperimentConfig) -> list[Path]:
+    """Simulate the experiments and store the training record."""
     data = _collect(cfg, cfg.build_system())
     out = _out_dir(cfg)
     _write_json(out / _DATA_FILE, data.to_json())
@@ -396,6 +390,7 @@ def cmd_collect(cfg: ExperimentConfig) -> list[Path]:
 
 
 def cmd_design(cfg: ExperimentConfig) -> list[Path]:
+    """Evaluate the controller map and report closed-loop stability."""
     out = _out_dir(cfg)
     data = _load_data(out)
     system = cfg.build_system()
@@ -417,6 +412,7 @@ def cmd_design(cfg: ExperimentConfig) -> list[Path]:
 
 
 def cmd_jacobian(cfg: ExperimentConfig) -> list[Path]:
+    """Finite-difference sensitivities of the map on the perturbation support."""
     out = _out_dir(cfg)
     data = _load_data(out)
     bundle = _fd_bundle(cfg, cfg.build_system(), data, cfg.build_map(),
@@ -429,6 +425,7 @@ def cmd_jacobian(cfg: ExperimentConfig) -> list[Path]:
 
 
 def cmd_bounds(cfg: ExperimentConfig) -> list[Path]:
+    """Theorem-1 stability bounds per sigma."""
     out = _out_dir(cfg)
     data = _load_data(out)
     system = cfg.build_system()
@@ -452,6 +449,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> list[Path]:
 
 
 def cmd_mc(cfg: ExperimentConfig) -> list[Path]:
+    """Monte Carlo instability estimate per sigma."""
     out = _out_dir(cfg)
     data = _load_data(out)
     system = cfg.build_system()
@@ -555,48 +553,33 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, default=None,
-                        help="JSON experiment config (defaults apply when omitted)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="master seed, overrides the config")
-    common.add_argument("--out", type=Path, default=None,
-                        help="output directory, overrides the config")
-    common.add_argument("--mode", choices=["exact", "first-order"], default=None,
-                        help="Monte Carlo mode, overrides the config")
-    common.add_argument("--b-source", dest="b_source",
-                        choices=[B_SOURCE_TRUE, B_SOURCE_IDENTIFIED], default=None,
-                        help="which B enters the B J_i products")
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises, so ``main`` reports it like any other failure."""
 
-    parser = argparse.ArgumentParser(
-        prog="ddrobust",
-        description="Robustness certificates for data-driven controllers.")
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="ddrobust", formatter_class=argparse.RawTextHelpFormatter,
+                     description="Robustness certificates for data-driven controllers.\n"
+                     "Each flag overrides the config key of its name for every command.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "collect": "simulate experiments and store the training record",
-        "design": "evaluate the controller map and report closed-loop stability",
-        "jacobian": "finite-difference sensitivities on the perturbation support",
-        "bounds": "Theorem-style stability bounds per sigma",
-        "mc": "Monte Carlo instability estimate per sigma",
-        "fig1": "bounds vs Monte Carlo sweep (CSV)",
-        "fig2": "worst-case sensitivity vs record length (CSV)",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, parents=[common], help=helps[name])
-        if name in ("bounds", "mc"):
-            p.add_argument("--sigma", type=float, default=None,
-                           help="single sigma scale, replaces the sweep")
-        if name == "mc":
-            p.add_argument("--trials", type=int, default=None,
-                           help="Monte Carlo trials, overrides the config")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="\n".join(
+        f"{name}: {cmd.__doc__.splitlines()[0]}" for name, cmd in _COMMANDS.items()))
+    parser.add_argument("--config", help="JSON experiment config (defaults apply when omitted)")
+    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--mode", help="Monte Carlo mode: exact or first-order")
+    parser.add_argument("--b-source", help="which B enters the B J_i products: true or identified")
+    parser.add_argument("--sigma", type=float, help="one sigma scale in place of the sigma sweep")
+    parser.add_argument("--trials", type=int, help="Monte Carlo trials")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args)
         written = _COMMANDS[args.command](cfg)
     except Exception as exc:

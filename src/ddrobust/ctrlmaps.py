@@ -439,12 +439,12 @@ class CeLqrMap(ControllerMap):
 
     def _gains(self, data: TrainingData, a, b) -> np.ndarray:
         """LQR gains of (N, n, n) and (N, n, m) stacks of identified pairs."""
-        weights = self.weights or LqrWeights.identity(data.n, data.m)
+        q, r = (self.weights.q, self.weights.r) if self.weights else (np.eye(data.n), np.eye(data.m))
         # No identified control authority: the gain formula is zero for any cost,
         # so take that limit instead of a Riccati solve with nothing.
         ctrl = np.any(b, axis=(1, 2))
         k = np.zeros((len(ctrl), data.m, data.n))
-        k[ctrl] = lqr_gain(a[ctrl], b[ctrl], weights.q, weights.r)
+        k[ctrl] = lqr_gain(a[ctrl], b[ctrl], q, r)
         return k
 
     def rank_deficient(self, data: TrainingData) -> bool:

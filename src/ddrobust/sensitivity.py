@@ -64,8 +64,9 @@ class JacobianBundle:
     """FD columns of the map on the support, plus cached B J_i products.
 
     ``columns[:, j]`` is the length-(m*n) derivative of vec(K) with respect
-    to vec(X) at support index ``support[j]``. ``bj`` is filled by
-    :meth:`with_b` and holds the stacked n x n products.
+    to vec(X) at support index ``support[j]``. ``map`` is the descriptor of
+    the differentiated map. ``bj`` is filled by :meth:`with_b` and holds the
+    stacked n x n products.
     """
 
     support: np.ndarray
@@ -74,6 +75,7 @@ class JacobianBundle:
     m: int
     n: int
     failures: dict
+    map: dict | None = None
     bj: np.ndarray | None = None
     b_source: str | None = None
 
@@ -109,6 +111,7 @@ class JacobianBundle:
             "m": self.m,
             "n": self.n,
             "failures": {str(k): v for k, v in self.failures.items()},
+            "map": self.map,
             "b_source": self.b_source,
         }
 
@@ -123,6 +126,7 @@ class JacobianBundle:
                 m=int(doc["m"]),
                 n=int(doc["n"]),
                 failures={int(k): v for k, v in doc.get("failures", {}).items()},
+                map=doc.get("map"),
             )
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"Jacobian bundle has a malformed field: {exc}") from exc
@@ -169,6 +173,7 @@ def fd_jacobian(cmap, data: TrainingData, support, step: float | None = None) ->
         m=m,
         n=n,
         failures=failures,
+        map=cmap.descriptor(),
     )
 
 

@@ -45,10 +45,30 @@ class TestArgumentParsing:
         assert excinfo.value.code == 0
         assert "0.1.0" in capsys.readouterr().out
 
-    def test_subcommand_required(self):
+    def test_help_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            run([])
-        assert excinfo.value.code == 2
+            run(["-h"])
+        assert excinfo.value.code == 0
+        assert "fig1: Bounds-versus-Monte-Carlo sweep" in capsys.readouterr().out
+
+    def test_subcommand_required(self, capsys):
+        assert run([]) == 2
+        assert capsys.readouterr().err == (
+            "ddrobust: error: ConfigError: the following arguments are required: command\n")
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["collect", "--bogus"], ["mc", "--trials", "abc"],
+        ["bounds", "--sigma", "abc"], ["mc", "--mode", "bogus"],
+        ["jacobian", "--b-source", "bogus"],
+    ], ids=["no-command", "unknown-command", "unknown-flag", "trials-abc", "sigma-abc",
+            "mode-bogus", "b-source-bogus"])
+    def test_usage_error_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        # Every usage error takes the one failure path of every command.
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("ddrobust: error: ConfigError: ")
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_CONFIG | {"sigmas": {"value": 1.0}})
@@ -285,6 +305,30 @@ class TestMalformedArtifacts:
             f"ddrobust: error: ConfigError: {out / 'jacobian.json'} is for support [0, 5, 9], "
             "but the config gives [100, 120, 140, 160]; rerun jacobian\n")
 
+    @pytest.mark.parametrize("command", ["bounds", "mc"])
+    @pytest.mark.parametrize("saved", ["pinv", None], ids=["other-map", "no-map"])
+    def test_jacobian_of_another_map_exits_2_with_one_line(self, tmp_path, capsys, command,
+                                                           saved):
+        # A bundle of another map, or of an unknown one, must not answer for this map.
+        cfg = write_config(tmp_path, FAST_CONFIG | {"support": {"indices": [5, 17, 40]}})
+        out = tmp_path / "run"
+        assert run(["collect", "--config", cfg, "--out", str(out)]) == 0
+        if saved:
+            other = write_config(tmp_path, FAST_CONFIG | {"support": {"indices": [5, 17, 40]},
+                                                          "map": {"name": saved}}, "other.json")
+            assert run(["jacobian", "--config", other, "--out", str(out)]) == 0
+        else:
+            assert run(["jacobian", "--config", cfg, "--out", str(out)]) == 0
+            doc = json.loads((out / "jacobian.json").read_text())
+            (out / "jacobian.json").write_text(json.dumps({k: v for k, v in doc.items()
+                                                           if k != "map"}))
+        capsys.readouterr()
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        saved_map = json.dumps(saved and {"hyperparameters": {}, "name": saved})
+        assert capsys.readouterr().err == (
+            f"ddrobust: error: ConfigError: {out / 'jacobian.json'} is for map {saved_map}, "
+            'but the config gives {"hyperparameters": {}, "name": "ce-lqr"}; rerun jacobian\n')
+
 
 class TestOverrides:
     def test_sigma_override_collapses_grid(self, tmp_path):
@@ -304,7 +348,7 @@ class TestOverrides:
         assert run([command, "--config", write_config(tmp_path, FAST_CONFIG), "--out", out,
                     "--sigma", sigma]) == 2
         assert capsys.readouterr().err == (
-            "ddrobust: error: ConfigError: sigma grid must be nonempty, positive and finite\n")
+            f"ddrobust: error: ConfigError: config key sigma.value must be finite, got {sigma}\n")
 
     def test_trials_and_mode_override(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)
@@ -315,6 +359,20 @@ class TestOverrides:
         rows = read_csv(out / "mc.csv")
         assert rows[1][1] == "5"
         assert rows[1][5] == "exact"
+
+    def test_fig1_takes_sigma_and_trials(self, tmp_path):
+        # One row at sigma 3, estimated from 7 trials: the row of mc with the
+        # same flags, which reports its trial count.
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        flags = ["--config", cfg, "--sigma", "3", "--trials", "7"]
+        stages, sweep = tmp_path / "stages", tmp_path / "sweep"
+        for command in ("collect", "jacobian", "mc"):
+            assert run([command, *flags, "--out", str(stages)]) == 0
+        assert run(["fig1", *flags, "--out", str(sweep)]) == 0
+        [mc] = read_csv(stages / "mc.csv")[1:]
+        [row] = read_csv(sweep / "fig1.csv")[1:]
+        assert mc[:2] == ["3.0", "7"]
+        assert row[0] == "3.0" and row[2:5] == mc[2:5]
 
     def test_seed_override_changes_data(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)

@@ -310,6 +310,7 @@ class TestFdJacobian:
         path = tmp_path / "bundle.json"
         _write_json(path, bundle.to_json())
         back = _read_json(JacobianBundle, path)
+        assert back.map == bundle.map == {"name": "pinv", "hyperparameters": {}}
         assert np.array_equal(back.columns, bundle.columns)
         assert np.array_equal(back.support, bundle.support)
         assert back.bj is None  # products are recomputed by with_b
