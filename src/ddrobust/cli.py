@@ -130,6 +130,8 @@ class ExperimentConfig:
             raise ConfigError("t_steps and n_experiments must be >= 1")
         if self.trials < 1 or self.fig2_trials < 1:
             raise ConfigError("trials counts must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"config key seed must be >= 0, got {self.seed}")
         if self.mode not in (MODE_EXACT, MODE_FIRST_ORDER):
             raise ConfigError(f"mode must be exact or first-order, got {self.mode!r}")
         if self.b_source not in (B_SOURCE_TRUE, B_SOURCE_IDENTIFIED):
@@ -249,27 +251,10 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_json(doc)
 
 
-def _fmt(value) -> str:
-    """Full-precision, locale-independent cell formatting.
-
-    repr() of a float is the shortest string that round-trips to the same
-    double, which keeps CSVs diff-able and loss-free.
-    """
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Each cell is its str(), for a float or numpy double the shortest round-trip string."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _write_json(path: Path, doc) -> None:

@@ -109,6 +109,14 @@ class TestArgumentParsing:
             key = f"{key}.{subkey}"
         assert err.startswith(f"ddrobust: error: TypeError: config key {key} must be ")
 
+    @pytest.mark.parametrize("override, flags", [({"seed": -1}, []), ({}, ["--seed", "-1"])],
+                             ids=["key", "flag"])
+    def test_negative_seed_exits_2_with_one_line(self, tmp_path, capsys, override, flags):
+        cfg = write_config(tmp_path, FAST_CONFIG | override)
+        assert run(["collect", "--config", cfg, "--out", str(tmp_path / "o")] + flags) == 2
+        assert capsys.readouterr().err == (
+            "ddrobust: error: ConfigError: config key seed must be >= 0, got -1\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("override, key", [
         ({"sigma": {"log_range": [1]}}, "sigma.log_range"),
@@ -151,6 +159,15 @@ class TestArgumentParsing:
         assert err.count("\n") == 1
         assert err.startswith(f"ddrobust: error: ConfigError: config key {key} must ")
         assert f"vec(X) of length {length}, got " in err
+
+
+def test_csv_cells_are_str_at_full_precision(tmp_path):
+    path = tmp_path / "cells.csv"
+    cli._write_csv(path, ["cells"], [[
+        np.float64(0.1), 0.1, 1e16, 2.2e-16, -0.0, math.nan, math.inf,
+        np.bool_(True), True, np.int64(5), 7, "first_order"]])
+    assert path.read_text(encoding="utf-8") == (
+        "cells\n0.1,0.1,1e+16,2.2e-16,-0.0,nan,inf,True,True,5,7,first_order\n")
 
 
 def run_stages(cfg, out):

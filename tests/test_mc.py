@@ -272,13 +272,14 @@ class TestEstimateInstability:
     def test_deterministic_given_seed(self, vehicle_setup, k_ce):
         sys, data, support = vehicle_setup
         model = PerturbationModel(support, np.full(20, 3.0))
+        bundle = fd_jacobian(CeLqrMap(), data, support).with_b(sys.b, B_SOURCE_TRUE)
         first = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 100,
-                                     MODE_FIRST_ORDER, seed=5)
+                                     MODE_FIRST_ORDER, seed=5, bundle=bundle)
         second = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 100,
-                                      MODE_FIRST_ORDER, seed=5)
+                                      MODE_FIRST_ORDER, seed=5, bundle=bundle)
         assert first == second
         shifted = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 100,
-                                       MODE_FIRST_ORDER, seed=6)
+                                       MODE_FIRST_ORDER, seed=6, bundle=bundle)
         assert shifted.unstable_count != first.unstable_count or shifted != first
 
     def test_refuses_unstable_nominal_loop(self):
@@ -308,8 +309,9 @@ class TestEstimateInstability:
                                      MODE_EXACT, seed=1)
         assert exact.p_hat == 0.0
         assert exact.ci_low == 0.0
+        bundle = fd_jacobian(CeLqrMap(), data, support).with_b(sys.b, B_SOURCE_TRUE)
         fo = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 2000,
-                                  MODE_FIRST_ORDER, seed=1)
+                                  MODE_FIRST_ORDER, seed=1, bundle=bundle)
         assert fo.p_hat == 0.0
 
     def test_huge_sigma_destabilizes(self):
@@ -333,8 +335,9 @@ class TestEstimateInstability:
         model = PerturbationModel(np.arange(12), np.full(12, 4.0))
         exact = estimate_instability(sys, data, cmap, cmap.evaluate(data), model, 200,
                                      MODE_EXACT, seed=9)
+        bundle = fd_jacobian(cmap, data, model.support).with_b(sys.b, B_SOURCE_TRUE)
         fo = estimate_instability(sys, data, cmap, cmap.evaluate(data), model, 200,
-                                  MODE_FIRST_ORDER, seed=9)
+                                  MODE_FIRST_ORDER, seed=9, bundle=bundle)
         assert exact.unstable_count == fo.unstable_count
         assert 0.0 < exact.p_hat < 1.0
 
@@ -349,16 +352,13 @@ class TestEstimateInstability:
             p_hats.append(report.p_hat)
         assert all(a < b for a, b in zip(p_hats, p_hats[1:]))
 
-    def test_supplied_bundle_matches_internal_one(self, vehicle_setup, k_ce):
+    def test_first_order_needs_a_bundle(self, vehicle_setup, k_ce):
+        # The caller chooses the B of the linearized loop; none is built for it.
         sys, data, support = vehicle_setup
         model = PerturbationModel(support, np.full(20, 3.0))
-        bundle = fd_jacobian(CeLqrMap(), data, support).with_b(sys.b, B_SOURCE_TRUE)
-        with_bundle = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 100,
-                                           MODE_FIRST_ORDER, seed=5, bundle=bundle)
-        without = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 100,
-                                       MODE_FIRST_ORDER, seed=5)
-        assert with_bundle == without
-        assert with_bundle.b_source == "true"
+        with pytest.raises(ValueError, match="model's support"):
+            estimate_instability(sys, data, CeLqrMap(), k_ce, model, 10,
+                                 MODE_FIRST_ORDER, seed=5, bundle=None)
 
     def test_first_order_needs_b(self, vehicle_setup, k_ce):
         sys, data, support = vehicle_setup

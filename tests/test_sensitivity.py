@@ -385,6 +385,22 @@ class TestExpectedVecNorm:
         mixed = expected_vec_norm([0.1, 0.4])
         assert expected_vec_norm([0.1, 0.1]) < mixed < expected_vec_norm([0.4, 0.4])
 
+    @pytest.mark.parametrize("k", [1, 2, 50, 5000])
+    @pytest.mark.parametrize("sigma", [1e-9, 1.0, 1e6])
+    def test_equal_sigmas_match_chi_mean(self, k, sigma):
+        log_mean = 0.5 * math.log(2.0) + math.lgamma((k + 1) / 2.0) - math.lgamma(k / 2.0)
+        assert expected_vec_norm(np.full(k, sigma)) == pytest.approx(
+            sigma * math.exp(log_mean), rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("sigmas", [[0.1, 0.4], [1.0, 1e-3]])
+    def test_two_sigmas_match_elliptic_integral(self, sigmas):
+        # E sqrt(a^2 x^2 + b^2 y^2) = sqrt(2/pi) a E(1 - b^2/a^2) for a >= b,
+        # E the complete elliptic integral of the second kind.
+        ellipe = pytest.importorskip("scipy.special").ellipe
+        b, a = sorted(sigmas)
+        oracle = math.sqrt(2.0 / math.pi) * a * ellipe(1.0 - (b / a) ** 2)
+        assert expected_vec_norm(sigmas) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
 
 class TestLemma1Residual:
     def test_zero_scale_zero_residual(self):
