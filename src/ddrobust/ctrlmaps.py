@@ -53,8 +53,9 @@ _TRIAL_FAILURES = (DareError, EigensolverError, np.linalg.LinAlgError)
 _GRAM_RCOND = 1e-8
 
 # The Gram kernel runs chunk by chunk, from D_w and D_y to the gains; a
-# chunk's D_w, D_y, G' and fits hold at most this many floats (8 MB). Smaller
-# chunks make short doubling stacks, whose fixed cost slows the acceptance fig1.
+# chunk's D_w, D_y, G' and fits hold at most this many floats (8 MB); the
+# doubling iterates of ce-lqr's gains are not counted. Smaller chunks make
+# short doubling stacks, whose fixed cost slows the acceptance fig1.
 _GRAM_CHUNK_FLOATS = 2**20
 
 # A converged doubling iterate P is accepted only when the largest entry of
@@ -197,18 +198,22 @@ def _doubling(a, b, q, r, max_iter: int) -> np.ndarray:
             a_next = ak @ w_inv_a
             g_next = _sym(gk + ak @ w_inv_g @ _t(ak))
             h_next = _sym(hk + _t(ak) @ hk @ w_inv_a)
-            finite = np.all(np.isfinite(a_next) & np.isfinite(g_next) & np.isfinite(h_next),
-                            axis=(-2, -1))
+            finite = (np.isfinite(a_next) & np.isfinite(g_next) & np.isfinite(h_next)).all(
+                axis=(-2, -1))
             size = _max_abs(h_next)
             done = finite & (_max_abs(h_next - hk) <= _DARE_STEP_RTOL * size)
-            if np.any(done):
+            if done.any():
                 idx = active[done]
                 resid, scale = _riccati_residual(a[idx], b[idx], q[idx], r[idx], h_next[done])
                 passed = resid <= _DARE_RESIDUAL_RTOL * scale
                 p[idx[passed]] = h_next[done][passed]
             keep = finite & ~done
-            active = active[keep]
-            ak, gk, hk = a_next[keep], g_next[keep], h_next[keep]
+            if keep.all():
+                # Every item runs on: the stack needs no compaction.
+                ak, gk, hk = a_next, g_next, h_next
+            else:
+                active = active[keep]
+                ak, gk, hk = a_next[keep], g_next[keep], h_next[keep]
     return p
 
 
@@ -224,7 +229,7 @@ def _sym(m: np.ndarray) -> np.ndarray:
 def _max_abs(m: np.ndarray) -> np.ndarray:
     """Largest entry magnitude of each matrix in a stack; unlike a Frobenius
     norm it cannot overflow on finite entries."""
-    return np.max(np.abs(m), axis=(-2, -1))
+    return np.abs(m).max(axis=(-2, -1))
 
 
 def _riccati_residual(a, b, q, r, p) -> tuple[np.ndarray, np.ndarray]:

@@ -190,7 +190,9 @@ def first_order_acl(a_cl, bundle: JacobianBundle, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != bundle.size:
         raise ValueError(f"z has shape {z.shape}, expected (..., {bundle.size})")
-    acl = np.broadcast_to(a_cl, (*z.shape[:-1], *a_cl.shape))
+    acl = np.empty((*z.shape[:-1], *a_cl.shape))
+    acl[...] = a_cl
+    term = np.empty_like(acl)
     for z_i, bj_i in zip(np.moveaxis(z, -1, 0), bundle.bj):
-        acl = acl + z_i[..., None, None] * bj_i
+        acl += np.multiply(z_i[..., None, None], bj_i, out=term)
     return acl

@@ -360,6 +360,47 @@ class TestDare:
             assert np.array_equal(p[i], dare_solve(a[i], b[i], q[i], np.eye(1)))
             assert np.array_equal(k[i], lqr_gain(a[i], b[i], q[i], np.eye(1)))
 
+    @staticmethod
+    def stack_sizes(monkeypatch):
+        """The stack size of every ``np.linalg.solve`` call, one per doubling step."""
+        sizes, solve = [], np.linalg.solve
+
+        def recording_solve(w, rhs):
+            sizes.append(len(w))
+            return solve(w, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        return sizes
+
+    def test_identical_items_run_without_compaction(self, monkeypatch):
+        # Every item stops on the same step, so no step drops an item
+        # before the last.
+        model = identify(collect(vehicle_model(0.1), 1, 200, seed=0))
+        single = dare_solve(model.a, model.b, np.eye(4), np.eye(2))
+        a, b = np.repeat(model.a[None], 5, axis=0), np.repeat(model.b[None], 5, axis=0)
+        sizes = self.stack_sizes(monkeypatch)
+        p = dare_solve(a, b, np.eye(4), np.eye(2))
+        assert len(sizes) > 1 and set(sizes) == {5}
+        for item in p:
+            assert np.array_equal(item, single)
+
+    def test_items_leaving_on_different_steps_compact_the_stack(self, monkeypatch):
+        # Item 0 diverges (A = 2I, no input); items 1-3 are stable pairs
+        # that converge in different numbers of steps.
+        sys = vehicle_model(0.1)
+        model = identify(collect(sys, 1, 200, seed=0))
+        a = np.stack([2.0 * np.eye(4), model.a, 0.5 * sys.a, np.zeros((4, 4))])
+        b = np.stack([np.zeros((4, 2)), model.b, sys.b, sys.b])
+        sizes = self.stack_sizes(monkeypatch)
+        p = dare_solve(a, b, np.eye(4), np.eye(2))
+        monkeypatch.undo()
+        # The stack shrinks once per step on which an item leaves.
+        assert sizes[0] == 4 and len(set(sizes)) == 4
+        assert sizes == sorted(sizes, reverse=True)
+        assert np.isnan(p[0]).all()
+        for i in (1, 2, 3):
+            assert np.array_equal(p[i], dare_solve(a[i], b[i], np.eye(4), np.eye(2)))
+
     def test_weights_must_fit_the_pair(self):
         # A 1 x 1 weight would otherwise broadcast to the all-ones matrix.
         sys = vehicle_model(0.1)

@@ -244,6 +244,17 @@ class TestTrialStreams:
         with pytest.raises(ValueError):
             mc._spawn_words(0, [-1])
 
+    def test_seed_words_serve_only_four_uint64_words(self):
+        # PCG64 passes the np.uint64 class itself; any other spelling of the
+        # request still goes through np.dtype, and every other one is refused.
+        words = mc._spawn_words(3, [0])[0]
+        holder = mc._SeedWords(words)
+        assert holder.generate_state(4, np.uint64) is words
+        assert holder.generate_state(4, np.dtype("uint64")) is words
+        for args in ((2, np.uint64), (4, np.uint32), (4,)):
+            with pytest.raises(ValueError):
+                holder.generate_state(*args)
+
     def test_estimate_draws_trial_t_from_stream_t(self):
         # Linear map, first-order mode: whether trial t is unstable is read off
         # the count difference between t + 1 and t trials, and must match the

@@ -362,6 +362,25 @@ class TestFirstOrderAcl:
             oracle = oracle + z[i] * bj[i]
         assert np.allclose(first_order_acl(a_cl, bundle, z), oracle, atol=1e-12)
 
+    def test_stack_rows_are_the_left_to_right_sum(self):
+        # Bit for bit: every row is its one-draw result and the sum
+        # a_cl + z_1 BJ_1 + ... + z_k BJ_k in support order, and neither
+        # a_cl nor the bundle's products are written to.
+        rng = np.random.default_rng(17)
+        bundle = synthetic_bundle(rng.standard_normal((7, 3, 3)))
+        a_cl = rng.standard_normal((3, 3)) * 0.3
+        z = rng.standard_normal((50, 7))
+        a_saved, bj_saved = a_cl.copy(), bundle.bj.copy()
+        acl = first_order_acl(a_cl, bundle, z)
+        assert acl.shape == (50, 3, 3)
+        for row, z_t in zip(acl, z):
+            oracle = a_cl
+            for z_i, bj_i in zip(z_t, bundle.bj):
+                oracle = oracle + z_i * bj_i
+            assert np.array_equal(row, oracle)
+            assert np.array_equal(row, first_order_acl(a_cl, bundle, z_t))
+        assert np.array_equal(a_cl, a_saved) and np.array_equal(bundle.bj, bj_saved)
+
     def test_needs_b_attached(self):
         data = collect(vehicle_model(0.1), 1, 10, seed=0)
         bundle = fd_jacobian(PinvMap(), data, np.array([0]))
