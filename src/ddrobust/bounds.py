@@ -8,14 +8,12 @@ sigma_max^2 |supp| J_max^2.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .linalg import (
-    EPS_FLOOR,
     EigensolverError,
     as_matrix,
     condition_number_spectral,
@@ -25,9 +23,6 @@ from .linalg import (
     spectral_radius,
 )
 from .sensitivity import JacobianBundle
-
-
-logger = logging.getLogger(__name__)
 
 
 class StabilityError(RuntimeError):
@@ -51,7 +46,6 @@ class BoundsReport:
     upper_raw: float
     upper_clamped: float
     n: int
-    b_source: str | None
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -103,19 +97,7 @@ def _q_ratio(numerator: float, variance: float) -> float:
     return 0.5
 
 
-def _floor(p: float) -> float:
-    """Reporting floor: positive underflowed values become machine epsilon."""
-    if 0.0 < p < EPS_FLOOR:
-        return EPS_FLOOR
-    return p
-
-
-def theorem1_bounds(
-    a_cl,
-    v_bar: float,
-    v_lower: float,
-    b_source: str | None = None,
-) -> BoundsReport:
+def theorem1_bounds(a_cl, v_bar: float, v_lower: float) -> BoundsReport:
     """Two-sided probability bound on rho of the perturbed closed loop >= 1.
 
     lower = Q((n+mu)/sqrt(v_lower)) + Q((n-mu)/sqrt(v_lower)),
@@ -123,7 +105,7 @@ def theorem1_bounds(
 
     Requires a stable nominal loop; a singular A_cl (kappa undefined) is an
     error. The raw upper bound may exceed one and is reported both raw and
-    clamped.
+    clamped. A tail that underflows is reported as computed, 0 or subnormal.
     """
     a_cl = as_matrix(a_cl, "A_cl")
     if v_bar < 0.0 or v_lower < 0.0:
@@ -143,9 +125,6 @@ def theorem1_bounds(
         upper_raw = 2.0 * n * math.exp(exponent)
     else:
         upper_raw = 0.0
-
-    lower = _floor(lower)
-    upper_raw = _floor(upper_raw)
     return BoundsReport(
         v_bar=float(v_bar),
         v_lower=float(v_lower),
@@ -156,7 +135,6 @@ def theorem1_bounds(
         upper_raw=float(upper_raw),
         upper_clamped=float(min(1.0, upper_raw)),
         n=n,
-        b_source=b_source,
     )
 
 
@@ -192,12 +170,6 @@ def theorem2_rate(bundle: JacobianBundle, sigmas) -> RateBound:
         bound = 2.0 * q_function(2.0 / math.sqrt(gamma**2 * k))
     n = bj.shape[1]
     chain_holds = bool(v_lower >= n**2 * gamma**2 * k)
-    if not chain_holds:
-        logger.info(
-            "rate-bound chain inequality failed: v_lower=%.6g < n^2 gamma^2 |supp|=%.6g",
-            v_lower,
-            n**2 * gamma**2 * k,
-        )
     return RateBound(gamma=gamma, support_size=k, bound=bound, chain_holds=chain_holds)
 
 

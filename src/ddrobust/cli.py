@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -148,8 +149,10 @@ class ExperimentConfig:
                 raise ConfigError("support indices must be distinct and non-negative")
         if not self.t_list or any(t < 1 for t in self.t_list):
             raise ConfigError("t_list must be nonempty positive integers")
-        # Fails here, before any computation, when the map name is unknown.
+        # Fails here, before any computation, when the map name is unknown or
+        # the plant is malformed.
         self.build_map()
+        self.build_system()
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
@@ -222,9 +225,12 @@ class ExperimentConfig:
         return cls(**kwargs)
 
     def build_system(self) -> LtiSystem:
-        if self.system_name == "vehicle":
-            return vehicle_model(self.ts)
-        return LtiSystem(np.asarray(self.a, dtype=float), np.asarray(self.b, dtype=float))
+        try:
+            if self.system_name == "vehicle":
+                return vehicle_model(self.ts)
+            return LtiSystem(np.asarray(self.a, dtype=float), np.asarray(self.b, dtype=float))
+        except ValueError as exc:
+            raise ConfigError(f"config key system: {exc}") from exc
 
     def build_map(self) -> ControllerMap:
         try:
@@ -286,6 +292,11 @@ def _load_data(out: Path) -> TrainingData:
     return _read_json(TrainingData, path)
 
 
+def _record_digest(out: Path) -> str:
+    """SHA-256 of data.json, which names the record a saved bundle was taken on."""
+    return hashlib.sha256((out / _DATA_FILE).read_bytes()).hexdigest()
+
+
 def _collect(cfg: ExperimentConfig, system: LtiSystem) -> TrainingData:
     return collect(system, cfg.n_experiments, cfg.t_steps,
                    seed=_child_seed(cfg.seed, _DOM_COLLECT))
@@ -330,8 +341,9 @@ def _fd_bundle(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
 
 def _load_bundle(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
                  cmap: ControllerMap, out: Path) -> JacobianBundle:
-    """The bundle in jacobian.json, which must be of the configured map and on
-    the configured support, or a fresh FD bundle when there is none."""
+    """The bundle in jacobian.json, which must be of the configured map, on the
+    configured support and of the record in data.json, or a fresh FD bundle
+    when there is none."""
     path = out / _JACOBIAN_FILE
     support = _resolve_support(cfg, data)
     if not path.exists():
@@ -343,6 +355,10 @@ def _load_bundle(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
             raise ConfigError(f"{path} is for {what} {json.dumps(saved, sort_keys=True)}, but "
                               f"the config gives {json.dumps(given, sort_keys=True)}; "
                               "rerun jacobian")
+    record = _record_digest(out)
+    if bundle.record != record:
+        raise ConfigError(f"{path} is for record {json.dumps(bundle.record)}, but "
+                          f"{out / _DATA_FILE} is {json.dumps(record)}; rerun jacobian")
     return _attach_b(bundle, cfg, system, data)
 
 
@@ -351,7 +367,7 @@ def _bounds_at(a_cl: np.ndarray, bundle: JacobianBundle, sigma: float) -> Bounds
     sigmas = np.full(bundle.size, float(sigma))
     v_bar, v_lower = variance_params(bundle, sigmas)
     jmax_envelope(bundle, sigmas)  # raises if the variance envelope fails
-    return theorem1_bounds(a_cl, v_bar, v_lower, b_source=bundle.b_source)
+    return theorem1_bounds(a_cl, v_bar, v_lower)
 
 
 def _mc_at(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
@@ -400,8 +416,8 @@ def cmd_jacobian(cfg: ExperimentConfig) -> list[Path]:
     """Finite-difference sensitivities of the map on the perturbation support."""
     out = _out_dir(cfg)
     data = _load_data(out)
-    bundle = _fd_bundle(cfg, cfg.build_system(), data, cfg.build_map(),
-                        _resolve_support(cfg, data))
+    bundle = replace(_fd_bundle(cfg, cfg.build_system(), data, cfg.build_map(),
+                                _resolve_support(cfg, data)), record=_record_digest(out))
     _write_json(out / _JACOBIAN_FILE, bundle.to_json())
     _write_csv(out / "jacobian.csv",
                ["k", "j_max", "b_source", "failed_columns"],
@@ -421,7 +437,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> list[Path]:
     reports = []
     for sigma in cfg.sigma_grid:
         report = _bounds_at(a_cl, bundle, sigma)
-        reports.append(report.to_json() | {"sigma_scale": sigma})
+        reports.append(report.to_json() | {"sigma_scale": sigma, "b_source": bundle.b_source})
         rows.append([sigma, report.v_bar, report.v_lower, report.kappa, report.mu,
                      report.rho_nominal, report.lower, report.upper_raw,
                      report.upper_clamped])
@@ -450,7 +466,8 @@ def cmd_mc(cfg: ExperimentConfig) -> list[Path]:
     reports = []
     for idx, sigma in enumerate(cfg.sigma_grid):
         report = _mc_at(cfg, system, data, cmap, k_nom, support, bundle, idx, sigma)
-        reports.append(report.to_json() | {"sigma_scale": sigma})
+        reports.append(report.to_json() | {
+            "sigma_scale": sigma, "b_source": bundle.b_source if bundle else None})
         rows.append([sigma, report.trials, report.p_hat, report.ci_low,
                      report.ci_high, report.mode, report.seed])
     _write_json(out / "mc.json", reports)

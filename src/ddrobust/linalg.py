@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Probability floor used when reporting values that underflow double
-# precision (machine epsilon of float64).
+# Floor of the bound columns that ``fig1`` plots, so the curves stay positive
+# on a log axis (machine epsilon of float64).
 EPS_FLOOR = 2.2e-16
 
 _EPS = np.finfo(float).eps

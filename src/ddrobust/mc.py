@@ -47,7 +47,6 @@ class MonteCarloReport:
     ci_high: float
     mode: str
     seed: int
-    b_source: str | None = None
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -210,7 +209,6 @@ def estimate_instability(
         ci_high=ci_high,
         mode=mode,
         seed=seed,
-        b_source=bundle.b_source if bundle is not None else None,
     )
 
 

@@ -65,7 +65,8 @@ class JacobianBundle:
 
     ``columns[:, j]`` is the length-(m*n) derivative of vec(K) with respect
     to vec(X) at support index ``support[j]``. ``map`` is the descriptor of
-    the differentiated map. ``bj`` is filled by :meth:`with_b` and holds the
+    the differentiated map and ``record`` names the training record it was
+    differentiated on. ``bj`` is filled by :meth:`with_b` and holds the
     stacked n x n products.
     """
 
@@ -76,6 +77,7 @@ class JacobianBundle:
     n: int
     failures: dict
     map: dict | None = None
+    record: str | None = None
     bj: np.ndarray | None = None
     b_source: str | None = None
 
@@ -112,6 +114,7 @@ class JacobianBundle:
             "n": self.n,
             "failures": {str(k): v for k, v in self.failures.items()},
             "map": self.map,
+            "record": self.record,
             "b_source": self.b_source,
         }
 
@@ -127,6 +130,7 @@ class JacobianBundle:
                 n=int(doc["n"]),
                 failures={int(k): v for k, v in doc.get("failures", {}).items()},
                 map=doc.get("map"),
+                record=doc.get("record"),
             )
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"Jacobian bundle has a malformed field: {exc}") from exc

@@ -91,12 +91,13 @@ class TestTheorem1:
         assert report.lower == pytest.approx(2.0 * q_function(2.0 / math.sqrt(v_lower)),
                                              abs=1e-15)
 
-    def test_positive_underflow_floors(self):
+    def test_underflowed_tail_is_reported_as_computed(self):
         # (n - mu)/sqrt(v) = 9 puts the sum of tails near 1e-19, below the
-        # reporting floor but structurally positive.
+        # floor that fig1 plots at, and the report keeps it as computed.
         a_cl = np.diag([0.5, 0.5])
         report = theorem1_bounds(a_cl, 1e-6, (1.0 / 9.0) ** 2)
-        assert report.lower == EPS_FLOOR
+        assert report.lower == pytest.approx(q_function(9.0) + q_function(27.0), rel=1e-12)
+        assert 0 < report.lower < EPS_FLOOR
 
     def test_upper_clamping_keeps_raw(self):
         a_cl = np.diag([0.9, 0.8])
@@ -126,11 +127,10 @@ class TestTheorem1:
         assert uppers[0] < uppers[1] < uppers[2]
 
     def test_report_serializes(self):
-        report = theorem1_bounds(np.diag([0.5, 0.25]), 0.1, 0.1, b_source="true")
+        report = theorem1_bounds(np.diag([0.5, 0.25]), 0.1, 0.1)
         doc = report.to_json()
         assert set(doc) == {"v_bar", "v_lower", "kappa", "mu", "rho_nominal", "lower",
-                            "upper_raw", "upper_clamped", "n", "b_source"}
-        assert doc["b_source"] == "true"
+                            "upper_raw", "upper_clamped", "n"}
         assert doc["rho_nominal"] == pytest.approx(0.5)
 
 

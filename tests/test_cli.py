@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import shutil
@@ -140,6 +141,22 @@ class TestArgumentParsing:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"ddrobust: error: ConfigError: config key {key} must ")
+
+    @pytest.mark.parametrize("command", ["collect", "design"])
+    @pytest.mark.parametrize("system, message", [
+        ({"name": "vehicle", "ts": 0}, "sampling time must be positive"),
+        ({"a": [[0.5, 0.1, 0.0], [0.2, 0.3, 0.0]], "b": [[1.0], [0.0]]},
+         "A must be square, got (2, 3)"),
+        ({"a": [[0.5]], "b": [[1.0], [0.0]]}, "B has 2 rows but A is 1x1"),
+    ], ids=["zero-ts", "non-square-a", "b-rows"])
+    def test_malformed_plant_exits_2_at_load(self, tmp_path, capsys, command, system,
+                                             message):
+        # Refused with the config, before design looks for data.json.
+        cfg = write_config(tmp_path, {"system": system})
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"ddrobust: error: ConfigError: config key system: {message}\n")
+        assert not (tmp_path / "o").exists()
 
 
     @pytest.mark.parametrize("command, support, key, length", [
@@ -323,6 +340,35 @@ class TestMalformedArtifacts:
             "but the config gives [100, 120, 140, 160]; rerun jacobian\n")
 
     @pytest.mark.parametrize("command", ["bounds", "mc"])
+    @pytest.mark.parametrize("recollect", [True, False], ids=["other-record", "no-record"])
+    def test_jacobian_of_another_record_exits_2_with_one_line(self, tmp_path, capsys,
+                                                              command, recollect):
+        # A bundle of the seed-0 record must not answer for a re-collected
+        # seed-1 record on the same map and support, nor one that names no record.
+        cfg = write_config(tmp_path, {"support": {"indices": [0, 5, 9, 40, 77]},
+                                      "mode": "first-order", "sigma": {"value": 3.0}})
+        out = tmp_path / "run"
+
+        def stage(name, seed):
+            return run([name, "--config", cfg, "--seed", str(seed), "--out", str(out)])
+
+        assert stage("collect", 0) == 0 and stage("jacobian", 0) == 0
+        saved = hashlib.sha256((out / "data.json").read_bytes()).hexdigest()
+        if recollect:
+            assert stage("collect", 1) == 0
+        else:
+            doc = json.loads((out / "jacobian.json").read_text())
+            (out / "jacobian.json").write_text(json.dumps({k: v for k, v in doc.items()
+                                                           if k != "record"}))
+            saved = None
+        record = hashlib.sha256((out / "data.json").read_bytes()).hexdigest()
+        capsys.readouterr()
+        assert stage(command, 1 if recollect else 0) == 2
+        assert capsys.readouterr().err == (
+            f"ddrobust: error: ConfigError: {out / 'jacobian.json'} is for record "
+            f"{json.dumps(saved)}, but {out / 'data.json'} is \"{record}\"; rerun jacobian\n")
+
+    @pytest.mark.parametrize("command", ["bounds", "mc"])
     @pytest.mark.parametrize("saved", ["pinv", None], ids=["other-map", "no-map"])
     def test_jacobian_of_another_map_exits_2_with_one_line(self, tmp_path, capsys, command,
                                                            saved):
@@ -410,6 +456,21 @@ class TestOverrides:
                     "--b-source", "identified"]) == 0
         assert read_csv(out / "jacobian.csv")[1][2] == "identified"
 
+    def test_b_source_in_every_bounds_and_mc_row(self, tmp_path):
+        # The label of the B in the bundle; exact mc uses no bundle.
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        out = tmp_path / "run"
+        flags = ["--config", cfg, "--out", str(out), "--mode", "first-order",
+                 "--b-source", "identified"]
+        for command in ("collect", "jacobian", "bounds", "mc"):
+            assert run([command, *flags]) == 0
+        for name in ("bounds.json", "mc.json"):
+            rows = json.loads((out / name).read_text())
+            assert len(rows) == 2 and all(row["b_source"] == "identified" for row in rows)
+        assert run(["mc", "--config", cfg, "--out", str(out), "--mode", "exact"]) == 0
+        rows = json.loads((out / "mc.json").read_text())
+        assert len(rows) == 2 and all(row["b_source"] is None for row in rows)
+
 
 class TestCustomSystem:
     def test_scalar_system_runs(self, tmp_path):
@@ -452,6 +513,18 @@ class TestFigures:
             assert row[1] == "2.2e-16"
             assert row[2] == "0.0"
             assert float(row[5]) >= 2.2e-16
+
+    def test_bounds_report_what_fig1_floors(self, tmp_path):
+        # On the default config at sigma 0.1 the upper bound is about 2.3e-20:
+        # bounds.csv keeps it as computed, and fig1 plots the floor.
+        out, sweep = str(tmp_path / "run"), str(tmp_path / "sweep")
+        assert run(["collect", "--out", out]) == 0
+        assert run(["bounds", "--out", out, "--sigma", "0.1"]) == 0
+        [row] = read_csv(tmp_path / "run" / "bounds.csv")[1:]
+        assert all(0 < float(cell) < 2.2e-16 for cell in row[7:9])
+        assert run(["fig1", "--out", sweep, "--sigma", "0.1", "--trials", "100"]) == 0
+        [row] = read_csv(tmp_path / "sweep" / "fig1.csv")[1:]
+        assert row[5] == "2.2e-16"
 
     @pytest.mark.parametrize("overrides", [
         {"mode": "exact"},
