@@ -1,18 +1,13 @@
 """Robustness certificates for data-driven state-feedback controllers."""
 
 from .linalg import (
-    EPS_FLOOR,
     EigensolverError,
     Spectrum,
-    condition_number_spectral,
     eigenvalues,
     pseudoinverse,
     q_function,
-    spectral_norm,
     spectral_radius,
     unstable,
-    vec,
-    vec_inverse,
 )
 from .lti import LtiSystem, TrainingData, collect, simulate, vehicle_model
 from .ctrlmaps import (

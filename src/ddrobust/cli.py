@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .linalg import EPS_FLOOR
 from .lti import LtiSystem, TrainingData, collect, vehicle_model
 from .ctrlmaps import ControllerMap, check_a1, identify, map_from_descriptor
 from .sensitivity import (
@@ -55,6 +54,10 @@ _DOM_FIG2 = 3
 _DATA_FILE = "data.json"
 _CONTROLLER_FILE = "controller.json"
 _JACOBIAN_FILE = "jacobian.json"
+
+# Floor of the bound columns that ``fig1`` plots, so the curves stay positive
+# on a log axis (machine epsilon of float64).
+EPS_FLOOR = 2.2e-16
 
 
 class ConfigError(ValueError):
@@ -101,6 +104,16 @@ def _typed(value, key: str, kind: type, item: type | None = None):
     if item is float:
         return [float(v) for v in value]
     return float(value) if kind is float else value
+
+
+def _matrix(value, key: str) -> tuple:
+    """The matrix of the config key ``key``: a non-empty list of number rows of one length."""
+    rows = _typed(value, key, list, list)
+    matrix = tuple(tuple(_typed(row, key, list, float)) for row in rows)
+    if not rows or not rows[0] or len({len(row) for row in rows}) > 1:
+        raise ConfigError(f"config key {key} must be a non-empty matrix with "
+                          f"rows of one length, got {rows!r}")
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -175,18 +188,16 @@ class ExperimentConfig:
                     raise ConfigError("custom system needs both a and b")
                 kwargs["system_name"] = "custom"
                 for key in ("a", "b"):
-                    name = f"system.{key}"
-                    rows = _typed(sysdoc[key], name, list, list)
-                    kwargs[key] = tuple(tuple(_typed(row, name, list, float)) for row in rows)
-                    if not rows or not rows[0] or len({len(row) for row in rows}) > 1:
-                        raise ConfigError(f"config key {name} must be a non-empty matrix with "
-                                          f"rows of one length, got {rows!r}")
+                    kwargs[key] = _matrix(sysdoc[key], f"system.{key}")
         if "map" in doc:
             mapdoc = _typed(doc["map"], "map", dict)
             _check_keys(mapdoc, {"name", "hyperparameters"}, "map")
             kwargs["map_name"] = _typed(mapdoc.get("name", "ce-lqr"), "map.name", str)
-            kwargs["map_hyper"] = _typed(mapdoc.get("hyperparameters", {}),
-                                         "map.hyperparameters", dict)
+            hyper = dict(_typed(mapdoc.get("hyperparameters", {}), "map.hyperparameters", dict))
+            for key in ("q", "r"):
+                if key in hyper:
+                    hyper[key] = _matrix(hyper[key], f"map.hyperparameters.{key}")
+            kwargs["map_hyper"] = hyper
         if "support" in doc:
             supdoc = _typed(doc["support"], "support", dict)
             _check_keys(supdoc, {"k", "indices"}, "support")
@@ -197,6 +208,11 @@ class ExperimentConfig:
         if "sigma" in doc:
             sigdoc = _typed(doc["sigma"], "sigma", dict)
             _check_keys(sigdoc, {"grid", "log_range", "points", "value"}, "sigma")
+            if len({"grid", "log_range", "value"} & set(sigdoc)) != 1 or (
+                    "points" in sigdoc and "log_range" not in sigdoc):
+                got = ", ".join(sorted(sigdoc)) or "none"
+                raise ConfigError("config key sigma needs one of grid, log_range (with "
+                                  f"optional points) or value, got {got}")
             if "grid" in sigdoc:
                 kwargs["sigma_grid"] = tuple(_typed(sigdoc["grid"], "sigma.grid", list, float))
             elif "log_range" in sigdoc:
@@ -207,16 +223,17 @@ class ExperimentConfig:
                 lo, hi = log_range
                 points = _typed(sigdoc.get("points", 10), "sigma.points", int)
                 kwargs["sigma_grid"] = _log_grid(lo, hi, points)
-            elif "value" in sigdoc:
-                kwargs["sigma_grid"] = (_typed(sigdoc["value"], "sigma.value", float),)
             else:
-                raise ConfigError("sigma needs one of grid, log_range, value")
+                kwargs["sigma_grid"] = (_typed(sigdoc["value"], "sigma.value", float),)
         for key in ("t_steps", "n_experiments", "trials", "seed", "fig2_trials"):
             if key in doc:
                 kwargs[key] = _typed(doc[key], key, int)
         if "mode" in doc:
             mode = _typed(doc["mode"], "mode", str)
-            kwargs["mode"] = MODE_FIRST_ORDER if mode == "first-order" else mode
+            modes = {"exact": MODE_EXACT, "first-order": MODE_FIRST_ORDER}
+            if mode not in modes:
+                raise ConfigError(f"mode must be exact or first-order, got {mode!r}")
+            kwargs["mode"] = modes[mode]
         for key in ("b_source", "out"):
             if key in doc:
                 kwargs[key] = _typed(doc[key], key, str)
@@ -236,7 +253,7 @@ class ExperimentConfig:
         try:
             return map_from_descriptor(self.map_name, self.map_hyper)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"config key map: {exc}") from exc
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:

@@ -1,8 +1,10 @@
-"""Dense numerical kernel: vec operators, spectra, SVD-based norms, Gaussian Q.
+"""Dense numerical kernels that numpy lacks: spectra, stability verdicts,
+a rank-reporting pseudoinverse, Gaussian Q.
 
 Everything here is a pure function over float64 arrays. The heavy
 factorizations (eigendecomposition, SVD) are delegated to LAPACK through
 numpy; failures surface as :class:`EigensolverError` instead of silent junk.
+Where numpy has the operation itself, callers use numpy directly.
 """
 
 from __future__ import annotations
@@ -11,10 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Floor of the bound columns that ``fig1`` plots, so the curves stay positive
-# on a log axis (machine epsilon of float64).
-EPS_FLOOR = 2.2e-16
 
 _EPS = np.finfo(float).eps
 
@@ -47,21 +45,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-def vec(m) -> np.ndarray:
-    """Column-stack a matrix into a 1-D vector."""
-    return as_matrix(m, "vec argument").flatten(order="F")
-
-
-def vec_inverse(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`: rebuild the rows x cols matrix."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != rows * cols:
-        raise ValueError(
-            f"vector of length {v.size} cannot fill a {rows}x{cols} matrix"
-        )
-    return v.reshape((rows, cols), order="F")
 
 
 @dataclass(frozen=True)
@@ -193,22 +176,6 @@ def _radii(stack: np.ndarray) -> np.ndarray:
         half = len(stack) // 2
         rho = np.concatenate([_radii(part) for part in (safe[:half], safe[half:])])
     return np.where(finite, rho, np.nan)
-
-
-def spectral_norm(m) -> float:
-    """Largest singular value (Euclidean-induced norm)."""
-    return float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
-
-
-def condition_number_spectral(m) -> float:
-    """sigma_max / sigma_min of a square matrix; inf when singular."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"condition number requires a square matrix, got {m.shape}")
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] == 0.0:
-        return math.inf
-    return float(sv[0] / sv[-1])
 
 
 def pseudoinverse(m) -> tuple[np.ndarray, int]:

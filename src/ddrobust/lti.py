@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import as_matrix, vec, vec_inverse
+from .linalg import as_matrix
 
 InputLaw = Callable[[np.random.Generator, int, int], np.ndarray]
 
@@ -100,10 +100,10 @@ class TrainingData:
     @property
     def x_vec(self) -> np.ndarray:
         """vec(X), the perturbation coordinate system (length p*N)."""
-        return vec(self.x)
+        return self.x.flatten(order="F")
 
     def with_x_vec(self, v: np.ndarray) -> "TrainingData":
-        return replace(self, x=vec_inverse(v, self.p, self.n_experiments))
+        return replace(self, x=np.reshape(v, (self.p, self.n_experiments), order="F"))
 
     def to_json(self) -> dict:
         return {

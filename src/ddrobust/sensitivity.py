@@ -162,7 +162,7 @@ def fd_jacobian(cmap, data: TrainingData, support, step: float | None = None) ->
     gains = evaluate_perturbed(cmap, data, support, deltas)
     ok = np.all(np.isfinite(gains), axis=(1, 2))
     m, n = data.m, data.n
-    # Column j is vec(K+ - K-) / 2h_j, vec stacking columns as in linalg.vec.
+    # Column j is vec(K+ - K-) / 2h_j, vec stacking columns as TrainingData.x_vec does.
     diffs = (gains[0::2] - gains[1::2]) / (2.0 * steps[:, None, None])
     columns = np.swapaxes(diffs, 1, 2).reshape((k, m * n)).T
     failures: dict = {}

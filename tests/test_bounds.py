@@ -17,7 +17,7 @@ from ddrobust import (
     vehicle_model,
 )
 from ddrobust import bounds
-from ddrobust.linalg import EPS_FLOOR
+from ddrobust.cli import EPS_FLOOR
 from ddrobust.mc import random_support
 from ddrobust.sensitivity import B_SOURCE_TRUE, JacobianBundle
 
@@ -110,7 +110,8 @@ class TestTheorem1:
             theorem1_bounds(np.eye(2), 0.1, 0.1)
 
     def test_rejects_singular_nominal(self):
-        with pytest.raises(StabilityError):
+        # Stable but singular: the condition number is infinite.
+        with pytest.raises(StabilityError, match="A_cl is singular"):
             theorem1_bounds(np.diag([0.5, 0.0]), 0.1, 0.1)
 
     def test_lower_monotone_in_sigma(self):

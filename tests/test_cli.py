@@ -91,13 +91,15 @@ class TestArgumentParsing:
     def test_unknown_map_name(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_CONFIG | {"map": {"name": "sdp"}})
         assert run(["collect", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "ConfigError" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "ddrobust: error: ConfigError: config key map: unknown controller map 'sdp'\n")
 
     @pytest.mark.parametrize("override", [
         {"system": 5}, {"trials": None}, {"sigma": {"grid": 5}}, {"t_list": 5},
         {"support": {"k": None}}, {"trials": 2.5}, {"seed": "3"}, {"trials": True},
+        {"map": {"hyperparameters": {"q": "abc"}}},
     ], ids=["system", "trials", "sigma-grid", "t-list", "support-k", "float-trials",
-            "string-seed", "bool-trials"])
+            "string-seed", "bool-trials", "string-weights"])
     def test_mistyped_value_exits_2_with_one_line(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, FAST_CONFIG | override)
         assert run(["collect", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -132,15 +134,40 @@ class TestArgumentParsing:
         ({"sigma": {"log_range": [1e-3, math.inf]}}, "sigma.log_range"),
         ({"system": {"name": "vehicle", "ts": math.nan}}, "system.ts"),
         ({"system": {"a": [[-math.inf]], "b": [[1.0]]}}, "system.a"),
+        ({"map": {"hyperparameters": {"q": [[math.nan]], "r": [[1.0]]}}},
+         "map.hyperparameters.q"),
+        ({"map": {"hyperparameters": {"q": [[1.0]], "r": [[1.0], [2.0, 3.0]]}}},
+         "map.hyperparameters.r"),
     ], ids=["short-log-range", "long-log-range", "ragged-a", "ragged-b", "empty-a",
             "empty-rows", "empty-b-rows", "nan-sigma-value", "inf-sigma-grid",
-            "inf-log-range", "nan-ts", "inf-a"])
+            "inf-log-range", "nan-ts", "inf-a", "nan-weights", "ragged-weights"])
     def test_misshapen_value_exits_2_with_one_line(self, tmp_path, capsys, override, key):
         cfg = write_config(tmp_path, FAST_CONFIG | override)
         assert run(["collect", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"ddrobust: error: ConfigError: config key {key} must ")
+
+    @pytest.mark.parametrize("sigma, got", [
+        ({"grid": [0.1], "points": 5}, "grid, points"),
+        ({"value": 0.2, "grid": [0.1, 0.3]}, "grid, value"),
+        ({"log_range": [0.01, 1], "value": 0.5}, "log_range, value"),
+    ], ids=["grid-points", "value-grid", "log-range-value"])
+    def test_sigma_of_two_forms_exits_2_with_one_line(self, tmp_path, capsys, sigma, got):
+        cfg = write_config(tmp_path, FAST_CONFIG | {"sigma": sigma})
+        assert run(["collect", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "ddrobust: error: ConfigError: config key sigma needs one of grid, log_range "
+            f"(with optional points) or value, got {got}\n")
+
+    @pytest.mark.parametrize("override, flags", [
+        ({"mode": "first_order"}, []), ({}, ["--mode", "first_order"])], ids=["key", "flag"])
+    def test_mode_has_one_spelling(self, tmp_path, capsys, override, flags):
+        cfg = write_config(tmp_path, FAST_CONFIG | override)
+        assert run(["collect", "--config", cfg, "--out", str(tmp_path / "o")] + flags) == 2
+        assert capsys.readouterr().err == (
+            "ddrobust: error: ConfigError: mode must be exact or first-order, "
+            "got 'first_order'\n")
 
     @pytest.mark.parametrize("command", ["collect", "design"])
     @pytest.mark.parametrize("system, message", [
@@ -185,6 +212,10 @@ def test_csv_cells_are_str_at_full_precision(tmp_path):
         np.bool_(True), True, np.int64(5), 7, "first_order"]])
     assert path.read_text(encoding="utf-8") == (
         "cells\n0.1,0.1,1e+16,2.2e-16,-0.0,nan,inf,True,True,5,7,first_order\n")
+
+
+def test_eps_floor_value():
+    assert cli.EPS_FLOOR == 2.2e-16
 
 
 def run_stages(cfg, out):

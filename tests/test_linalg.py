@@ -11,39 +11,17 @@ from conftest import (
     q_quadrature,
     spy_eigvals,
 )
+from ddrobust.bounds import theorem1_bounds, variance_params
 from ddrobust.linalg import (
-    EPS_FLOOR,
     EigensolverError,
     as_matrix,
-    condition_number_spectral,
     eigenvalues,
     pseudoinverse,
     q_function,
-    spectral_norm,
     spectral_radius,
     unstable,
-    vec,
-    vec_inverse,
 )
-
-
-class TestVec:
-    def test_column_stacking_order(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(vec(m), [1.0, 3.0, 2.0, 4.0])
-
-    def test_scalar_matrix(self):
-        assert np.array_equal(vec(np.array([[5.0]])), [5.0])
-
-    def test_round_trip_random_shapes(self):
-        rng = np.random.default_rng(0)
-        for rows, cols in [(3, 2), (1, 7), (5, 5), (2, 1)]:
-            m = rng.standard_normal((rows, cols))
-            assert np.array_equal(vec_inverse(vec(m), rows, cols), m)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            vec_inverse(np.zeros(5), 2, 3)
+from ddrobust.sensitivity import B_SOURCE_TRUE, JacobianBundle
 
 
 class TestEigenvalues:
@@ -86,42 +64,57 @@ class TestEigenvalues:
             eigenvalues(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+def one_entry_bundle(bj) -> JacobianBundle:
+    """A bundle on one support entry whose B J product is the square ``bj``."""
+    n = len(bj)
+    bundle = JacobianBundle(support=np.arange(1), columns=np.reshape(bj, (-1, 1), order="F"),
+                            fd_steps=np.ones(1), m=n, n=n, failures={})
+    return bundle.with_b(np.eye(n), B_SOURCE_TRUE)
+
+
+def kappa(m) -> float:
+    """The condition number theorem1_bounds reports for the loop m, scaled
+    to rho = 1/2 (kappa is scale-free)."""
+    return theorem1_bounds(m / (2.0 * spectral_radius(m)), 0.0, 0.0).kappa
+
+
 class TestNorms:
+    """The spectral norm and condition number that the bounds take from numpy."""
+
     def test_identity_norm_and_condition(self):
-        assert spectral_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-14)
-        assert condition_number_spectral(np.eye(3)) == pytest.approx(1.0, abs=1e-14)
+        assert variance_params(one_entry_bundle(np.eye(3)), [1.0])[0] == pytest.approx(
+            1.0, abs=1e-14)
+        assert kappa(np.eye(3)) == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal_case(self):
         d = np.diag([2.0, 0.5])
-        assert spectral_norm(d) == pytest.approx(2.0, abs=1e-14)
-        assert condition_number_spectral(d) == pytest.approx(4.0, abs=1e-12)
-
-    def test_singular_condition_is_infinite(self):
-        assert math.isinf(condition_number_spectral(np.diag([1.0, 0.0])))
+        assert variance_params(one_entry_bundle(d), [1.0])[0] == pytest.approx(4.0, abs=1e-14)
+        assert kappa(d) == pytest.approx(4.0, abs=1e-12)
 
     def test_spectral_norm_vs_power_iteration(self):
+        # One entry at sigma: v_bar = sigma^2 ||BJ||^2.
         rng = np.random.default_rng(7)
         for _ in range(50):
-            m = rng.standard_normal((4, 3))
-            assert spectral_norm(m) == pytest.approx(power_norm(m), abs=1e-8)
+            m = rng.standard_normal((4, 4))
+            v_bar, _ = variance_params(one_entry_bundle(m), [0.5])
+            assert v_bar == pytest.approx(0.25 * power_norm(m) ** 2, rel=1e-8)
 
     def test_condition_vs_gauss_inverse_oracle(self):
         rng = np.random.default_rng(11)
         checked = 0
         while checked < 100:
             m = rng.standard_normal((4, 4))
-            kappa = condition_number_spectral(m)
-            if kappa > 1e6:
-                continue
             oracle = power_norm(m) * power_norm(gauss_inverse(m))
-            assert kappa == pytest.approx(oracle, rel=1e-8)
+            if oracle > 1e6:
+                continue
+            assert kappa(m) == pytest.approx(oracle, rel=1e-8)
             checked += 1
 
     def test_radius_bounded_by_norm(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             m = rng.standard_normal((4, 4))
-            assert spectral_radius(m) <= spectral_norm(m) + 1e-12
+            assert spectral_radius(m) <= np.linalg.norm(m, 2) + 1e-12
 
     def test_gram_eigenvalues_nonnegative(self):
         rng = np.random.default_rng(6)
@@ -322,10 +315,6 @@ class TestQFunction:
         grid = np.linspace(-6.0, 6.0, 49)
         values = [q_function(x) for x in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def test_eps_floor_value():
-    assert EPS_FLOOR == 2.2e-16
 
 
 def test_as_matrix_validation():

@@ -184,6 +184,36 @@ class TestCollect:
         assert np.count_nonzero(other.x != data.x) == 1
 
 
+class TestVecX:
+    """vec(X) stacks the columns of X, one experiment after another."""
+
+    @staticmethod
+    def record(x, n, t) -> TrainingData:
+        x = np.asarray(x, dtype=float)
+        e = x.shape[1]
+        return TrainingData(u=np.zeros((t, e)), x=x, x0s=np.zeros((n, e)), t=t, n=n, m=1)
+
+    def test_column_stacking_order(self):
+        data = self.record([[1.0, 2.0], [3.0, 4.0]], n=1, t=2)
+        assert np.array_equal(data.x_vec, [1.0, 3.0, 2.0, 4.0])
+
+    def test_scalar_record(self):
+        assert np.array_equal(self.record([[5.0]], n=1, t=1).x_vec, [5.0])
+
+    def test_round_trip_random_shapes(self):
+        rng = np.random.default_rng(0)
+        for n, t, e in [(3, 2, 2), (1, 7, 3), (4, 5, 4), (2, 1, 5)]:
+            data = self.record(rng.standard_normal((n * t, e)), n=n, t=t)
+            assert np.array_equal(data.with_x_vec(data.x_vec).x, data.x)
+            v = rng.standard_normal(n * t * e)
+            assert np.array_equal(data.with_x_vec(v).x_vec, v)
+
+    def test_dimension_mismatch(self):
+        data = self.record(np.zeros((6, 2)), n=3, t=2)
+        with pytest.raises(ValueError):
+            data.with_x_vec(np.zeros(11))
+
+
 class TestSnapshots:
     def test_single_step_layout(self):
         sys = vehicle_model(0.1)

@@ -15,7 +15,6 @@ from ddrobust import (
     fd_jacobian,
     first_order_acl,
     lemma1_residual,
-    vec,
     vehicle_model,
 )
 from ddrobust.cli import _read_json, _write_json

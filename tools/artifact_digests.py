@@ -9,7 +9,8 @@ directory, through ``ddrobust.cli.main`` of this checkout's ``src``:
 * ``collect`` + ``fig1`` on the default config;
 * a first-order chain with the identified B,
   ``collect design jacobian bounds mc fig1``;
-* the exact stage chain ``collect design jacobian bounds mc`` at 300 trials.
+* the exact stage chain ``collect design jacobian bounds mc`` at 300 trials;
+* the same chain on a record of two experiments of 100 steps, 200 trials.
 
 It prints one ``config seed file sha256`` line per artifact, sorted. Runs of
 two checkouts, or two processes of one, write the same artifacts exactly
@@ -37,6 +38,9 @@ EXTRA_RUNS = {
     "first-order-identified": ({"mode": "first-order", "b_source": "identified"},
                                (*STAGES, "fig1")),
     "exact-stages": ({"mode": "exact", "trials": 300}, STAGES),
+    "two-experiments": ({"n_experiments": 2, "t_steps": 100, "support": {"k": 20},
+                         "sigma": {"log_range": [0.01, 3.0], "points": 4}, "trials": 200},
+                        STAGES),
 }
 
 
