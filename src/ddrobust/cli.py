@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -78,9 +79,9 @@ def _check_keys(doc: dict, allowed: set[str], context: str) -> None:
 
 def _log_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
     if not (0 < lo < hi):
-        raise ConfigError(f"log_range needs 0 < lo < hi, got [{lo}, {hi}]")
+        raise ConfigError(f"config key sigma.log_range must have 0 < lo < hi, got [{lo}, {hi}]")
     if points < 2:
-        raise ConfigError("log_range needs at least 2 points")
+        raise ConfigError(f"config key sigma.points must be >= 2, got {points}")
     return tuple(float(v) for v in np.logspace(math.log10(lo), math.log10(hi), points))
 
 
@@ -140,28 +141,31 @@ class ExperimentConfig:
     fig2_trials: int = 15
 
     def __post_init__(self):
-        if self.t_steps < 1 or self.n_experiments < 1:
-            raise ConfigError("t_steps and n_experiments must be >= 1")
-        if self.trials < 1 or self.fig2_trials < 1:
-            raise ConfigError("trials counts must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"config key seed must be >= 0, got {self.seed}")
+        for key, least in (("t_steps", 1), ("n_experiments", 1), ("trials", 1),
+                           ("fig2_trials", 1), ("seed", 0)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"config key {key} must be >= {least}, "
+                                  f"got {getattr(self, key)}")
         if self.mode not in (MODE_EXACT, MODE_FIRST_ORDER):
             raise ConfigError(f"mode must be exact or first-order, got {self.mode!r}")
         if self.b_source not in (B_SOURCE_TRUE, B_SOURCE_IDENTIFIED):
             raise ConfigError(f"b_source must be true or identified, got {self.b_source!r}")
         if not self.sigma_grid or not all(0 < s < math.inf for s in self.sigma_grid):
-            raise ConfigError("sigma grid must be nonempty, positive and finite")
+            raise ConfigError("config key sigma.grid must be nonempty, positive and finite, "
+                              f"got {list(self.sigma_grid)}")
         if (self.support_k is None) == (self.support_indices is None):
-            raise ConfigError("support needs exactly one of k or indices")
+            raise ConfigError("config key support needs exactly one of k or indices, got "
+                              + ("k, indices" if self.support_k is not None else "none"))
         if self.support_k is not None and self.support_k < 1:
-            raise ConfigError("support k must be >= 1")
+            raise ConfigError(f"config key support.k must be >= 1, got {self.support_k}")
         if self.support_indices is not None:
             idx = self.support_indices
             if len(idx) == 0 or len(set(idx)) != len(idx) or min(idx) < 0:
-                raise ConfigError("support indices must be distinct and non-negative")
+                raise ConfigError("config key support.indices must be nonempty, distinct "
+                                  f"and non-negative, got {list(idx)}")
         if not self.t_list or any(t < 1 for t in self.t_list):
-            raise ConfigError("t_list must be nonempty positive integers")
+            raise ConfigError("config key t_list must be nonempty positive integers, "
+                              f"got {list(self.t_list)}")
         # Fails here, before any computation, when the map name is unknown or
         # the plant is malformed.
         self.build_map()
@@ -280,11 +284,51 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
+_JSON_SCALARS = {float, int, bool, type(None)}
+
+
+def _encode(obj, indent: str) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for ``obj`` nested at ``indent``.
+
+    With an indent, json encodes in pure Python. A list of numbers, and a list
+    of non-empty lists of numbers, go instead through json's C encoder in one
+    compact ``json.dumps`` and are re-indented by whole-string replaces, which
+    are exact because no number holds ", " or a bracket. Everything else
+    recurses. Dict keys must be strings.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        bad = [key for key in obj if not isinstance(key, str)]
+        if bad:
+            raise TypeError(f"JSON artifact keys must be strings, got {bad[0]!r}")
+        items = (f"{json.dumps(key)}: {_encode(obj[key], inner)}" for key in sorted(obj))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "[]"
+    types = set(map(type, obj))
+    if types <= _JSON_SCALARS:
+        body = json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)
+        return f"[\n{inner}{body}\n{indent}]"
+    if (types <= {list, tuple} and all(obj)
+            and set(map(type, itertools.chain.from_iterable(obj))) <= _JSON_SCALARS):
+        deeper = inner + "  "
+        body = (json.dumps(obj)[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{deeper}")
+                .replace(", ", ",\n" + deeper))
+        return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{indent}]"
+    items = (_encode(item, inner) for item in obj)
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+
+
 def _write_json(path: Path, doc) -> None:
-    """Every JSON artifact's one format: 2-space indent, sorted keys, final newline."""
-    # One write: json.dump would stream every token through its own write.
+    """Every JSON artifact's one format, ``json.dumps(doc, indent=2, sort_keys=True)``
+    and a final newline. A document that fails to encode leaves the file untouched."""
+    text = _encode(doc, "") + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(text)
 
 
 def _read_json(cls, path: Path):

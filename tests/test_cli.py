@@ -148,6 +148,40 @@ class TestArgumentParsing:
         assert err.count("\n") == 1
         assert err.startswith(f"ddrobust: error: ConfigError: config key {key} must ")
 
+    @pytest.mark.parametrize("override, message", [
+        ({"sigma": {"log_range": [1, 0.1]}},
+         "sigma.log_range must have 0 < lo < hi, got [1.0, 0.1]"),
+        ({"sigma": {"log_range": [0.1, 1], "points": 1}}, "sigma.points must be >= 2, got 1"),
+        ({"sigma": {"grid": [0.1, 0]}},
+         "sigma.grid must be nonempty, positive and finite, got [0.1, 0.0]"),
+        ({"sigma": {"grid": []}}, "sigma.grid must be nonempty, positive and finite, got []"),
+        # A single value is checked as the one-point grid it becomes.
+        ({"sigma": {"value": -1}},
+         "sigma.grid must be nonempty, positive and finite, got [-1.0]"),
+        ({"trials": 0}, "trials must be >= 1, got 0"),
+        ({"fig2_trials": 0}, "fig2_trials must be >= 1, got 0"),
+        ({"t_steps": 0}, "t_steps must be >= 1, got 0"),
+        ({"n_experiments": 0}, "n_experiments must be >= 1, got 0"),
+        ({"support": {}}, "support needs exactly one of k or indices, got none"),
+        ({"support": {"k": 3, "indices": [1]}},
+         "support needs exactly one of k or indices, got k, indices"),
+        ({"support": {"k": 0}}, "support.k must be >= 1, got 0"),
+        ({"support": {"indices": [3, 3]}},
+         "support.indices must be nonempty, distinct and non-negative, got [3, 3]"),
+        ({"support": {"indices": [-1]}},
+         "support.indices must be nonempty, distinct and non-negative, got [-1]"),
+        ({"t_list": [100, 0]}, "t_list must be nonempty positive integers, got [100, 0]"),
+    ], ids=["log-range-order", "points", "sigma-grid", "empty-sigma-grid", "sigma-value",
+            "trials", "fig2-trials", "t-steps", "n-experiments", "support-none",
+            "support-both", "support-k", "support-indices-repeated",
+            "support-indices-negative", "t-list"])
+    def test_range_error_names_its_key(self, tmp_path, capsys, override, message):
+        cfg = write_config(tmp_path, FAST_CONFIG | override)
+        assert run(["collect", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"ddrobust: error: ConfigError: config key {message}\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("sigma, got", [
         ({"grid": [0.1], "points": 5}, "grid, points"),
         ({"value": 0.2, "grid": [0.1, 0.3]}, "grid, value"),
@@ -214,6 +248,27 @@ def test_csv_cells_are_str_at_full_precision(tmp_path):
         "cells\n0.1,0.1,1e+16,2.2e-16,-0.0,nan,inf,True,True,5,7,first_order\n")
 
 
+@pytest.mark.parametrize("doc", [
+    [], {}, [[]], [[1.0], []], [[1.0], 2.0], [1.0, [2.0, 3.0]], [[[1.0]]], [[], []],
+    [[1.0, 2.0], [3.0]], math.nan, [math.nan, math.inf, -math.inf], [[math.inf], [-0.0]],
+    -0.0, 1e-300, [-0.0, 1e-300, 5e-324, 1.7976931348623157e308], [1, -2, 10**20],
+    [True, False, None, 0, 1.5], [[1, True], [None, 2.5]], (1.0, (2.0, 3.0)),
+    ["a, b", "[", "]", '"', "x], [y", "tempér ✓ 日本"], [["a, b"], ["c"]],
+    [{"b": 1.0, "a": [1.0, 2.0]}, {}, {"c": [[1.0], [2.0, 3.0]]}],
+    {"u": [[0.25, -1.5]], "nested": {"deeper": [[[1.0, 2.0]], []]}, "é": "ü"},
+], ids=repr)
+def test_write_json_is_json_dumps(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    cli._write_json(path, doc)
+    assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_write_json_refuses_a_key_that_is_not_str(tmp_path):
+    with pytest.raises(TypeError, match="keys must be strings, got 1"):
+        cli._write_json(tmp_path / "doc.json", {"rows": [{1: 2.0}]})
+    assert not (tmp_path / "doc.json").exists()
+
+
 def test_eps_floor_value():
     assert cli.EPS_FLOOR == 2.2e-16
 
@@ -230,16 +285,22 @@ class TestCommandChain:
         return run_stages(write_config(tmp_path, FAST_CONFIG), tmp_path / "run")
 
     def test_rerun_is_byte_identical_in_one_json_format(self, tmp_path):
-        cfg = write_config(tmp_path, FAST_CONFIG)
-        first, second = (run_stages(cfg, tmp_path / name) for name in ("a", "b"))
-        names = sorted(path.name for path in first.iterdir())
-        assert names == sorted(path.name for path in second.iterdir())
-        for name in names:
-            text = (first / name).read_bytes()
-            assert text == (second / name).read_bytes(), name
-            if name.endswith(".json"):
-                doc = json.loads(text)
-                assert text.decode() == json.dumps(doc, indent=2, sort_keys=True) + "\n", name
+        # A first-order chain, an exact one, and an exact one on a record of two experiments.
+        for run_name, override in (("first-order", {}), ("exact", {"mode": "exact"}), (
+                "two-experiments",
+                {"n_experiments": 2, "t_steps": 30, "support": {"k": 6}, "mode": "exact"})):
+            cfg = write_config(tmp_path, FAST_CONFIG | override, f"{run_name}.json")
+            first, second = (run_stages(cfg, tmp_path / run_name / rep) for rep in "ab")
+            names = sorted(path.name for path in first.iterdir())
+            assert names == sorted(path.name for path in second.iterdir())
+            assert sum(name.endswith(".json") for name in names) == 5
+            for name in names:
+                text = (first / name).read_bytes()
+                assert text == (second / name).read_bytes(), (run_name, name)
+                if name.endswith(".json"):
+                    doc = json.loads(text)
+                    assert text.decode() == (
+                        json.dumps(doc, indent=2, sort_keys=True) + "\n"), (run_name, name)
 
     def test_artifacts_exist(self, out):
         for name in ("data.json", "collect.csv", "controller.json", "design.csv",
