@@ -37,6 +37,7 @@ from .bounds import (
     bauer_fike_check,
     jmax_envelope,
     theorem1_bounds,
+    theorem1_sweep,
     theorem2_rate,
     variance_params,
 )

@@ -95,6 +95,40 @@ def _q_ratio(numerator: float, variance: float) -> float:
     return 0.5
 
 
+def _nominal(a_cl: np.ndarray) -> tuple[int, float, float, float]:
+    """n, rho, kappa and mu = tr(A_cl) of a stable, nonsingular nominal loop."""
+    rho = spectral_radius(a_cl)
+    if rho >= 1.0:
+        raise StabilityError(f"nominal closed loop is not stable: rho = {rho:.6g}")
+    kappa = float(np.linalg.cond(a_cl))
+    if math.isinf(kappa):
+        raise StabilityError("A_cl is singular; its condition number is undefined")
+    return a_cl.shape[0], float(rho), kappa, float(np.trace(a_cl))
+
+
+def _closed_form(nominal: tuple[int, float, float, float], v_bar: float,
+                 v_lower: float) -> BoundsReport:
+    """Theorem 1's two bounds from ``_nominal``'s terms and the variance proxies."""
+    n, rho, kappa, mu = nominal
+    lower = _q_ratio(n + mu, v_lower) + _q_ratio(n - mu, v_lower)
+    if v_bar > 0.0:
+        exponent = -((1.0 - rho) ** 2) / (2.0 * v_bar * kappa**2)
+        upper_raw = 2.0 * n * math.exp(exponent)
+    else:
+        upper_raw = 0.0
+    return BoundsReport(
+        v_bar=float(v_bar),
+        v_lower=float(v_lower),
+        kappa=kappa,
+        mu=mu,
+        rho_nominal=rho,
+        lower=float(lower),
+        upper_raw=float(upper_raw),
+        upper_clamped=float(min(1.0, upper_raw)),
+        n=n,
+    )
+
+
 def theorem1_bounds(a_cl, v_bar: float, v_lower: float) -> BoundsReport:
     """Two-sided probability bound on rho of the perturbed closed loop >= 1.
 
@@ -108,32 +142,26 @@ def theorem1_bounds(a_cl, v_bar: float, v_lower: float) -> BoundsReport:
     a_cl = as_matrix(a_cl, "A_cl")
     if v_bar < 0.0 or v_lower < 0.0:
         raise ValueError("variance parameters must be nonnegative")
-    n = a_cl.shape[0]
-    rho = spectral_radius(a_cl)
-    if rho >= 1.0:
-        raise StabilityError(f"nominal closed loop is not stable: rho = {rho:.6g}")
-    kappa = float(np.linalg.cond(a_cl))
-    if math.isinf(kappa):
-        raise StabilityError("A_cl is singular; its condition number is undefined")
-    mu = float(np.trace(a_cl))
+    return _closed_form(_nominal(a_cl), v_bar, v_lower)
 
-    lower = _q_ratio(n + mu, v_lower) + _q_ratio(n - mu, v_lower)
-    if v_bar > 0.0:
-        exponent = -((1.0 - rho) ** 2) / (2.0 * v_bar * kappa**2)
-        upper_raw = 2.0 * n * math.exp(exponent)
-    else:
-        upper_raw = 0.0
-    return BoundsReport(
-        v_bar=float(v_bar),
-        v_lower=float(v_lower),
-        kappa=float(kappa),
-        mu=mu,
-        rho_nominal=float(rho),
-        lower=float(lower),
-        upper_raw=float(upper_raw),
-        upper_clamped=float(min(1.0, upper_raw)),
-        n=n,
-    )
+
+def theorem1_sweep(a_cl, bundle: JacobianBundle, scales) -> list[BoundsReport]:
+    """Theorem-1 report per scale s, every support entry at noise level s.
+
+    Each report is ``theorem1_bounds(a_cl, *variance_params(bundle, sigmas))``
+    after ``jmax_envelope``'s test, with sigmas all s. An unstable or singular
+    loop is refused once, before any scale, and rho, kappa, mu and J_max are
+    computed once for the whole sweep.
+    """
+    nominal = _nominal(as_matrix(a_cl, "A_cl"))
+    worst = j_max(bundle)
+    reports = []
+    for scale in scales:
+        sigma = float(scale)
+        v_bar, v_lower = variance_params(bundle, np.full(bundle.size, sigma))
+        _envelope(v_bar, sigma, bundle.size, worst)
+        reports.append(_closed_form(nominal, v_bar, v_lower))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -189,12 +217,18 @@ def jmax_envelope(bundle: JacobianBundle, sigmas) -> JmaxEnvelope:
     v_bar, _ = variance_params(bundle, sigmas)
     worst = j_max(bundle)
     sigma_max = float(np.max(sigmas))
-    envelope = sigma_max**2 * bundle.size * worst**2
+    envelope = _envelope(v_bar, sigma_max, bundle.size, worst)
+    return JmaxEnvelope(sigma_max=sigma_max, j_max=worst, envelope=envelope, v_bar=v_bar)
+
+
+def _envelope(v_bar: float, sigma_max: float, size: int, worst: float) -> float:
+    """sigma_max^2 |supp| J_max^2, which must dominate v_bar to 1e-10 relative."""
+    envelope = sigma_max**2 * size * worst**2
     if v_bar > envelope * (1.0 + 1e-10):
         raise EnvelopeError(
             f"envelope violated: v_bar = {v_bar!r} > envelope = {envelope!r}"
         )
-    return JmaxEnvelope(sigma_max=sigma_max, j_max=worst, envelope=float(envelope), v_bar=v_bar)
+    return float(envelope)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .sensitivity import (
     PerturbationModel,
     fd_jacobian,
 )
-from .bounds import BoundsReport, j_max, jmax_envelope, theorem1_bounds, variance_params
+from .bounds import j_max, theorem1_sweep
 from .mc import (MODE_EXACT, MODE_FIRST_ORDER, MonteCarloReport, NoEstimateError,
                  estimate_instability, random_support)
 
@@ -423,14 +423,6 @@ def _load_bundle(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
     return _attach_b(bundle, cfg, system, data)
 
 
-def _bounds_at(a_cl: np.ndarray, bundle: JacobianBundle, sigma: float) -> BoundsReport:
-    """Theorem-1 bounds with every support entry at noise level sigma."""
-    sigmas = np.full(bundle.size, float(sigma))
-    v_bar, v_lower = variance_params(bundle, sigmas)
-    jmax_envelope(bundle, sigmas)  # raises if the variance envelope fails
-    return theorem1_bounds(a_cl, v_bar, v_lower)
-
-
 def _mc_at(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
            cmap: ControllerMap, k_nom: np.ndarray, support: np.ndarray,
            bundle: JacobianBundle | None, idx: int, sigma: float) -> MonteCarloReport:
@@ -493,11 +485,10 @@ def cmd_bounds(cfg: ExperimentConfig) -> list[Path]:
     system = cfg.build_system()
     cmap = cfg.build_map()
     bundle = _load_bundle(cfg, system, data, cmap, out)
-    a_cl = system.a + system.b @ cmap.evaluate(data)
+    a_cl = system.a + system.b @ bundle.nominal_gain(cmap, data)
     rows = []
     reports = []
-    for sigma in cfg.sigma_grid:
-        report = _bounds_at(a_cl, bundle, sigma)
+    for sigma, report in zip(cfg.sigma_grid, theorem1_sweep(a_cl, bundle, cfg.sigma_grid)):
         reports.append(report.to_json() | {"sigma_scale": sigma, "b_source": bundle.b_source})
         rows.append([sigma, report.v_bar, report.v_lower, report.kappa, report.mu,
                      report.rho_nominal, report.lower, report.upper_raw,
@@ -516,13 +507,11 @@ def cmd_mc(cfg: ExperimentConfig) -> list[Path]:
     data = _load_data(out)
     system = cfg.build_system()
     cmap = cfg.build_map()
-    bundle = None
     if cfg.mode == MODE_FIRST_ORDER:
         bundle = _load_bundle(cfg, system, data, cmap, out)
-        support = bundle.support
+        support, k_nom = bundle.support, bundle.nominal_gain(cmap, data)
     else:
-        support = _resolve_support(cfg, data)
-    k_nom = cmap.evaluate(data)
+        bundle, support, k_nom = None, _resolve_support(cfg, data), cmap.evaluate(data)
     rows = []
     reports = []
     for idx, sigma in enumerate(cfg.sigma_grid):
@@ -541,8 +530,9 @@ def cmd_mc(cfg: ExperimentConfig) -> list[Path]:
 def cmd_fig1(cfg: ExperimentConfig) -> list[Path]:
     """Bounds-versus-Monte-Carlo sweep over the sigma grid (one CSV row per sigma).
 
-    Self-contained: runs the collect, design and jacobian stages in memory,
-    then the bounds and mc stages per grid point. Bound columns are floored
+    Self-contained: runs the collect and jacobian stages in memory, takes the
+    nominal gain from the bundle, then the bounds stage for the whole grid
+    and the mc stage per grid point. Bound columns are floored
     at 2.2e-16 so the curves stay positive on a log axis; the empirical
     columns are written exactly as estimated. A grid point with no estimate
     (every trial failed) becomes a NaN row and the sweep continues; any other
@@ -553,14 +543,14 @@ def cmd_fig1(cfg: ExperimentConfig) -> list[Path]:
     system = cfg.build_system()
     cmap = cfg.build_map()
     data = _collect(cfg, system)
-    k_nom = cmap.evaluate(data)
+    bundle = fd_jacobian(cmap, data, _resolve_support(cfg, data))
+    k_nom = bundle.nominal_gain(cmap, data)
     a_cl = system.a + system.b @ k_nom
-    theorem1_bounds(a_cl, 0.0, 0.0)  # refuses an unstable or singular loop before the bundle
-    bundle = _fd_bundle(cfg, system, data, cmap, _resolve_support(cfg, data))
+    bundle = _attach_b(bundle, cfg, system, data)
+    reports = theorem1_sweep(a_cl, bundle, cfg.sigma_grid)
     rows = []
-    for idx, sigma in enumerate(cfg.sigma_grid):
+    for idx, (sigma, report) in enumerate(zip(cfg.sigma_grid, reports)):
         try:
-            report = _bounds_at(a_cl, bundle, sigma)
             mc = _mc_at(cfg, system, data, cmap, k_nom, bundle.support, bundle, idx, sigma)
             rows.append([sigma, max(report.lower, EPS_FLOOR), mc.p_hat,
                          mc.ci_low, mc.ci_high,

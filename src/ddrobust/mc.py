@@ -256,9 +256,9 @@ def lemma1_residual(
     (common random numbers), row t from trial t's stream as in ``sample_z``.
     Numerical map failures are skipped and counted.
     """
-    k_nom = cmap.evaluate(data)
-    a_cl = sys.a + sys.b @ k_nom
-    bundle = fd_jacobian(cmap, data, model.support).with_b(sys.b, B_SOURCE_TRUE)
+    bundle = fd_jacobian(cmap, data, model.support)
+    a_cl = sys.a + sys.b @ bundle.nominal_gain(cmap, data)
+    bundle = bundle.with_b(sys.b, B_SOURCE_TRUE)
     z_unit = sample_z(model, seed, trials)
     norm_unit = expected_vec_norm(model.sigmas)  # E ||vec sZ|| = s E ||vec Z||
     stats = []

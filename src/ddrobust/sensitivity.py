@@ -64,10 +64,11 @@ class JacobianBundle:
     """FD columns of the map on the support, plus cached B J_i products.
 
     ``columns[:, j]`` is the length-(m*n) derivative of vec(K) with respect
-    to vec(X) at support index ``support[j]``. ``map`` is the descriptor of
-    the differentiated map and ``record`` names the training record it was
-    differentiated on. ``bj`` is filled by :meth:`with_b` and holds the
-    stacked n x n products.
+    to vec(X) at support index ``support[j]``. ``gain`` is the m x n gain of
+    the map on the unperturbed record, all NaN where that probe failed.
+    ``map`` is the descriptor of the differentiated map and ``record`` names
+    the training record it was differentiated on. ``bj`` is filled by
+    :meth:`with_b` and holds the stacked n x n products.
     """
 
     support: np.ndarray
@@ -76,6 +77,7 @@ class JacobianBundle:
     m: int
     n: int
     failures: dict
+    gain: np.ndarray | None = None
     map: dict | None = None
     record: str | None = None
     bj: np.ndarray | None = None
@@ -84,6 +86,14 @@ class JacobianBundle:
     @property
     def size(self) -> int:
         return self.support.size
+
+    def nominal_gain(self, cmap, data: TrainingData) -> np.ndarray:
+        """The gain of the map on the record the bundle was taken on: ``gain``,
+        or, where that probe failed, ``cmap.evaluate(data)``, which raises the
+        map's own error."""
+        if np.isfinite(self.gain).all():
+            return self.gain
+        return cmap.evaluate(data)
 
     def with_b(self, b, source: str) -> "JacobianBundle":
         """Attach an input matrix and cache the B J_i products."""
@@ -113,6 +123,7 @@ class JacobianBundle:
             "m": self.m,
             "n": self.n,
             "failures": {str(k): v for k, v in self.failures.items()},
+            "gain": self.gain.tolist(),
             "map": self.map,
             "record": self.record,
             "b_source": self.b_source,
@@ -120,7 +131,8 @@ class JacobianBundle:
 
     @classmethod
     def from_json(cls, doc) -> "JacobianBundle":
-        check_fields(doc, ("support", "columns", "fd_steps", "m", "n"), "Jacobian bundle")
+        check_fields(doc, ("support", "columns", "fd_steps", "m", "n", "gain"),
+                     "Jacobian bundle")
         try:
             return cls(
                 support=np.asarray(doc["support"], dtype=int),
@@ -129,6 +141,7 @@ class JacobianBundle:
                 m=int(doc["m"]),
                 n=int(doc["n"]),
                 failures={int(k): v for k, v in doc.get("failures", {}).items()},
+                gain=np.asarray(doc["gain"], dtype=float),
                 map=doc.get("map"),
                 record=doc.get("record"),
             )
@@ -140,9 +153,10 @@ def fd_jacobian(cmap, data: TrainingData, support, step: float | None = None) ->
     """Central-difference Jacobian columns of the map on the given support.
 
     The step follows h = cbrt(eps) * max(1, |x_i|) per entry unless a fixed
-    positive, finite ``step`` is forced (step-halving studies). All 2k probes
-    go through one batched evaluation; a numerical map failure at a probe is
-    recorded per column instead of aborting the whole bundle.
+    positive, finite ``step`` is forced (step-halving studies). All 2k + 1
+    probes, the unperturbed record first, go through one batched evaluation;
+    the first gives ``gain``. A numerical map failure at a probe is recorded
+    per column instead of aborting the whole bundle.
     """
     support = np.asarray(support, dtype=int).ravel()
     xv = data.x_vec
@@ -155,19 +169,21 @@ def fd_jacobian(cmap, data: TrainingData, support, step: float | None = None) ->
         steps = np.full(k, float(step))
     else:
         raise ValueError(f"a forced FD step must be positive and finite, got {step!r}")
-    # Probe 2j moves entry j by +h_j, probe 2j + 1 by -h_j.
-    deltas = np.zeros((2 * k, k))
-    deltas[0::2][np.arange(k), np.arange(k)] = steps
-    deltas[1::2][np.arange(k), np.arange(k)] = -steps
+    # Probe 0 is the unperturbed record; probe 2j + 1 moves entry j by +h_j,
+    # probe 2j + 2 by -h_j.
+    deltas = np.zeros((2 * k + 1, k))
+    deltas[1::2][np.arange(k), np.arange(k)] = steps
+    deltas[2::2][np.arange(k), np.arange(k)] = -steps
     gains = evaluate_perturbed(cmap, data, support, deltas)
     ok = np.all(np.isfinite(gains), axis=(1, 2))
     m, n = data.m, data.n
     # Column j is vec(K+ - K-) / 2h_j, vec stacking columns as TrainingData.x_vec does.
-    diffs = (gains[0::2] - gains[1::2]) / (2.0 * steps[:, None, None])
+    diffs = (gains[1::2] - gains[2::2]) / (2.0 * steps[:, None, None])
     columns = np.swapaxes(diffs, 1, 2).reshape((k, m * n)).T
     failures: dict = {}
-    for j in np.flatnonzero(~(ok[0::2] & ok[1::2])):
-        failed = [sign for sign, good in (("+h", ok[2 * j]), ("-h", ok[2 * j + 1])) if not good]
+    for j in np.flatnonzero(~(ok[1::2] & ok[2::2])):
+        failed = [sign for sign, good in (("+h", ok[2 * j + 1]), ("-h", ok[2 * j + 2]))
+                  if not good]
         failures[int(support[j])] = f"map evaluation failed at the {' and '.join(failed)} probe"
         columns[:, j] = np.nan
     return JacobianBundle(
@@ -177,6 +193,7 @@ def fd_jacobian(cmap, data: TrainingData, support, step: float | None = None) ->
         m=m,
         n=n,
         failures=failures,
+        gain=gains[0],
         map=cmap.descriptor(),
     )
 

@@ -12,6 +12,7 @@ from ddrobust import (
     jmax_envelope,
     q_function,
     theorem1_bounds,
+    theorem1_sweep,
     theorem2_rate,
     variance_params,
     vehicle_model,
@@ -133,6 +134,67 @@ class TestTheorem1:
         assert set(doc) == {"v_bar", "v_lower", "kappa", "mu", "rho_nominal", "lower",
                             "upper_raw", "upper_clamped", "n"}
         assert doc["rho_nominal"] == pytest.approx(0.5)
+
+
+class TestTheorem1Sweep:
+    SCALES = (1e-5, 1e-3, 0.1, 1.0, 30.0)
+
+    @staticmethod
+    def oracle(a_cl, bundle, scale):
+        sigmas = np.full(bundle.size, scale)
+        jmax_envelope(bundle, sigmas)
+        return theorem1_bounds(a_cl, *variance_params(bundle, sigmas))
+
+    def test_equals_theorem1_bounds_per_scale(self):
+        bundle, a_cl = vehicle_bundle(t_steps=80, k=10)
+        reports = theorem1_sweep(a_cl, bundle, self.SCALES)
+        assert len(reports) == len(self.SCALES)
+        for scale, report in zip(self.SCALES, reports):
+            assert report == self.oracle(a_cl, bundle, scale)
+
+    def test_equals_oracle_on_synthetic_bundles(self):
+        rng = np.random.default_rng(21)
+        a_cl = np.array([[0.6, 0.2], [-0.1, 0.3]])
+        for _ in range(10):
+            bundle = synthetic_bundle(rng.standard_normal((3, 2, 2)))
+            for scale, report in zip(self.SCALES, theorem1_sweep(a_cl, bundle, self.SCALES)):
+                assert report == self.oracle(a_cl, bundle, scale)
+
+    def test_calls_variance_params_once_per_scale(self, monkeypatch):
+        bundle, a_cl = vehicle_bundle(t_steps=80, k=10)
+        calls = []
+        original = bounds.variance_params
+        monkeypatch.setattr(bounds, "variance_params",
+                            lambda *args: calls.append(args) or original(*args))
+        theorem1_sweep(a_cl, bundle, self.SCALES)
+        assert len(calls) == len(self.SCALES)
+
+    @pytest.mark.parametrize("a_cl", [np.eye(2), np.diag([0.5, 0.0])],
+                             ids=["unstable", "singular"])
+    def test_refuses_the_loop_as_theorem1_bounds_does(self, a_cl):
+        bundle = synthetic_bundle(np.stack([np.eye(2)]))
+        with pytest.raises(StabilityError) as expected:
+            theorem1_bounds(a_cl, 0.0, 0.0)
+        # Refused once, before any scale, so an empty sweep refuses too.
+        for scales in (self.SCALES, ()):
+            with pytest.raises(StabilityError) as got:
+                theorem1_sweep(a_cl, bundle, scales)
+            assert str(got.value) == str(expected.value)
+
+    def test_refuses_a_broken_envelope_as_jmax_envelope_does(self, monkeypatch):
+        bundle = synthetic_bundle(np.stack([np.array([[0.5, 0.1], [0.0, 0.2]])]))
+        original = bounds.variance_params
+
+        def inflated(bundle, sigmas):
+            v_bar, v_lower = original(bundle, sigmas)
+            return v_bar * (1.0 + 1e-8), v_lower
+
+        monkeypatch.setattr(bounds, "variance_params", inflated)
+        with pytest.raises(bounds.EnvelopeError) as expected:
+            jmax_envelope(bundle, np.array([0.7]))
+        with pytest.raises(bounds.EnvelopeError) as got:
+            theorem1_sweep(np.diag([0.5, 0.25]), bundle, [0.7])
+        assert str(got.value) == str(expected.value)
 
 
 class TestTheorem2:

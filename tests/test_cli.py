@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from ddrobust import CeLqrMap, TrainingData, bounds, cli, collect, ctrlmaps, fd_jacobian
+from ddrobust import (CeLqrMap, TrainingData, bounds, cli, collect, ctrlmaps, fd_jacobian, mc,
+                      sensitivity)
 
 
 FAST_CONFIG = {
@@ -657,11 +658,15 @@ class TestFigures:
         assert run(["fig1", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "StabilityError" in capsys.readouterr().err
 
-    def test_fig1_refuses_unstable_nominal_before_the_bundle(self, tmp_path, capsys,
-                                                             monkeypatch):
-        # The refusal depends only on the nominal loop, so it costs no FD probe.
-        calls = []
-        monkeypatch.setattr(cli, "fd_jacobian", lambda *args, **kwargs: calls.append(args))
+    def test_fig1_refuses_unstable_nominal_after_one_stacked_evaluation(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # The nominal gain is the first probe of the FD stack, so the refusal
+        # comes after that one evaluation and before any Monte Carlo trial.
+        calls, trials = [], []
+        fd = cli.fd_jacobian
+        monkeypatch.setattr(cli, "fd_jacobian", lambda *args: calls.append(args) or fd(*args))
+        monkeypatch.setattr(cli, "estimate_instability",
+                            lambda *args, **kwargs: trials.append(args))
         doc = FAST_CONFIG | {"map": {"name": "pinv"}, "t_steps": 200, "seed": 0}
         out = tmp_path / "o"
         assert run(["fig1", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
@@ -669,7 +674,44 @@ class TestFigures:
         assert err.count("\n") == 1
         assert err.startswith("ddrobust: error: StabilityError: nominal closed loop is not "
                               "stable: rho = ")
-        assert calls == []
+        assert len(calls) == 1 and trials == []
+        assert not (out / "fig1.csv").exists()
+
+    def test_exact_fig1_evaluates_one_stack_per_bundle_and_sigma(self, tmp_path, monkeypatch):
+        # One stack of 2k + 1 probes gives the bundle and the nominal gain, and
+        # each sigma's trials are one more; the map is never evaluated alone.
+        stacks, alone = [], []
+        original = ctrlmaps.evaluate_perturbed
+        for module in (sensitivity, mc):
+            monkeypatch.setattr(module, "evaluate_perturbed",
+                                lambda *args: stacks.append(args) or original(*args))
+        monkeypatch.setattr(CeLqrMap, "evaluate", lambda self, data: alone.append(data))
+        grid = [1e-4, 1e-3, 1e-2]
+        doc = FAST_CONFIG | {"mode": "exact", "sigma": {"grid": grid}}
+        out = tmp_path / "run"
+        assert run(["fig1", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert len(stacks) == 1 + len(grid) and alone == []
+        assert [len(args[3]) for args in stacks] == [2 * 8 + 1] + [30] * len(grid)
+
+    def test_fig1_failed_nominal_probe_ends_with_the_map_error(self, tmp_path, capsys,
+                                                               monkeypatch):
+        original = CeLqrMap.evaluate_deltas
+
+        def evaluate_deltas(self, data, support, deltas):
+            k = original(self, data, support, deltas)
+            k[~deltas.any(axis=1)] = np.nan
+            return k
+
+        def evaluate(self, data):
+            raise ctrlmaps.DareError("Riccati solve failed on the nominal record")
+
+        monkeypatch.setattr(CeLqrMap, "evaluate_deltas", evaluate_deltas)
+        monkeypatch.setattr(CeLqrMap, "evaluate", evaluate)
+        out = tmp_path / "o"
+        assert run(["fig1", "--config", write_config(tmp_path, FAST_CONFIG),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "ddrobust: error: DareError: Riccati solve failed on the nominal record\n")
         assert not (out / "fig1.csv").exists()
 
     def test_mc_and_bounds_refuse_unstable_nominal_alike(self, tmp_path, capsys):
@@ -732,6 +774,68 @@ class TestFigures:
             "length 80, got 100\n")
         assert calls == []
         assert not (out / "fig2.csv").exists()
+
+
+class TestSavedNominalGain:
+    """``bounds`` and first-order ``mc`` take the nominal gain from jacobian.json."""
+
+    @pytest.fixture
+    def stages(self, tmp_path):
+        cfg, out = write_config(tmp_path, FAST_CONFIG), tmp_path / "run"
+        for command in ("collect", "jacobian", "bounds", "mc"):
+            assert run([command, "--config", cfg, "--out", str(out)]) == 0
+        return cfg, out
+
+    @staticmethod
+    def edit_bundle(out, edit):
+        path = out / "jacobian.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        cli._write_json(path, doc)
+        return path
+
+    def test_no_riccati_solve(self, stages, monkeypatch):
+        cfg, out = stages
+        solves = []
+        original = ctrlmaps.dare_solve
+        monkeypatch.setattr(ctrlmaps, "dare_solve",
+                            lambda *args, **kwargs: solves.append(args) or original(*args, **kwargs))
+        for command in ("bounds", "mc"):
+            assert run([command, "--config", cfg, "--out", str(out)]) == 0
+        assert solves == []
+        assert run(["design", "--config", cfg, "--out", str(out)]) == 0
+        assert len(solves) == 1  # the spy sees the solve of the map's own evaluation
+
+    def test_failed_nominal_probe_falls_back_to_the_map(self, stages, capsys, monkeypatch):
+        cfg, out = stages
+        written = {name: (out / name).read_bytes() for name in ("bounds.csv", "mc.csv")}
+
+        def fail(doc):
+            doc["gain"] = [[math.nan] * 4] * 2
+
+        self.edit_bundle(out, fail)
+        for command in ("bounds", "mc"):
+            assert run([command, "--config", cfg, "--out", str(out)]) == 0
+        assert {name: (out / name).read_bytes() for name in written} == written
+
+        def evaluate(self, data):
+            raise ctrlmaps.DareError("Riccati solve failed on the nominal record")
+
+        monkeypatch.setattr(CeLqrMap, "evaluate", evaluate)
+        capsys.readouterr()
+        for command in ("bounds", "mc"):
+            assert run([command, "--config", cfg, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "ddrobust: error: DareError: Riccati solve failed on the nominal record\n")
+
+    def test_bundle_without_gain_exits_2(self, stages, capsys):
+        cfg, out = stages
+        path = self.edit_bundle(out, lambda doc: doc.pop("gain"))
+        capsys.readouterr()
+        for command in ("bounds", "mc"):
+            assert run([command, "--config", cfg, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"ddrobust: error: ValueError: {path}: Jacobian bundle lacks key(s): gain\n")
 
 
 class TestEveryTrialFailed:

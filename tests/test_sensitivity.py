@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ddrobust import (
     lemma1_residual,
     vehicle_model,
 )
+from ddrobust import ctrlmaps
 from ddrobust.cli import _read_json, _write_json
 from ddrobust.ctrlmaps import ControllerMap, evaluate_perturbed
 from ddrobust.sensitivity import B_SOURCE_IDENTIFIED, B_SOURCE_TRUE
@@ -339,6 +341,98 @@ class TestFdJacobian:
         assert np.allclose(true_bj.bj, ident_bj.bj, atol=1e-6)
 
 
+def two_k_probe_bundle(cmap, data, support):
+    """Columns, steps and failures of the 2k-probe stack that ``fd_jacobian``
+    ran before the unperturbed record joined it: probe 2j moves entry j by
+    +h_j, probe 2j + 1 by -h_j."""
+    k = support.size
+    steps = np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(data.x_vec[support]))
+    deltas = np.zeros((2 * k, k))
+    deltas[0::2][np.arange(k), np.arange(k)] = steps
+    deltas[1::2][np.arange(k), np.arange(k)] = -steps
+    gains = evaluate_perturbed(cmap, data, support, deltas)
+    ok = np.all(np.isfinite(gains), axis=(1, 2))
+    diffs = (gains[0::2] - gains[1::2]) / (2.0 * steps[:, None, None])
+    columns = np.swapaxes(diffs, 1, 2).reshape((k, data.m * data.n)).T
+    failed = [int(i) for i in support[~(ok[0::2] & ok[1::2])]]
+    columns[:, ~(ok[0::2] & ok[1::2])] = np.nan
+    return columns, steps, failed
+
+
+class TestNominalProbe:
+    """The first probe of the FD stack is the map on the unperturbed record."""
+
+    @staticmethod
+    def check(cmap, data, support):
+        bundle = fd_jacobian(cmap, data, support)
+        assert np.array_equal(bundle.gain, cmap.evaluate(data))
+        columns, steps, failed = two_k_probe_bundle(cmap, data, support)
+        assert np.array_equal(bundle.columns, columns, equal_nan=True)
+        assert np.array_equal(bundle.fd_steps, steps)
+        assert sorted(bundle.failures) == failed
+        return bundle
+
+    @pytest.mark.parametrize("cmap", [CeLqrMap(), PinvMap()], ids=["ce-lqr", "pinv"])
+    @pytest.mark.parametrize("t_steps", [20, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_shipped_maps(self, cmap, t_steps, seed):
+        data = collect(vehicle_model(0.1), 1, t_steps, seed=seed)
+        self.check(cmap, data, random_support(data.p, 12, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("cmap", [CeLqrMap(), PinvMap()], ids=["ce-lqr", "pinv"])
+    def test_record_of_two_experiments(self, cmap):
+        data = collect(vehicle_model(0.1), 2, 40, seed=5)
+        # Entries 156..163 hold x(T) of the first experiment and x(1) of the second.
+        self.check(cmap, data, np.array([0, 77, 156, 159, 160, 163, 250, 319]))
+
+    def test_plugin_map_takes_the_record_path(self):
+        data = collect(vehicle_model(0.1), 1, 10, seed=0)
+        m0 = np.random.default_rng(2).standard_normal((8, data.p))
+        self.check(LinearMap(m0, 2, 4), data, np.array([0, 3, 11, 19]))
+        # A failed column is the same failed column in both layouts.
+        fragile = FragileMap(PinvMap(), watched=3, nominal=data.x_vec[3])
+        assert list(self.check(fragile, data, np.array([2, 3, 8])).failures) == [3]
+
+    @pytest.mark.parametrize("cmap", [CeLqrMap(), PinvMap()], ids=["ce-lqr", "pinv"])
+    def test_gram_test_failure_takes_the_record_path(self, cmap, monkeypatch):
+        # No Gram matrix has lambda_min > lambda_max: every probe, the
+        # unperturbed one included, is evaluated on its own record.
+        monkeypatch.setattr(ctrlmaps, "_GRAM_RCOND", 1.0)
+        evaluated = []
+        original = type(cmap).evaluate
+        monkeypatch.setattr(type(cmap), "evaluate",
+                            lambda self, data: evaluated.append(data) or original(self, data))
+        data = collect(vehicle_model(0.1), 1, 30, seed=4)
+        support = np.array([1, 40, 90])
+        self.check(cmap, data, support)
+        # 2k + 1 probes of the bundle, 2k of the oracle and the nominal evaluate.
+        assert len(evaluated) == (2 * support.size + 1) + 2 * support.size + 1
+
+    def test_failed_nominal_probe_is_a_nan_gain(self):
+        data = collect(vehicle_model(0.1), 1, 10, seed=0)
+
+        class NominalFails(ControllerMap):
+            name = "nominal-fails-test"
+
+            def evaluate(self, record):
+                if np.array_equal(record.x, data.x):
+                    raise DareError("nominal record")
+                return PinvMap().evaluate(record)
+
+        bundle = fd_jacobian(NominalFails(), data, np.array([2, 3]))
+        assert np.isnan(bundle.gain).all() and bundle.gain.shape == (2, 4)
+        assert not bundle.failures
+
+    def test_gain_survives_a_json_round_trip(self, tmp_path):
+        data = collect(vehicle_model(0.1), 1, 20, seed=4)
+        bundle = fd_jacobian(CeLqrMap(), data, np.array([1, 7, 30]))
+        path = tmp_path / "bundle.json"
+        for gain in (bundle.gain, np.full_like(bundle.gain, np.nan)):
+            _write_json(path, replace(bundle, gain=gain).to_json())
+            back = _read_json(JacobianBundle, path)
+            assert np.array_equal(back.gain, gain, equal_nan=True)
+
+
 class TestFirstOrderAcl:
     def test_zero_perturbation(self):
         bundle = synthetic_bundle(np.stack([np.eye(2)]))
@@ -427,6 +521,20 @@ class TestLemma1Residual:
         stats = lemma1_residual(CeLqrMap(), vehicle_model(0.1), data, model,
                                 [0.0], trials=5, seed=0)
         assert stats[0].mean_residual == 0.0
+
+    def test_nominal_gain_comes_from_the_bundle(self, monkeypatch):
+        # The FD stack's unperturbed probe is the nominal gain, so the map is
+        # never evaluated on the nominal record alone.
+        sys, data = vehicle_model(0.1), collect(vehicle_model(0.1), 1, 60, seed=0)
+        model = PerturbationModel(np.arange(10), 0.5)
+        stats = lemma1_residual(CeLqrMap(), sys, data, model, [1e-2, 1e-3], trials=20, seed=0)
+
+        def refuse(self, data):
+            raise AssertionError("nominal gain evaluated alone")
+
+        monkeypatch.setattr(CeLqrMap, "evaluate", refuse)
+        assert lemma1_residual(CeLqrMap(), sys, data, model, [1e-2, 1e-3], trials=20,
+                               seed=0) == stats
 
     def test_linear_map_has_no_remainder(self):
         sys = vehicle_model(0.1)
