@@ -64,8 +64,16 @@ def _checked(bundle: JacobianBundle, sigmas) -> tuple[np.ndarray, np.ndarray]:
 
 
 def j_max(bundle: JacobianBundle) -> float:
-    """Worst-case sensitivity J_max = max_i ||B J_i|| over the support."""
-    return float(np.max(np.linalg.svd(_require_bj(bundle), compute_uv=False)[:, 0]))
+    """Worst-case sensitivity J_max = max_i ||B J_i|| over the support.
+
+    As ||M||_F / sqrt(n) <= sigma_max(M) <= ||M||_F, items below the top norm
+    / sqrt(n) get no SVD; LAPACK works item by item, so J_max is unchanged.
+    """
+    bj = _require_bj(bundle)
+    norms = np.linalg.norm(bj, axis=(1, 2))
+    cut = (1.0 - 1e-8) * norms.max() / math.sqrt(bj.shape[1])
+    near = bj[norms >= cut] if 1e-140 < cut < 1e140 else bj  # squares in range, no NaN
+    return float(np.max(np.linalg.svd(near, compute_uv=False)[:, 0]))
 
 
 def variance_params(bundle: JacobianBundle, sigmas) -> tuple[float, float]:

@@ -43,13 +43,13 @@ class DareError(RuntimeError):
 _TRIAL_FAILURES = (DareError, EigensolverError, np.linalg.LinAlgError)
 
 # The Gram kernel solves with a perturbed G = W W' only when
-# lambda_min(G) > _GRAM_RCOND * lambda_max(G), i.e. cond(W) < 1e4. The solve
-# amplifies rounding by cond(G) = cond(W)^2, so this bounds the relative
-# error of the kernel's correction to the fit by about 1e8 * eps = 2e-8, and
-# it lies far above the SVD's rank cut near machine epsilon. Any other item,
-# a rank-deficient record above all, takes the record path and keeps its
-# pseudoinverse value exactly. Vehicle records of T = 20..1600 have a ratio
-# of 4e-6 to 3e-2 for W = X0.
+# lambda_min(G) > _GRAM_RCOND * lambda_max(G), i.e. cond(W) < 1e4; eigvalsh
+# sees only the items Weyl's screen cannot clear. The solve amplifies rounding
+# by cond(G) = cond(W)^2, so this bounds the relative error of the kernel's
+# correction to the fit by about 1e8 * eps = 2e-8, and it lies far above the
+# SVD's rank cut near machine epsilon. Any other item, a rank-deficient record
+# above all, takes the record path and keeps its pseudoinverse value exactly.
+# Vehicle records of T = 20..1600 have a ratio of 4e-6 to 3e-2 for W = X0.
 _GRAM_RCOND = 1e-8
 
 # The Gram kernel runs chunk by chunk, from D_w and D_y to the gains; a
@@ -353,8 +353,10 @@ def _gram_gains(cmap: ControllerMap, data: TrainingData, w, y, x1_rows, support,
     correction of the size of D, so the rounding of theta and G is not
     divided by h in a finite-difference column, as it is when Y' W'' G'^-1
     is formed directly; a zero delta gives theta exactly. An item whose G'
-    fails the ``_GRAM_RCOND`` test takes the record path. Chunks of items of
-    at most ``_GRAM_CHUNK_FLOATS`` floats run the whole kernel in turn.
+    fails the ``_GRAM_RCOND`` test takes the record path; by Weyl, one with
+    lambda_min(G) - ||dG||_F > 2 _GRAM_RCOND (lambda_max(G) + ||dG||_F) passes
+    it with a margin far above rounding and needs no eigvalsh. Chunks of items
+    of at most ``_GRAM_CHUNK_FLOATS`` floats run the whole kernel in turn.
     """
     n, t = data.n, data.t
     support, x1_rows = np.asarray(support, dtype=int), np.asarray(x1_rows, dtype=int)
@@ -368,6 +370,8 @@ def _gram_gains(cmap: ControllerMap, data: TrainingData, w, y, x1_rows, support,
     cols, pos = np.unique(np.concatenate([col[inner] + 1, col[in_y]]), return_inverse=True)
     w_pos, y_pos = np.split(pos, [inner.sum()])
     count, gram, w_q, y_q = len(deltas), w @ w.T, w[:, cols], y[:, cols]
+    # eigvalsh may not converge on a G that overflowed, whose items all fail.
+    lmin, lmax = np.linalg.eigvalsh(gram)[[0, -1]] if np.isfinite(gram).all() else (0, 0)
     gains = np.empty((count, data.m, n))
     # The items are independent, so chunking them changes no float. An item
     # holds D_w and D_y, G' and the correction or fit.
@@ -387,10 +391,12 @@ def _gram_gains(cmap: ControllerMap, data: TrainingData, w, y, x1_rows, support,
             gram_new = gram + d_gram
             correction = y_q @ _t(d_w) - theta @ d_gram
             correction[:, x1_rows] += d_y @ _t(np.add(d_w, w_q, out=d_w))  # d_w now holds W'_q
+            d_norm = np.linalg.norm(d_gram, axis=(1, 2))
         del d_w, d_y, d_gram  # so that they and the arrays of gains_of never coexist
         good = np.all(np.isfinite(gram_new), axis=(1, 2))
-        lam = np.linalg.eigvalsh(gram_new[good])
-        good[good] = lam[:, 0] > _GRAM_RCOND * lam[:, -1]
+        check = good & ~(lmin - d_norm > 2 * _GRAM_RCOND * (lmax + d_norm))
+        lam = np.linalg.eigvalsh(gram_new[check])
+        good[check] = lam[:, 0] > _GRAM_RCOND * lam[:, -1]
         out[good] = gains_of(theta + _t(np.linalg.solve(gram_new[good], _t(correction[good]))))
         if not good.all():
             out[~good] = ControllerMap.evaluate_deltas(cmap, data, support, part[~good])

@@ -140,14 +140,15 @@ def simulate(sys: LtiSystem, x0, u_seq) -> np.ndarray:
     u = np.asarray(u_seq, dtype=float)
     if u.ndim != 2 or u.shape[0] != sys.m:
         raise ValueError(f"input sequence has shape {u.shape}, expected {sys.m} x T")
-    a = sys.a
     # Row t starts as B u(t), one matrix-vector product per step as in
     # B @ u[:, t], and becomes x(t+1) when A x(t) is added in place: the
     # same two products and the same sum as the step x = A x + B u(t).
+    # ndarray.dot is np.dot's C product without numpy's Python dispatcher.
     states = np.matmul(sys.b, u.T[:, :, None])[:, :, 0]
+    dot = sys.a.dot
     x = x0
     for row in states:
-        row += np.dot(a, x)
+        row += dot(x)
         x = row
     return states.T
 

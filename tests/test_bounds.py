@@ -243,6 +243,68 @@ class TestTheorem2:
         assert not rate.chain_holds
 
 
+class TestJmax:
+    """j_max screens items by Frobenius norm before its SVD; the maximum must
+    be the float of the whole stack's SVD."""
+
+    @staticmethod
+    def assert_matches_full_svd(bj):
+        bj = np.asarray(bj, dtype=float)
+        full = np.linalg.svd(bj, compute_uv=False)[:, 0].max()
+        assert bounds.j_max(synthetic_bundle(bj)) == full
+
+    @staticmethod
+    def rotated(diagonals, seed):
+        """Items Q diag(s) Q' with random orthogonal Q: sigma_max = max |s|."""
+        rng = np.random.default_rng(seed)
+        n = len(diagonals[0])
+        items = []
+        for s in diagonals:
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            items.append(q @ np.diag(s) @ q.T)
+        return np.stack(items)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_stacks(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            k = int(rng.integers(1, 60))
+            scales = np.exp(rng.uniform(-2.0, 2.0, size=k))[:, None, None]
+            self.assert_matches_full_svd(scales * rng.standard_normal((k, n, n)))
+
+    def test_zero_and_one_item_stacks(self):
+        self.assert_matches_full_svd(np.zeros((5, 3, 3)))
+        self.assert_matches_full_svd(np.random.default_rng(4).standard_normal((1, 4, 4)))
+
+    def test_rank_one_items(self):
+        # ||M||_F = sigma_max, the top of the interval.
+        rng = np.random.default_rng(5)
+        u, v = rng.standard_normal((2, 30, 4))
+        self.assert_matches_full_svd(u[:, :, None] * v[:, None, :])
+
+    def test_equal_frobenius_norms(self):
+        # Each diagonal has norm 1, from sigma_max = 1 down to 1 / 2.
+        diagonals = [[1.0, 0, 0, 0], [0.5, 0.5, 0.5, 0.5], [0.8, 0.6, 0, 0],
+                     [0.6, 0.6, 0.4, 0.34641016151377546]]
+        self.assert_matches_full_svd(self.rotated(diagonals, seed=6))
+
+    def test_item_at_the_cut(self):
+        # Item 0 is c I, so its ||M||_F / sqrt(n) = sigma_max = c; the
+        # rank-one item 1 has ||M||_F = sigma_max = c too and ties it. On
+        # this seed item 1's computed norm falls an ulp below the cut, and
+        # its computed sigma_max an ulp above c.
+        rng = np.random.default_rng(23)
+        c, n = 0.7, 4
+        u, v = (x / np.linalg.norm(x) for x in rng.standard_normal((2, n)))
+        stack = np.stack([c * np.eye(n), c * np.outer(u, v), 0.1 * rng.standard_normal((n, n))])
+        self.assert_matches_full_svd(stack)
+        self.assert_matches_full_svd(stack[[1, 0, 2]])
+
+    def test_vehicle_bundle(self):
+        bundle, _ = vehicle_bundle()
+        assert bounds.j_max(bundle) == np.linalg.svd(bundle.bj, compute_uv=False)[:, 0].max()
+
+
 class TestJmaxEnvelope:
     def test_single_index_dominates(self):
         bj = np.stack([np.array([[0.5, 0.1], [0.0, 0.2]])])

@@ -156,6 +156,72 @@ class TestGramKernel:
         assert np.array_equal(gains[0], record_path(cmap, data, support, deltas[:1])[0])
         assert np.array_equal(gains[1], cmap.evaluate_deltas(data, support, deltas[1:])[0])
 
+    def test_items_take_the_record_path_by_the_per_item_rule(self, cmap, monkeypatch):
+        # The support is state 0 of x(1..T), so item 6, which zeroes it,
+        # leaves X0 and W with a zero row. Items 0-2 move G by far less than
+        # lambda_min(G), so the Weyl screen clears them without eigvalsh;
+        # items 3-5 move it by more and are checked; item 7's G' overflows.
+        data = collect(vehicle_model(0.1), 1, 200, seed=0)
+        support = np.arange(0, data.p, data.n)
+        rng = np.random.default_rng(1)
+        deltas = np.vstack([1e-3 * rng.standard_normal((3, support.size)),
+                            rng.standard_normal((3, support.size)),
+                            -data.x_vec[support], np.zeros(support.size)])
+        deltas[7, 3] = 1e200
+        grams = []
+        for delta in deltas:
+            x_vec = data.x_vec
+            x_vec[support] += delta
+            x0, _, u0 = snapshots(data.with_x_vec(x_vec))
+            w = x0 if cmap.name == "pinv" else np.vstack([x0, u0])
+            with np.errstate(over="ignore", invalid="ignore"):
+                grams.append(w @ w.T)
+
+        def rule(gram):
+            if not np.all(np.isfinite(gram)):
+                return True
+            lam = np.linalg.eigvalsh(gram)
+            return lam[0] <= ctrlmaps._GRAM_RCOND * lam[-1]
+
+        expected = np.array([rule(gram) for gram in grams])
+        reference = record_path(cmap, data, support, deltas[expected])
+        received, checked = [], []
+        base, eigvalsh = ControllerMap.evaluate_deltas, np.linalg.eigvalsh
+
+        def spy(self, data, support, deltas):
+            received.append(deltas)
+            return base(self, data, support, deltas)
+
+        def eigvalsh_spy(m):
+            if np.ndim(m) == 3:
+                checked.extend(m)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(ControllerMap, "evaluate_deltas", spy)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
+        gains = cmap.evaluate_deltas(data, support, deltas)
+        [seen] = received
+        assert expected.tolist() == [False] * 6 + [True, True]
+        assert np.array_equal(seen, deltas[expected])
+        assert np.array_equal(gains[expected], reference, equal_nan=True)
+        # The checked stack holds the kernel's G' of items 3-6: items 0-2
+        # were cleared, and item 7 is not finite.
+        assert len(checked) == 4
+        for i, gram in enumerate(grams[:7]):
+            near = any(np.abs(m - gram).max() <= 1e-9 * np.abs(gram).max() for m in checked)
+            assert near == (i >= 3)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_record_whose_gram_overflows_takes_the_record_path(self, cmap):
+        # A finite record of 1e160-sized states overflows the nominal G, on
+        # which eigvalsh does not converge; every item takes the record path.
+        data = collect(vehicle_model(0.1), 1, 50, seed=0)
+        data = data.with_x_vec(1e160 * data.x_vec)
+        support = np.array([5, 9])
+        deltas = np.array([[1.0, 0.0], [0.01, 0.02]])
+        assert np.array_equal(cmap.evaluate_deltas(data, support, deltas),
+                              record_path(cmap, data, support, deltas), equal_nan=True)
+
     @pytest.mark.parametrize("t_steps, experiments", [(4, 1), (200, 2)])
     def test_items_do_not_depend_on_the_stack(self, cmap, t_steps, experiments):
         data = collect(vehicle_model(0.1), experiments, t_steps, seed=0,

@@ -539,7 +539,7 @@ class TestEvaluateBatch:
     @pytest.mark.parametrize("cmap", [CeLqrMap(), PinvMap(), "linear"],
                              ids=["ce-lqr", "pinv", "fallback"])
     @pytest.mark.parametrize("entry", [5, -1], ids=["inner-state", "final-state"])
-    def test_evaluate_batch_refuses_a_non_finite_record(self, vehicle_setup, cmap, entry):
+    def test_evaluate_deltas_refuses_a_non_finite_record(self, vehicle_setup, cmap, entry):
         # Called directly, evaluate_deltas refuses a non-finite record; a
         # final state is in X1 only, and in no snapshot of the pinv map.
         _, data, _ = vehicle_setup
