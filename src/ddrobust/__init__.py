@@ -36,7 +36,6 @@ from .bounds import (
     StabilityError,
     bauer_fike_check,
     jmax_envelope,
-    theorem1_bounds,
     theorem1_sweep,
     theorem2_rate,
     variance_params,

@@ -103,72 +103,49 @@ def _q_ratio(numerator: float, variance: float) -> float:
     return 0.5
 
 
-def _nominal(a_cl: np.ndarray) -> tuple[int, float, float, float]:
-    """n, rho, kappa and mu = tr(A_cl) of a stable, nonsingular nominal loop."""
+def theorem1_sweep(a_cl, bundle: JacobianBundle, scales) -> list[BoundsReport]:
+    """Theorem-1 report per scale s, every support entry at noise level s.
+
+    lower = Q((n+mu)/sqrt(v_lower)) + Q((n-mu)/sqrt(v_lower)) and
+    upper = 2n exp(-(1-rho)^2 / (2 v_bar kappa^2)) bound P[rho(A_cl + Delta) >= 1],
+    with (v_bar, v_lower) = ``variance_params(bundle, sigmas)`` at sigmas all s,
+    after ``jmax_envelope``'s test. An unstable or singular A_cl is refused
+    once, before any scale; rho, kappa, mu and J_max are computed once. The
+    raw upper bound may exceed one and is reported both raw and clamped; a
+    tail that underflows is reported as computed, 0 or subnormal.
+    """
+    a_cl = as_matrix(a_cl, "A_cl")
     rho = spectral_radius(a_cl)
     if rho >= 1.0:
         raise StabilityError(f"nominal closed loop is not stable: rho = {rho:.6g}")
     kappa = float(np.linalg.cond(a_cl))
     if math.isinf(kappa):
         raise StabilityError("A_cl is singular; its condition number is undefined")
-    return a_cl.shape[0], float(rho), kappa, float(np.trace(a_cl))
-
-
-def _closed_form(nominal: tuple[int, float, float, float], v_bar: float,
-                 v_lower: float) -> BoundsReport:
-    """Theorem 1's two bounds from ``_nominal``'s terms and the variance proxies."""
-    n, rho, kappa, mu = nominal
-    lower = _q_ratio(n + mu, v_lower) + _q_ratio(n - mu, v_lower)
-    if v_bar > 0.0:
-        exponent = -((1.0 - rho) ** 2) / (2.0 * v_bar * kappa**2)
-        upper_raw = 2.0 * n * math.exp(exponent)
-    else:
-        upper_raw = 0.0
-    return BoundsReport(
-        v_bar=float(v_bar),
-        v_lower=float(v_lower),
-        kappa=kappa,
-        mu=mu,
-        rho_nominal=rho,
-        lower=float(lower),
-        upper_raw=float(upper_raw),
-        upper_clamped=float(min(1.0, upper_raw)),
-        n=n,
-    )
-
-
-def theorem1_bounds(a_cl, v_bar: float, v_lower: float) -> BoundsReport:
-    """Two-sided probability bound on rho of the perturbed closed loop >= 1.
-
-    lower = Q((n+mu)/sqrt(v_lower)) + Q((n-mu)/sqrt(v_lower)),
-    upper = 2n exp(-(1-rho)^2 / (2 v_bar kappa^2)).
-
-    Requires a stable nominal loop; a singular A_cl (kappa undefined) is an
-    error. The raw upper bound may exceed one and is reported both raw and
-    clamped. A tail that underflows is reported as computed, 0 or subnormal.
-    """
-    a_cl = as_matrix(a_cl, "A_cl")
-    if v_bar < 0.0 or v_lower < 0.0:
-        raise ValueError("variance parameters must be nonnegative")
-    return _closed_form(_nominal(a_cl), v_bar, v_lower)
-
-
-def theorem1_sweep(a_cl, bundle: JacobianBundle, scales) -> list[BoundsReport]:
-    """Theorem-1 report per scale s, every support entry at noise level s.
-
-    Each report is ``theorem1_bounds(a_cl, *variance_params(bundle, sigmas))``
-    after ``jmax_envelope``'s test, with sigmas all s. An unstable or singular
-    loop is refused once, before any scale, and rho, kappa, mu and J_max are
-    computed once for the whole sweep.
-    """
-    nominal = _nominal(as_matrix(a_cl, "A_cl"))
+    n = a_cl.shape[0]
+    mu = float(np.trace(a_cl))
     worst = j_max(bundle)
     reports = []
     for scale in scales:
         sigma = float(scale)
         v_bar, v_lower = variance_params(bundle, np.full(bundle.size, sigma))
         _envelope(v_bar, sigma, bundle.size, worst)
-        reports.append(_closed_form(nominal, v_bar, v_lower))
+        lower = _q_ratio(n + mu, v_lower) + _q_ratio(n - mu, v_lower)
+        if v_bar > 0.0:
+            exponent = -((1.0 - rho) ** 2) / (2.0 * v_bar * kappa**2)
+            upper_raw = 2.0 * n * math.exp(exponent)
+        else:
+            upper_raw = 0.0
+        reports.append(BoundsReport(
+            v_bar=float(v_bar),
+            v_lower=float(v_lower),
+            kappa=kappa,
+            mu=mu,
+            rho_nominal=rho,
+            lower=float(lower),
+            upper_raw=float(upper_raw),
+            upper_clamped=float(min(1.0, upper_raw)),
+            n=n,
+        ))
     return reports
 
 

@@ -369,8 +369,11 @@ def _gram_gains(cmap: ControllerMap, data: TrainingData, w, y, x1_rows, support,
     in_y = np.full(support.size, x1_rows.size > 0)
     cols, pos = np.unique(np.concatenate([col[inner] + 1, col[in_y]]), return_inverse=True)
     w_pos, y_pos = np.split(pos, [inner.sum()])
-    count, gram, w_q, y_q = len(deltas), w @ w.T, w[:, cols], y[:, cols]
-    # eigvalsh may not converge on a G that overflowed, whose items all fail.
+    count, w_q, y_q = len(deltas), w[:, cols], y[:, cols]
+    # A G that overflowed fails every item's finiteness test, and eigvalsh
+    # may not converge on it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = w @ w.T
     lmin, lmax = np.linalg.eigvalsh(gram)[[0, -1]] if np.isfinite(gram).all() else (0, 0)
     gains = np.empty((count, data.m, n))
     # The items are independent, so chunking them changes no float. An item

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from ddrobust import (
     fd_jacobian,
     jmax_envelope,
     q_function,
-    theorem1_bounds,
     theorem1_sweep,
     theorem2_rate,
     variance_params,
@@ -72,22 +72,47 @@ class TestVarianceParams:
         assert v_bar == pytest.approx(oracle_bar, abs=1e-12)
         assert v_lower == pytest.approx(oracle_lower, abs=1e-12)
 
+    @pytest.mark.parametrize("with_b, sigmas, message", [
+        (False, [1.0, 1.0], "bundle has no B attached; call with_b first"),
+        (True, [1.0], "need 2 sigmas, got 1"),
+    ], ids=["no-b", "sigma-count"])
+    def test_refuses_with_its_reason(self, with_b, sigmas, message):
+        bundle = synthetic_bundle(np.stack([np.eye(2), np.eye(2)]))
+        if not with_b:
+            bundle = JacobianBundle(support=bundle.support, columns=bundle.columns,
+                                    fd_steps=bundle.fd_steps, m=2, n=2, failures={})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            variance_params(bundle, sigmas)
+
+
+def trace_pair(c, d) -> JacobianBundle:
+    """The 2x2 bundle of c I and d diag(1, -1): at scale 1, v_bar = c^2 + d^2
+    and v_lower = 4 c^2."""
+    return synthetic_bundle(np.stack([c * np.eye(2), d * np.diag([1.0, -1.0])]))
+
+
+def report_at_unit_scale(a_cl, c, d):
+    return theorem1_sweep(a_cl, trace_pair(c, d), [1.0])[0]
+
 
 class TestTheorem1:
     def test_zero_variance_limits(self):
         a_cl = np.diag([0.5, 0.25])
-        report = theorem1_bounds(a_cl, 0.0, 0.0)
+        report = report_at_unit_scale(a_cl, 0.0, 0.0)
+        assert (report.v_bar, report.v_lower) == (0.0, 0.0)
         assert report.upper_raw == 0.0
         assert report.lower == 0.0  # |mu| < n: both Q arguments are +inf
 
     def test_huge_variance_saturates_lower(self):
-        report = theorem1_bounds(np.diag([0.5, 0.25]), 1.0, 1e16)
+        report = report_at_unit_scale(np.diag([0.5, 0.25]), 5e7, 0.0)
+        assert report.v_lower == 1e16
         assert 1.0 - 1e-6 <= report.lower <= 1.0
 
     def test_zero_trace_symmetry(self):
         a_cl = np.array([[0.0, 0.5], [0.5, 0.0]])
-        v_lower = 0.7
-        report = theorem1_bounds(a_cl, 0.1, v_lower)
+        report = report_at_unit_scale(a_cl, 0.375, 0.0)
+        v_lower = 4.0 * 0.375**2
+        assert report.v_lower == v_lower
         assert report.mu == pytest.approx(0.0, abs=1e-15)
         assert report.lower == pytest.approx(2.0 * q_function(2.0 / math.sqrt(v_lower)),
                                              abs=1e-15)
@@ -96,40 +121,39 @@ class TestTheorem1:
         # (n - mu)/sqrt(v) = 9 puts the sum of tails near 1e-19, below the
         # floor that fig1 plots at, and the report keeps it as computed.
         a_cl = np.diag([0.5, 0.5])
-        report = theorem1_bounds(a_cl, 1e-6, (1.0 / 9.0) ** 2)
+        report = report_at_unit_scale(a_cl, 1.0 / 18.0, 0.0)
+        assert report.v_lower == pytest.approx((1.0 / 9.0) ** 2, rel=1e-15)
         assert report.lower == pytest.approx(q_function(9.0) + q_function(27.0), rel=1e-12)
         assert 0 < report.lower < EPS_FLOOR
 
     def test_upper_clamping_keeps_raw(self):
         a_cl = np.diag([0.9, 0.8])
-        report = theorem1_bounds(a_cl, 50.0, 1.0)
+        report = report_at_unit_scale(a_cl, 0.5, 7.0)
+        assert report.v_bar == 49.25
         assert report.upper_raw > 1.0
         assert report.upper_clamped == 1.0
 
     def test_rejects_unstable_nominal(self):
         with pytest.raises(StabilityError):
-            theorem1_bounds(np.eye(2), 0.1, 0.1)
+            report_at_unit_scale(np.eye(2), 0.1, 0.1)
 
     def test_rejects_singular_nominal(self):
         # Stable but singular: the condition number is infinite.
         with pytest.raises(StabilityError, match="A_cl is singular"):
-            theorem1_bounds(np.diag([0.5, 0.0]), 0.1, 0.1)
+            report_at_unit_scale(np.diag([0.5, 0.0]), 0.1, 0.1)
 
     def test_lower_monotone_in_sigma(self):
         bundle, a_cl = vehicle_bundle(t_steps=80, k=10)
-        lowers = []
-        for sigma in [1.0, 2.0, 4.0, 8.0]:
-            v_bar, v_lower = variance_params(bundle, np.full(10, sigma))
-            lowers.append(theorem1_bounds(a_cl, v_bar, v_lower).lower)
+        lowers = [report.lower for report in theorem1_sweep(a_cl, bundle, [1.0, 2.0, 4.0, 8.0])]
         assert all(a <= b + 1e-15 for a, b in zip(lowers, lowers[1:]))
 
     def test_upper_monotone_in_v_bar(self):
         a_cl = np.diag([0.5, 0.25])
-        uppers = [theorem1_bounds(a_cl, v, 0.1).upper_raw for v in (0.01, 0.1, 1.0)]
+        uppers = [report_at_unit_scale(a_cl, 0.05, d).upper_raw for d in (0.0, 0.3, 1.0)]
         assert uppers[0] < uppers[1] < uppers[2]
 
     def test_report_serializes(self):
-        report = theorem1_bounds(np.diag([0.5, 0.25]), 0.1, 0.1)
+        report = report_at_unit_scale(np.diag([0.5, 0.25]), 0.1, 0.1)
         doc = report.to_json()
         assert set(doc) == {"v_bar", "v_lower", "kappa", "mu", "rho_nominal", "lower",
                             "upper_raw", "upper_clamped", "n"}
@@ -140,25 +164,43 @@ class TestTheorem1Sweep:
     SCALES = (1e-5, 1e-3, 0.1, 1.0, 30.0)
 
     @staticmethod
-    def oracle(a_cl, bundle, scale):
-        sigmas = np.full(bundle.size, scale)
-        jmax_envelope(bundle, sigmas)
-        return theorem1_bounds(a_cl, *variance_params(bundle, sigmas))
+    def oracle(a_cl, bundle, scale) -> dict:
+        """Theorem 1's report at sigmas all ``scale``, written out from its formulas."""
+        v_bar, v_lower = variance_params(bundle, np.full(bundle.size, scale))
+        n = a_cl.shape[0]
+        mu = np.trace(a_cl)
+        rho = np.max(np.abs(np.linalg.eigvals(a_cl)))
+        kappa = np.linalg.cond(a_cl)
+        upper_raw = 2.0 * n * math.exp(-((1.0 - rho) ** 2) / (2.0 * v_bar * kappa**2))
+        return {
+            "v_bar": v_bar,
+            "v_lower": v_lower,
+            "kappa": kappa,
+            "mu": mu,
+            "rho_nominal": rho,
+            "lower": (q_function((n + mu) / math.sqrt(v_lower))
+                      + q_function((n - mu) / math.sqrt(v_lower))),
+            "upper_raw": upper_raw,
+            "upper_clamped": min(1.0, upper_raw),
+            "n": n,
+        }
 
-    def test_equals_theorem1_bounds_per_scale(self):
-        bundle, a_cl = vehicle_bundle(t_steps=80, k=10)
+    def assert_equals_oracle(self, a_cl, bundle):
         reports = theorem1_sweep(a_cl, bundle, self.SCALES)
         assert len(reports) == len(self.SCALES)
         for scale, report in zip(self.SCALES, reports):
-            assert report == self.oracle(a_cl, bundle, scale)
+            assert report.to_json() == pytest.approx(self.oracle(a_cl, bundle, scale),
+                                                     rel=1e-14, abs=0.0)
+
+    def test_equals_oracle_on_the_vehicle_bundle(self):
+        bundle, a_cl = vehicle_bundle(t_steps=80, k=10)
+        self.assert_equals_oracle(a_cl, bundle)
 
     def test_equals_oracle_on_synthetic_bundles(self):
         rng = np.random.default_rng(21)
         a_cl = np.array([[0.6, 0.2], [-0.1, 0.3]])
         for _ in range(10):
-            bundle = synthetic_bundle(rng.standard_normal((3, 2, 2)))
-            for scale, report in zip(self.SCALES, theorem1_sweep(a_cl, bundle, self.SCALES)):
-                assert report == self.oracle(a_cl, bundle, scale)
+            self.assert_equals_oracle(a_cl, synthetic_bundle(rng.standard_normal((3, 2, 2))))
 
     def test_calls_variance_params_once_per_scale(self, monkeypatch):
         bundle, a_cl = vehicle_bundle(t_steps=80, k=10)
@@ -169,17 +211,17 @@ class TestTheorem1Sweep:
         theorem1_sweep(a_cl, bundle, self.SCALES)
         assert len(calls) == len(self.SCALES)
 
-    @pytest.mark.parametrize("a_cl", [np.eye(2), np.diag([0.5, 0.0])],
-                             ids=["unstable", "singular"])
-    def test_refuses_the_loop_as_theorem1_bounds_does(self, a_cl):
+    @pytest.mark.parametrize("a_cl, message", [
+        (np.eye(2), "nominal closed loop is not stable: rho = 1"),
+        (np.diag([0.5, 0.0]), "A_cl is singular; its condition number is undefined"),
+    ], ids=["unstable", "singular"])
+    def test_refuses_the_loop_before_any_scale(self, a_cl, message):
         bundle = synthetic_bundle(np.stack([np.eye(2)]))
-        with pytest.raises(StabilityError) as expected:
-            theorem1_bounds(a_cl, 0.0, 0.0)
         # Refused once, before any scale, so an empty sweep refuses too.
         for scales in (self.SCALES, ()):
             with pytest.raises(StabilityError) as got:
                 theorem1_sweep(a_cl, bundle, scales)
-            assert str(got.value) == str(expected.value)
+            assert str(got.value) == message
 
     def test_refuses_a_broken_envelope_as_jmax_envelope_does(self, monkeypatch):
         bundle = synthetic_bundle(np.stack([np.array([[0.5, 0.1], [0.0, 0.2]])]))

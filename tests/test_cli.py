@@ -89,6 +89,25 @@ class TestArgumentParsing:
         assert run(["collect", "--config", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        ("[1, 2]", "config must be a JSON object"),
+        (json.dumps({"system": {"name": "cartpole"}}), "unknown builtin system 'cartpole'"),
+        (json.dumps({"map": {"name": "ce-lqr", "hyperparameters": {"q": [[1.0]]}}}),
+         "config key map: ce-lqr needs both q and r when weights are given"),
+    ], ids=["not-object", "builtin-system", "q-without-r"])
+    def test_config_refusal_exits_2_with_one_line(self, tmp_path, capsys, content, message):
+        path = tmp_path / "config.json"
+        path.write_text(content)
+        assert run(["collect", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"ddrobust: error: ConfigError: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_config_built_in_code_checks_the_mode(self):
+        # from_json maps each spelling; a config built in code is checked too.
+        with pytest.raises(cli.ConfigError, match="^mode must be exact or first-order, "
+                                                  "got 'bogus'$"):
+            cli.ExperimentConfig(mode="bogus")
+
     def test_unknown_map_name(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_CONFIG | {"map": {"name": "sdp"}})
         assert run(["collect", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -484,6 +503,46 @@ class TestMalformedArtifacts:
         assert capsys.readouterr().err == (
             f"ddrobust: error: ConfigError: {out / 'jacobian.json'} is for map {saved_map}, "
             'but the config gives {"hyperparameters": {}, "name": "ce-lqr"}; rerun jacobian\n')
+
+
+class TestWeightedCeLqr:
+    WEIGHTS = {"q": np.diag([1.0, 2.0, 3.0, 4.0]).tolist(), "r": [[1.0, 0.0], [0.0, 0.5]]}
+
+    @staticmethod
+    def config(tmp_path, weights, name="config.json"):
+        return write_config(tmp_path, FAST_CONFIG | {
+            "map": {"name": "ce-lqr", "hyperparameters": weights}}, name)
+
+    @pytest.fixture()
+    def out(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = self.config(tmp_path, self.WEIGHTS)
+        for command in ("collect", "jacobian"):
+            assert run([command, "--config", cfg, "--out", str(out)]) == 0
+        return out
+
+    def test_jacobian_records_both_weights(self, out):
+        doc = json.loads((out / "jacobian.json").read_text())
+        assert doc["map"] == {"name": "ce-lqr", "hyperparameters": self.WEIGHTS}
+
+    def test_bounds_takes_the_bundle_of_its_weights(self, tmp_path, out):
+        assert run(["bounds", "--config", self.config(tmp_path, self.WEIGHTS),
+                    "--out", str(out)]) == 0
+        assert len(read_csv(out / "bounds.csv")) == 1 + len(FAST_CONFIG["sigma"]["grid"])
+
+    def test_bounds_refuses_the_bundle_of_other_weights(self, tmp_path, capsys, out):
+        other = self.WEIGHTS | {"r": [[2.0, 0.0], [0.0, 0.5]]}
+        capsys.readouterr()
+        assert run(["bounds", "--config", self.config(tmp_path, other, "other.json"),
+                    "--out", str(out)]) == 2
+
+        def descriptor(weights):
+            return json.dumps({"hyperparameters": weights, "name": "ce-lqr"}, sort_keys=True)
+
+        assert capsys.readouterr().err == (
+            f"ddrobust: error: ConfigError: {out / 'jacobian.json'} is for map "
+            f"{descriptor(self.WEIGHTS)}, but the config gives {descriptor(other)}; "
+            "rerun jacobian\n")
 
 
 class TestOverrides:

@@ -211,7 +211,6 @@ class TestGramKernel:
             near = any(np.abs(m - gram).max() <= 1e-9 * np.abs(gram).max() for m in checked)
             assert near == (i >= 3)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     def test_record_whose_gram_overflows_takes_the_record_path(self, cmap):
         # A finite record of 1e160-sized states overflows the nominal G, on
         # which eigvalsh does not converge; every item takes the record path.
@@ -481,6 +480,10 @@ class TestDare:
             LqrWeights(q=np.array([[1.0, 0.2], [0.0, 1.0]]), r=np.eye(2))
         with pytest.raises(ValueError):
             LqrWeights(q=np.eye(2), r=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="^Q must be square$"):
+            LqrWeights(q=np.ones((2, 3)), r=np.eye(2))
+        with pytest.raises(ValueError, match="^Q must be positive semidefinite$"):
+            LqrWeights(q=np.diag([1.0, -1.0]), r=np.eye(2))
 
 
 class TestDareOracle:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from conftest import (
     q_quadrature,
     spy_eigvals,
 )
-from ddrobust.bounds import theorem1_bounds, variance_params
+from ddrobust.bounds import theorem1_sweep, variance_params
 from ddrobust.linalg import (
     EigensolverError,
     as_matrix,
@@ -73,9 +74,10 @@ def one_entry_bundle(bj) -> JacobianBundle:
 
 
 def kappa(m) -> float:
-    """The condition number theorem1_bounds reports for the loop m, scaled
+    """The condition number theorem1_sweep reports for the loop m, scaled
     to rho = 1/2 (kappa is scale-free)."""
-    return theorem1_bounds(m / (2.0 * spectral_radius(m)), 0.0, 0.0).kappa
+    bundle = one_entry_bundle(np.zeros((len(m), len(m))))
+    return theorem1_sweep(m / (2.0 * spectral_radius(m)), bundle, [1.0])[0].kappa
 
 
 class TestNorms:
@@ -156,6 +158,12 @@ class TestPseudoinverse:
 
 
 class TestSpectralRadii:
+    @pytest.mark.parametrize("shape", [(2, 3), (5, 2, 3)], ids=["matrix", "stack"])
+    def test_refuses_non_square_matrices(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"spectral_radius requires square matrices, got {shape}")):
+            spectral_radius(np.zeros(shape))
+
     def test_matches_spectral_radius(self):
         stack = np.random.default_rng(21).standard_normal((5, 3, 3))
         rho = spectral_radius(stack)
@@ -316,9 +324,15 @@ class TestQFunction:
         values = [q_function(x) for x in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="^q_function is undefined for NaN$"):
+            q_function(math.nan)
+
 
 def test_as_matrix_validation():
     with pytest.raises(ValueError):
         as_matrix(np.array([1.0, 2.0]), "M")
+    with pytest.raises(ValueError, match="^M must be non-empty$"):
+        as_matrix(np.zeros((0, 2)), "M")
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.inf]]), "M")

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -160,6 +161,22 @@ class TestCollect:
         assert np.array_equal(back.x, data.x)
         assert np.array_equal(back.x0s, data.x0s)
         assert (back.t, back.n, back.m) == (data.t, data.n, data.m)
+
+    @pytest.mark.parametrize("field, cut, message", [
+        ("u", slice(-1), "U has 19 rows, expected m*T = 20"),
+        ("x", (slice(None), [0, 0]), "U, X and x0s must have the same number of columns"),
+        ("x0s", slice(-1), "x0s has 3 rows, expected n = 4"),
+        ("x", slice(-1), "X has 39 rows, expected n*T = 40"),
+    ], ids=["u-rows", "columns", "x0s-rows", "x-rows"])
+    def test_record_of_inconsistent_shapes_is_refused(self, field, cut, message):
+        data = collect(vehicle_model(0.1), 1, 10, seed=0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(data, **{field: getattr(data, field)[cut]})
+
+    def test_json_rejects_a_malformed_field(self):
+        doc = collect(vehicle_model(0.1), 1, 5, seed=0).to_json()
+        with pytest.raises(ValueError, match="^training record has a malformed field: "):
+            TrainingData.from_json(doc | {"t": None})
 
     def test_json_rejects_other_selectors(self):
         doc = collect(vehicle_model(0.1), 1, 5, seed=0).to_json()

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -147,6 +148,14 @@ class TestPerturbationModel:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             PerturbationModel(np.array([-1, 2]), 0.1)
+
+    @pytest.mark.parametrize("support, sigmas, message", [
+        ([], 0.1, "perturbation support must be nonempty"),
+        ([0, 1, 2], [0.1, 0.2], "support and sigmas must have matching lengths"),
+    ], ids=["empty", "lengths"])
+    def test_refuses_with_its_reason(self, support, sigmas, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PerturbationModel(np.array(support), np.array(sigmas))
 
 
 class TestFdJacobian:
@@ -318,6 +327,20 @@ class TestFdJacobian:
         restored = back.with_b(vehicle_model(0.1).b, B_SOURCE_TRUE)
         assert np.array_equal(restored.bj, bundle.bj)
 
+    @pytest.mark.parametrize("b, source, message", [
+        (np.ones((4, 2)), "guessed", "unknown B source 'guessed'"),
+        (np.ones((2, 4)), B_SOURCE_TRUE, "B must be 4x2, got (2, 4)"),
+    ], ids=["source", "shape"])
+    def test_with_b_refuses_with_its_reason(self, b, source, message):
+        bundle = fd_jacobian(PinvMap(), collect(vehicle_model(0.1), 1, 20, seed=4), np.array([1]))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bundle.with_b(b, source)
+
+    def test_json_rejects_a_malformed_field(self):
+        bundle = fd_jacobian(PinvMap(), collect(vehicle_model(0.1), 1, 20, seed=4), np.array([1]))
+        with pytest.raises(ValueError, match="^Jacobian bundle has a malformed field: "):
+            JacobianBundle.from_json(bundle.to_json() | {"m": None})
+
     def test_with_b_refuses_columns_of_another_shape(self):
         # Two support entries of a 2 x 4 gain: columns must be 8 x 2. Their
         # transpose holds as many numbers and must not be read as columns.
@@ -473,6 +496,13 @@ class TestFirstOrderAcl:
             assert np.array_equal(row, oracle)
             assert np.array_equal(row, first_order_acl(a_cl, bundle, z_t))
         assert np.array_equal(a_cl, a_saved) and np.array_equal(bundle.bj, bj_saved)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 4, 2)], ids=["draw", "stack", "3-d"])
+    def test_refuses_draws_of_another_shape(self, shape):
+        bundle = synthetic_bundle(np.stack([np.eye(2), np.eye(2)]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"z has shape {shape}, expected (..., 2)")):
+            first_order_acl(np.eye(2), bundle, np.zeros(shape))
 
     def test_needs_b_attached(self):
         data = collect(vehicle_model(0.1), 1, 10, seed=0)
