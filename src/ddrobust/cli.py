@@ -52,6 +52,9 @@ _DOM_SUPPORT = 1
 _DOM_MC = 2
 _DOM_FIG2 = 3
 
+# The config's spelling of each Monte Carlo mode, and its name in ``mc``.
+_MC_MODES = {"exact": MODE_EXACT, "first-order": MODE_FIRST_ORDER}
+
 _DATA_FILE = "data.json"
 _CONTROLLER_FILE = "controller.json"
 _JACOBIAN_FILE = "jacobian.json"
@@ -133,7 +136,7 @@ class ExperimentConfig:
     support_indices: tuple[int, ...] | None = None
     sigma_grid: tuple[float, ...] = _log_grid(1e-5, 1e-1, 10)
     trials: int = 2000
-    mode: str = MODE_EXACT
+    mode: str = "exact"
     seed: int = 0
     b_source: str = B_SOURCE_TRUE
     out: str = "runs"
@@ -146,7 +149,7 @@ class ExperimentConfig:
             if getattr(self, key) < least:
                 raise ConfigError(f"config key {key} must be >= {least}, "
                                   f"got {getattr(self, key)}")
-        if self.mode not in (MODE_EXACT, MODE_FIRST_ORDER):
+        if self.mode not in _MC_MODES:
             raise ConfigError(f"mode must be exact or first-order, got {self.mode!r}")
         if self.b_source not in (B_SOURCE_TRUE, B_SOURCE_IDENTIFIED):
             raise ConfigError(f"b_source must be true or identified, got {self.b_source!r}")
@@ -232,13 +235,7 @@ class ExperimentConfig:
         for key in ("t_steps", "n_experiments", "trials", "seed", "fig2_trials"):
             if key in doc:
                 kwargs[key] = _typed(doc[key], key, int)
-        if "mode" in doc:
-            mode = _typed(doc["mode"], "mode", str)
-            modes = {"exact": MODE_EXACT, "first-order": MODE_FIRST_ORDER}
-            if mode not in modes:
-                raise ConfigError(f"mode must be exact or first-order, got {mode!r}")
-            kwargs["mode"] = modes[mode]
-        for key in ("b_source", "out"):
+        for key in ("mode", "b_source", "out"):
             if key in doc:
                 kwargs[key] = _typed(doc[key], key, str)
         if "t_list" in doc:
@@ -376,7 +373,7 @@ def _check_support(cfg: ExperimentConfig, dim: int) -> None:
 def _support(cfg: ExperimentConfig, data: TrainingData, seed: int) -> np.ndarray:
     """The configured support in vec(X) of ``data``: the given indices, sorted,
     or support.k distinct random ones drawn from ``seed``."""
-    dim = data.p * data.n_experiments
+    dim = data.x.size
     _check_support(cfg, dim)
     if cfg.support_indices is not None:
         return np.sort(np.asarray(cfg.support_indices, dtype=int))
@@ -428,8 +425,9 @@ def _mc_at(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
            bundle: JacobianBundle | None, idx: int, sigma: float) -> MonteCarloReport:
     """Monte Carlo estimate at grid point idx, every support entry at sigma."""
     model = PerturbationModel(support, np.full(len(support), float(sigma)))
-    return estimate_instability(system, data, cmap, k_nom, model, cfg.trials, mode=cfg.mode,
-                                seed=_child_seed(cfg.seed, _DOM_MC, idx), bundle=bundle)
+    return estimate_instability(system, data, cmap, k_nom, model, cfg.trials,
+                                mode=_MC_MODES[cfg.mode], seed=_child_seed(cfg.seed, _DOM_MC, idx),
+                                bundle=bundle)
 
 
 def cmd_collect(cfg: ExperimentConfig) -> list[Path]:
@@ -507,7 +505,7 @@ def cmd_mc(cfg: ExperimentConfig) -> list[Path]:
     data = _load_data(out)
     system = cfg.build_system()
     cmap = cfg.build_map()
-    if cfg.mode == MODE_FIRST_ORDER:
+    if cfg.mode == "first-order":
         bundle = _load_bundle(cfg, system, data, cmap, out)
         support, k_nom = bundle.support, bundle.nominal_gain(cmap, data)
     else:

@@ -9,17 +9,18 @@ Two concrete maps are provided:
 Both are deterministic and defined on a neighborhood of the nominal data,
 which is what the sensitivity analysis needs from them. Every caller that
 evaluates a map on many perturbed records (Monte Carlo, finite differences,
-the Lemma-1 residual) goes through :func:`evaluate_perturbed`, which hands
-the finite perturbations to :meth:`ControllerMap.evaluate_deltas`. Its base
-body, the record path, builds each perturbed record and calls
-:meth:`ControllerMap.evaluate` on it; plugin maps use it. Both shipped maps
-are least-squares fits theta = Y pinv(W) that see the record only through
-G = W W' and Y W' (``pinv``: W = X0, Y = U0; ``ce-lqr``: W = [X0; U0],
-Y = X1), so they override it with one Gram kernel: a perturbed entry of
-vec(X) moves one column of X0 and one of X1, and each fit is a rank-few
-update of G, at a cost that does not depend on T. Chunks of items run the
-whole kernel in turn, so its memory does not grow with the item count. An
-item whose perturbed G fails the ``_GRAM_RCOND`` test takes the record path.
+the Lemma-1 residual) calls :meth:`ControllerMap.evaluate_deltas`, which
+checks the support and hands the finite perturbations to the hook
+:meth:`ControllerMap._evaluate_finite`. Its base body, the record path,
+builds each perturbed record and calls :meth:`ControllerMap.evaluate` on it;
+plugin maps use it. Both shipped maps are least-squares fits theta = Y pinv(W)
+that see the record only through G = W W' and Y W' (``pinv``: W = X0,
+Y = U0; ``ce-lqr``: W = [X0; U0], Y = X1), so they override it with one Gram
+kernel: a perturbed entry of vec(X) moves one column of X0 and one of X1,
+and each fit is a rank-few update of G, at a cost that does not depend on T.
+Chunks of items run the whole kernel in turn, so its memory does not grow
+with the item count. An item whose perturbed G fails the ``_GRAM_RCOND``
+test takes the record path.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import EigensolverError, as_matrix, pseudoinverse, spectral_radius
-from .lti import LtiSystem, TrainingData, snapshots
+from .lti import LtiSystem, TrainingData, as_support, snapshots
 
 
 class DareError(RuntimeError):
@@ -274,17 +275,30 @@ class ControllerMap(ABC):
         """Return the m x n gain for these (possibly perturbed) data."""
 
     def evaluate_deltas(self, data: TrainingData, support, deltas) -> np.ndarray:
-        """Gains at vec(X) + delta, one per row of ``deltas``.
+        """Gains of the map at vec(X) + delta, one per row of ``deltas``.
 
         Row i of the N x |support| array ``deltas`` is added to the entries
-        ``support`` (distinct) of vec(X); every such record is finite, as
-        :func:`evaluate_perturbed` sees to. Returns the (N, m, n) gains. An
-        item on which the map fails numerically (one of ``_TRIAL_FAILURES``
-        raised or a non-finite gain returned) is all NaN, and its neighbours
-        are unaffected; any other exception propagates. This record path
-        calls :meth:`evaluate` on each perturbed record. A map that can
-        update a nominal factorisation instead overrides it.
+        ``support`` of vec(X), which ``as_support`` checks. Returns the
+        (N, m, n) gains. An item is all NaN where its record is not finite,
+        which the map never sees, or where the map fails numerically on it
+        (one of ``_TRIAL_FAILURES`` raised or a non-finite gain returned); any
+        other exception propagates. The finite rows go to
+        :meth:`_evaluate_finite` at once.
         """
+        support = as_support(support, data.x.size)
+        deltas = np.asarray(deltas, dtype=float)
+        if deltas.ndim != 2 or deltas.shape[1] != support.size:
+            raise ValueError(f"deltas must have shape (N, {support.size}) for a support of "
+                             f"{support.size} indices, got {deltas.shape}")
+        k = np.full((len(deltas), data.m, data.n), np.nan)
+        rows = np.all(np.isfinite(data.x_vec[support] + deltas), axis=1)
+        if rows.any():
+            k[rows] = self._evaluate_finite(data, support, deltas[rows])
+        return k
+
+    def _evaluate_finite(self, data: TrainingData, support, deltas) -> np.ndarray:
+        """:meth:`evaluate_deltas` on finite records. This record path calls
+        :meth:`evaluate` on each; a map that can update a nominal fit overrides it."""
         k = np.full((len(deltas), data.m, data.n), np.nan)
         for i, delta in enumerate(deltas):
             x_vec = data.x_vec
@@ -305,35 +319,9 @@ class ControllerMap(ABC):
         return {"name": self.name, "hyperparameters": {}}
 
 
-def evaluate_perturbed(cmap: ControllerMap, data: TrainingData, support,
-                       deltas) -> np.ndarray:
-    """Gains of the map at vec(X) + delta, one per row of ``deltas``.
-
-    Row i of the N x |support| array ``deltas`` is added to the entries
-    ``support`` of vec(X), which must be distinct and in range. The rows
-    that give a finite record go to ``cmap.evaluate_deltas`` in one call.
-    Returns the (N, m, n) gains. A failed item has non-finite entries, as in
-    :meth:`ControllerMap.evaluate_deltas`; a non-finite record is a failed
-    item that the map never sees.
-    """
-    support = np.asarray(support, dtype=int)
-    ordered = np.sort(support)
-    if np.any(ordered[1:] == ordered[:-1]):
-        raise ValueError(f"support indices must be distinct, got {support.tolist()}")
-    if np.any(support < 0) or np.any(support >= data.x.size):
-        raise ValueError(f"support indices must index vec(X) of length {data.x.size}, "
-                         f"got {support.tolist()}")
-    deltas = np.asarray(deltas, dtype=float)
-    k = np.full((len(deltas), data.m, data.n), np.nan)
-    rows = np.all(np.isfinite(data.x_vec[support] + deltas), axis=1)
-    if rows.any():
-        k[rows] = cmap.evaluate_deltas(data, support, deltas[rows])
-    return k
-
-
 def _gram_gains(cmap: ControllerMap, data: TrainingData, w, y, x1_rows, support, deltas,
                 gains_of) -> np.ndarray:
-    """:meth:`ControllerMap.evaluate_deltas` for a map whose gains are
+    """:meth:`ControllerMap._evaluate_finite` for a map whose gains are
     ``gains_of`` of the least-squares fits theta = Y pinv(W), by a low-rank
     update of the Gram matrix G = W W', with no perturbed record and no SVD
     per item.
@@ -359,9 +347,7 @@ def _gram_gains(cmap: ControllerMap, data: TrainingData, w, y, x1_rows, support,
     of at most ``_GRAM_CHUNK_FLOATS`` floats run the whole kernel in turn.
     """
     n, t = data.n, data.t
-    support, x1_rows = np.asarray(support, dtype=int), np.asarray(x1_rows, dtype=int)
-    if not np.all(np.isfinite(data.x_vec[support] + deltas)):
-        raise ValueError("perturbed state records must be finite")
+    x1_rows = np.asarray(x1_rows, dtype=int)
     theta = y @ pseudoinverse(w)[0]
     state, col = support % n, support // n
     inner = (col + 1) % t != 0
@@ -398,11 +384,12 @@ def _gram_gains(cmap: ControllerMap, data: TrainingData, w, y, x1_rows, support,
         del d_w, d_y, d_gram  # so that they and the arrays of gains_of never coexist
         good = np.all(np.isfinite(gram_new), axis=(1, 2))
         check = good & ~(lmin - d_norm > 2 * _GRAM_RCOND * (lmax + d_norm))
-        lam = np.linalg.eigvalsh(gram_new[check])
-        good[check] = lam[:, 0] > _GRAM_RCOND * lam[:, -1]
+        if check.any():
+            lam = np.linalg.eigvalsh(gram_new[check])
+            good[check] = lam[:, 0] > _GRAM_RCOND * lam[:, -1]
         out[good] = gains_of(theta + _t(np.linalg.solve(gram_new[good], _t(correction[good]))))
         if not good.all():
-            out[~good] = ControllerMap.evaluate_deltas(cmap, data, support, part[~good])
+            out[~good] = ControllerMap._evaluate_finite(cmap, data, support, part[~good])
     return gains
 
 
@@ -415,7 +402,7 @@ class PinvMap(ControllerMap):
         x0, _, u0 = snapshots(data)
         return u0 @ pseudoinverse(x0)[0]
 
-    def evaluate_deltas(self, data: TrainingData, support, deltas) -> np.ndarray:
+    def _evaluate_finite(self, data: TrainingData, support, deltas) -> np.ndarray:
         """K' = U0 pinv(X0') per row of ``deltas``: the Gram kernel with
         W = X0 and Y = U0, of which no row moves."""
         x0, _, u0 = snapshots(data)
@@ -442,7 +429,7 @@ class CeLqrMap(ControllerMap):
             raise _dare_error(_DARE_MAX_ITER)
         return k
 
-    def evaluate_deltas(self, data: TrainingData, support, deltas) -> np.ndarray:
+    def _evaluate_finite(self, data: TrainingData, support, deltas) -> np.ndarray:
         """The design per row of ``deltas``: the Gram kernel with W = [X0; U0]
         and Y = X1 gives each identified pair [A B], then one doubling Riccati
         solve and one stacked gain solve. A failed solve is all NaN."""

@@ -132,6 +132,24 @@ class TrainingData:
         return cls(**fields, seed=doc.get("seed"))
 
 
+def as_support(support, length: int | None = None) -> np.ndarray:
+    """``support`` as an array, refused unless it holds distinct indices into
+    vec(X) of length ``length`` (any index >= 0 when that is None), one per
+    entry of a nonempty 1-D integer array. Every holder of a support calls it."""
+    support = np.asarray(support)
+    if support.size == 0:
+        raise ValueError("perturbation support must be nonempty")
+    if (support.ndim != 1 or support.dtype.kind not in "iu" or support.min() < 0
+            or (length is not None and support.max() >= length)):
+        of_length = "" if length is None else f" of length {length}"
+        raise ValueError(f"support indices must index vec(X){of_length}, got {support.tolist()}")
+    # Not np.unique: in numpy 2.4 its hash path maps about 1.4 MB on first use.
+    ordered = np.sort(support)
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError(f"support indices must be distinct, got {support.tolist()}")
+    return support
+
+
 def simulate(sys: LtiSystem, x0, u_seq) -> np.ndarray:
     """Roll out x(t+1) = A x(t) + B u(t) and return [x(1) ... x(T)] as n x T."""
     x0 = np.asarray(x0, dtype=float).ravel()

@@ -18,8 +18,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .linalg import spectral_radius, unstable
-from .lti import LtiSystem, TrainingData
-from .ctrlmaps import ControllerMap, evaluate_perturbed
+from .lti import LtiSystem, TrainingData, as_support
+from .ctrlmaps import ControllerMap
 from .sensitivity import B_SOURCE_TRUE, JacobianBundle, PerturbationModel, fd_jacobian, first_order_acl
 from .bounds import StabilityError
 
@@ -164,7 +164,7 @@ def estimate_instability(
 
     ``k_nom`` is the map's gain on the unperturbed data, which the caller
     has already evaluated. ``exact`` mode evaluates the controller map at
-    every perturbed vec(X) in one ``evaluate_perturbed`` call (the shipped
+    every perturbed vec(X) in one ``evaluate_deltas`` call (the shipped
     maps update their nominal fit and build no perturbed record);
     ``first_order`` tests the linearized closed loop A_cl + sum_i z_i B J_i of
     ``bundle``, which the caller builds on the model's support with the B of
@@ -179,8 +179,7 @@ def estimate_instability(
     rho_nom = spectral_radius(a_cl)
     if rho_nom >= 1.0:
         raise StabilityError(f"nominal closed loop is not stable: rho = {rho_nom:.6g}")
-    if np.any(model.support >= data.p * data.n_experiments):
-        raise ValueError("perturbation support out of range for vec(X)")
+    as_support(model.support, data.x.size)
 
     if mode == MODE_FIRST_ORDER and (bundle is None
                                      or not np.array_equal(bundle.support, model.support)):
@@ -189,7 +188,7 @@ def estimate_instability(
     z = sample_z(model, seed, trials)
     if mode == MODE_EXACT:
         # A failed evaluation is a non-finite gain, so its loop gets rho NaN.
-        loops = sys.a + sys.b @ evaluate_perturbed(cmap, data, model.support, z)
+        loops = sys.a + sys.b @ cmap.evaluate_deltas(data, model.support, z)
     else:
         loops = first_order_acl(a_cl, bundle, z)
     # A NaN verdict is a failed trial; an infinite rho of a finite loop is unstable.
@@ -264,7 +263,7 @@ def lemma1_residual(
     stats = []
     for scale in sigma_scales:
         z = z_unit * scale
-        gains = evaluate_perturbed(cmap, data, model.support, z)
+        gains = cmap.evaluate_deltas(data, model.support, z)
         ok = np.all(np.isfinite(gains), axis=(1, 2))
         exact = sys.a + sys.b @ gains[ok]
         approx = first_order_acl(a_cl, bundle, z[ok])

@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ctrlmaps import evaluate_perturbed
-from .lti import TrainingData, check_fields
+from .lti import TrainingData, as_support, check_fields
 from .linalg import as_matrix
 
 # Optimal central-difference step scale for O(h^2) schemes.
@@ -37,18 +36,12 @@ class PerturbationModel:
     sigmas: np.ndarray
 
     def __post_init__(self):
-        support = np.asarray(self.support, dtype=int).ravel()
+        support = as_support(self.support)
         sigmas = np.asarray(self.sigmas, dtype=float).ravel()
-        if support.size == 0:
-            raise ValueError("perturbation support must be nonempty")
         if sigmas.size == 1 and support.size > 1:
             sigmas = np.full(support.size, sigmas[0])
         if support.size != sigmas.size:
             raise ValueError("support and sigmas must have matching lengths")
-        if len(np.unique(support)) != support.size:
-            raise ValueError("support indices must be unique")
-        if np.any(support < 0):
-            raise ValueError("support indices must be nonnegative")
         if np.any(sigmas <= 0.0) or not np.all(np.isfinite(sigmas)):
             raise ValueError("all sigmas must be positive and finite")
         object.__setattr__(self, "support", support)
@@ -135,7 +128,7 @@ class JacobianBundle:
                      "Jacobian bundle")
         try:
             return cls(
-                support=np.asarray(doc["support"], dtype=int),
+                support=as_support(doc["support"]),
                 columns=np.asarray(doc["columns"], dtype=float),
                 fd_steps=np.asarray(doc["fd_steps"], dtype=float),
                 m=int(doc["m"]),
@@ -158,13 +151,10 @@ def fd_jacobian(cmap, data: TrainingData, support, step: float | None = None) ->
     the first gives ``gain``. A numerical map failure at a probe is recorded
     per column instead of aborting the whole bundle.
     """
-    support = np.asarray(support, dtype=int).ravel()
-    xv = data.x_vec
-    if np.any(support < 0) or np.any(support >= xv.size):
-        raise ValueError("support indices out of range for vec(X)")
+    support = as_support(support, data.x.size)
     k = support.size
     if step is None:
-        steps = _FD_STEP_SCALE * np.maximum(1.0, np.abs(xv[support]))
+        steps = _FD_STEP_SCALE * np.maximum(1.0, np.abs(data.x_vec[support]))
     elif 0.0 < step < np.inf:
         steps = np.full(k, float(step))
     else:
@@ -174,7 +164,7 @@ def fd_jacobian(cmap, data: TrainingData, support, step: float | None = None) ->
     deltas = np.zeros((2 * k + 1, k))
     deltas[1::2][np.arange(k), np.arange(k)] = steps
     deltas[2::2][np.arange(k), np.arange(k)] = -steps
-    gains = evaluate_perturbed(cmap, data, support, deltas)
+    gains = cmap.evaluate_deltas(data, support, deltas)
     ok = np.all(np.isfinite(gains), axis=(1, 2))
     m, n = data.m, data.n
     # Column j is vec(K+ - K-) / 2h_j, vec stacking columns as TrainingData.x_vec does.

@@ -5,12 +5,12 @@ import math
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ddrobust import (CeLqrMap, TrainingData, bounds, cli, collect, ctrlmaps, fd_jacobian, mc,
-                      sensitivity)
+from ddrobust import CeLqrMap, TrainingData, bounds, cli, collect, ctrlmaps, fd_jacobian
 
 
 FAST_CONFIG = {
@@ -103,10 +103,24 @@ class TestArgumentParsing:
         assert not (tmp_path / "o").exists()
 
     def test_config_built_in_code_checks_the_mode(self):
-        # from_json maps each spelling; a config built in code is checked too.
+        # A config built in code is checked as one read from JSON.
         with pytest.raises(cli.ConfigError, match="^mode must be exact or first-order, "
                                                   "got 'bogus'$"):
             cli.ExperimentConfig(mode="bogus")
+
+    def test_config_refuses_the_mc_name_of_a_mode(self):
+        # mc.MODE_FIRST_ORDER is not a config spelling, and it is refused once.
+        with pytest.raises(cli.ConfigError, match="^mode must be exact or first-order, "
+                                                  "got 'first_order'$"):
+            cli.ExperimentConfig(mode="first_order")
+
+    @pytest.mark.parametrize("mode", ["exact", "first-order"])
+    def test_config_holds_the_mode_as_spelt(self, mode):
+        cfg = cli.ExperimentConfig(mode=mode)
+        assert cfg.mode == mode
+        assert cli.ExperimentConfig.from_json({"mode": mode}) == cfg
+        assert replace(cfg, trials=7).mode == mode
+        assert replace(cli.ExperimentConfig(), mode=mode) == cfg
 
     def test_unknown_map_name(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_CONFIG | {"map": {"name": "sdp"}})
@@ -740,17 +754,16 @@ class TestFigures:
         # One stack of 2k + 1 probes gives the bundle and the nominal gain, and
         # each sigma's trials are one more; the map is never evaluated alone.
         stacks, alone = [], []
-        original = ctrlmaps.evaluate_perturbed
-        for module in (sensitivity, mc):
-            monkeypatch.setattr(module, "evaluate_perturbed",
-                                lambda *args: stacks.append(args) or original(*args))
+        original = CeLqrMap._evaluate_finite
+        monkeypatch.setattr(CeLqrMap, "_evaluate_finite",
+                            lambda self, *args: stacks.append(args) or original(self, *args))
         monkeypatch.setattr(CeLqrMap, "evaluate", lambda self, data: alone.append(data))
         grid = [1e-4, 1e-3, 1e-2]
         doc = FAST_CONFIG | {"mode": "exact", "sigma": {"grid": grid}}
         out = tmp_path / "run"
         assert run(["fig1", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
         assert len(stacks) == 1 + len(grid) and alone == []
-        assert [len(args[3]) for args in stacks] == [2 * 8 + 1] + [30] * len(grid)
+        assert [len(args[2]) for args in stacks] == [2 * 8 + 1] + [30] * len(grid)
 
     def test_fig1_failed_nominal_probe_ends_with_the_map_error(self, tmp_path, capsys,
                                                                monkeypatch):

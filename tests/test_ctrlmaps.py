@@ -58,8 +58,9 @@ class TestPinvMap:
 
 
 def record_path(cmap, data, support, deltas):
-    """The gains of the base record path: one evaluate per perturbed record."""
-    return ControllerMap.evaluate_deltas(cmap, data, support, deltas)
+    """The gains of the base record path: one evaluate per perturbed record.
+    The public evaluate_deltas would run the map's own kernel instead."""
+    return ControllerMap._evaluate_finite(cmap, data, support, deltas)
 
 
 def traced_peak(call):
@@ -186,7 +187,7 @@ class TestGramKernel:
         expected = np.array([rule(gram) for gram in grams])
         reference = record_path(cmap, data, support, deltas[expected])
         received, checked = [], []
-        base, eigvalsh = ControllerMap.evaluate_deltas, np.linalg.eigvalsh
+        base, eigvalsh = ControllerMap._evaluate_finite, np.linalg.eigvalsh
 
         def spy(self, data, support, deltas):
             received.append(deltas)
@@ -197,7 +198,7 @@ class TestGramKernel:
                 checked.extend(m)
             return eigvalsh(m)
 
-        monkeypatch.setattr(ControllerMap, "evaluate_deltas", spy)
+        monkeypatch.setattr(ControllerMap, "_evaluate_finite", spy)
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
         gains = cmap.evaluate_deltas(data, support, deltas)
         [seen] = received
@@ -210,6 +211,20 @@ class TestGramKernel:
         for i, gram in enumerate(grams[:7]):
             near = any(np.abs(m - gram).max() <= 1e-9 * np.abs(gram).max() for m in checked)
             assert near == (i >= 3)
+
+    def test_no_eigensolve_when_the_screen_clears_every_item(self, cmap, monkeypatch):
+        # Items 0-2 of the test above: the Weyl screen clears them all, so no
+        # stacked eigvalsh runs, not even on an empty stack.
+        data = collect(vehicle_model(0.1), 1, 200, seed=0)
+        support = np.arange(0, data.p, data.n)
+        deltas = 1e-3 * np.random.default_rng(1).standard_normal((3, support.size))
+        reference = record_path(cmap, data, support, deltas)
+        stacks, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: stacks.append(np.shape(m)) or eigvalsh(m))
+        gains = cmap.evaluate_deltas(data, support, deltas)
+        assert [shape for shape in stacks if len(shape) == 3] == []
+        assert np.abs(gains - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_record_whose_gram_overflows_takes_the_record_path(self, cmap):
         # A finite record of 1e160-sized states overflows the nominal G, on
@@ -282,7 +297,7 @@ class TestGramKernel:
         data = collect(vehicle_model(0.1), 1, 200, seed=0)
         support = np.sort(np.random.default_rng(0).choice(data.x_vec.size, 50, replace=False))
         deltas = 0.01 * np.random.default_rng(1).standard_normal((2000, support.size))
-        gains, peak = traced_peak(lambda: ctrlmaps.evaluate_perturbed(cmap, data, support, deltas))
+        gains, peak = traced_peak(lambda: cmap.evaluate_deltas(data, support, deltas))
         assert np.all(np.isfinite(gains))
         assert peak <= 12e6
 
@@ -295,9 +310,9 @@ class TestGramKernel:
         data = collect(platoon, 1, 200, seed=0)
         support = np.sort(np.random.default_rng(0).choice(data.x_vec.size, 50, replace=False))
         deltas = 0.01 * np.random.default_rng(1).standard_normal((1000, support.size))
-        gains, peak = traced_peak(lambda: ctrlmaps.evaluate_perturbed(cmap, data, support, deltas))
+        gains, peak = traced_peak(lambda: cmap.evaluate_deltas(data, support, deltas))
         monkeypatch.setattr(ctrlmaps, "_GRAM_CHUNK_FLOATS", 2**40)
-        assert np.array_equal(gains, ctrlmaps.evaluate_perturbed(cmap, data, support, deltas))
+        assert np.array_equal(gains, cmap.evaluate_deltas(data, support, deltas))
         assert peak <= 30e6
 
 

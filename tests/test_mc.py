@@ -18,7 +18,7 @@ from ddrobust import (
     wilson_interval,
 )
 from ddrobust import DareError, lemma1_residual, mc
-from ddrobust.ctrlmaps import ControllerMap, evaluate_perturbed
+from ddrobust.ctrlmaps import ControllerMap
 from ddrobust.lti import LtiSystem
 from ddrobust.mc import MODE_EXACT, MODE_FIRST_ORDER, NoEstimateError
 
@@ -88,8 +88,8 @@ class BuggyMap(ControllerMap):
 
 
 class FiniteOnlyMap(ControllerMap):
-    """Delegates its perturbations to an inner map and keeps each stack; a
-    plugin that refuses any non-finite record."""
+    """Delegates its finite records to an inner map's hook and keeps each
+    stack; a plugin that refuses any non-finite record."""
 
     name = "finite-only-test"
 
@@ -100,11 +100,11 @@ class FiniteOnlyMap(ControllerMap):
     def evaluate(self, data):
         return self.inner.evaluate(data)
 
-    def evaluate_deltas(self, data, support, deltas):
+    def _evaluate_finite(self, data, support, deltas):
         if not np.isfinite(data.x_vec[support] + deltas).all():
             raise AssertionError("the map was handed a non-finite record")
         self.seen.append(np.array(deltas))
-        return self.inner.evaluate_deltas(data, support, deltas)
+        return self.inner._evaluate_finite(data, support, deltas)
 
 
 def finite_items(gains):
@@ -450,7 +450,7 @@ class TestStabilityVerdict:
 
 
 class TestEvaluateBatch:
-    """evaluate_deltas, the one batched hook, against per-item evaluate, and
+    """evaluate_deltas, the one batched entry, against per-item evaluate, and
     its failed items."""
 
     @staticmethod
@@ -492,11 +492,11 @@ class TestEvaluateBatch:
         deltas = np.zeros((4, support.size))
         deltas[[1, 3], 0] = [2.0, -2.0]  # items 1 and 3 leave the tolerance
         deltas[:, 1] = 0.01
-        gains = evaluate_perturbed(cmap, data, support, deltas)
+        gains = cmap.evaluate_deltas(data, support, deltas)
         ok = finite_items(gains)
         assert ok.tolist() == [True, False, True, False]
         assert np.isnan(gains[~ok]).all()
-        reference = ControllerMap.evaluate_deltas(CeLqrMap(), data, support, deltas[ok])
+        reference = ControllerMap._evaluate_finite(CeLqrMap(), data, support, deltas[ok])
         assert np.array_equal(gains[ok], reference)
 
     @staticmethod
@@ -510,11 +510,11 @@ class TestEvaluateBatch:
         _, data, support = vehicle_setup
         deltas = self.one_bad_delta(support, np.nan)
         for cmap in (CeLqrMap(), PinvMap()):
-            gains = evaluate_perturbed(cmap, data, support, deltas)
+            gains = cmap.evaluate_deltas(data, support, deltas)
             assert finite_items(gains).tolist() == [True, False, True]
             assert np.isnan(gains[1]).all()
             assert np.array_equal(gains[[0, 2]],
-                                  evaluate_perturbed(cmap, data, support, deltas[[0, 2]]))
+                                  cmap.evaluate_deltas(data, support, deltas[[0, 2]]))
 
     def test_non_finite_record_fails_its_item_in_fallback(self, vehicle_setup):
         # A non-finite record is a failed item, not a ValueError out of
@@ -522,33 +522,19 @@ class TestEvaluateBatch:
         _, data, support = vehicle_setup
         cmap = LinearMap(np.random.default_rng(3).standard_normal((8, data.p)), 2, 4)
         deltas = self.one_bad_delta(support, np.inf)
-        gains = evaluate_perturbed(cmap, data, support, deltas)
+        gains = cmap.evaluate_deltas(data, support, deltas)
         assert finite_items(gains).tolist() == [True, False, True]
         assert np.array_equal(gains[[0, 2]],
-                              evaluate_perturbed(cmap, data, support, deltas[[0, 2]]))
+                              cmap.evaluate_deltas(data, support, deltas[[0, 2]]))
 
     def test_map_never_sees_a_non_finite_record(self, vehicle_setup):
         _, data, support = vehicle_setup
         cmap = FiniteOnlyMap(CeLqrMap())
         deltas = self.one_bad_delta(support, np.nan)
-        gains = evaluate_perturbed(cmap, data, support, deltas)
+        gains = cmap.evaluate_deltas(data, support, deltas)
         assert finite_items(gains).tolist() == [True, False, True]
         [seen] = cmap.seen
         assert len(seen) == 2
-
-    @pytest.mark.parametrize("cmap", [CeLqrMap(), PinvMap(), "linear"],
-                             ids=["ce-lqr", "pinv", "fallback"])
-    @pytest.mark.parametrize("entry", [5, -1], ids=["inner-state", "final-state"])
-    def test_evaluate_deltas_refuses_a_non_finite_record(self, vehicle_setup, cmap, entry):
-        # Called directly, evaluate_deltas refuses a non-finite record; a
-        # final state is in X1 only, and in no snapshot of the pinv map.
-        _, data, _ = vehicle_setup
-        if cmap == "linear":
-            cmap = LinearMap(np.random.default_rng(3).standard_normal((8, data.p)), 2, 4)
-        support, deltas = self.probes(data, 3, 0.01)
-        deltas[1, entry] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            cmap.evaluate_deltas(data, support, deltas)
 
     @pytest.mark.parametrize("cmap", [CeLqrMap(), "flaky"], ids=["ce-lqr", "flaky"])
     def test_estimate_does_not_depend_on_chunking(self, vehicle_setup, k_ce, cmap):
@@ -560,7 +546,7 @@ class TestEvaluateBatch:
         model = PerturbationModel(support, np.full(20, 3.0))
         report = estimate_instability(sys, data, cmap, k_ce, model, 60, MODE_EXACT, seed=4)
         z = sample_z(model, 4, 60)
-        gains = np.concatenate([evaluate_perturbed(cmap, data, support, row[None]) for row in z])
+        gains = np.concatenate([cmap.evaluate_deltas(data, support, row[None]) for row in z])
         rho = spectral_radius(sys.a + sys.b @ gains)
         assert report.skipped == np.isnan(rho).sum()
         assert report.unstable_count == np.sum(rho >= 1.0) > 0
@@ -571,9 +557,9 @@ class TestEvaluateBatch:
         _, data, support = vehicle_setup
         deltas = 3.0 * np.random.default_rng(4).standard_normal((60, support.size))
         deltas[7, 0] = np.nan  # one failed item inside the stack
-        gains = evaluate_perturbed(PinvMap(), data, support, deltas)
+        gains = PinvMap().evaluate_deltas(data, support, deltas)
         assert finite_items(gains).tolist() == [i != 7 for i in range(60)]
-        alone = np.concatenate([evaluate_perturbed(PinvMap(), data, support, row[None])
+        alone = np.concatenate([PinvMap().evaluate_deltas(data, support, row[None])
                                 for row in deltas])
         assert np.array_equal(gains, alone, equal_nan=True)
 

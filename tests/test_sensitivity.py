@@ -21,9 +21,10 @@ from ddrobust import (
 )
 from ddrobust import ctrlmaps
 from ddrobust.cli import _read_json, _write_json
-from ddrobust.ctrlmaps import ControllerMap, evaluate_perturbed
+from ddrobust.ctrlmaps import ControllerMap
 from ddrobust.sensitivity import B_SOURCE_IDENTIFIED, B_SOURCE_TRUE
-from ddrobust.mc import expected_vec_norm, random_support
+from ddrobust.mc import (MODE_EXACT, MODE_FIRST_ORDER, estimate_instability,
+                         expected_vec_norm, random_support)
 
 
 class LinearMap(ControllerMap):
@@ -158,6 +159,80 @@ class TestPerturbationModel:
             PerturbationModel(np.array(support), np.array(sigmas))
 
 
+# vec(X) of the record that the holders below are handed has length 80.
+SUPPORT_CASES = {
+    "empty": ([], "perturbation support must be nonempty"),
+    "float": ([3.7], "support indices must index vec(X){of}, got [3.7]"),
+    "2-D": ([[1, 2]], "support indices must index vec(X){of}, got [[1, 2]]"),
+    "repeated": ([3, 3], "support indices must be distinct, got [3, 3]"),
+    "negative": ([-1], "support indices must index vec(X){of}, got [-1]"),
+    "past-end": ([80], "support indices must index vec(X){of}, got [80]"),
+}
+
+BATCH_MAPS = {"pinv": PinvMap(), "ce-lqr": CeLqrMap(),
+              "plugin": LinearMap(np.ones((8, 80)), 2, 4)}
+
+
+def batch_on(cmap):
+    """A holder that hands ``cmap.evaluate_deltas`` two zero rows of deltas."""
+    return lambda context, s: cmap.evaluate_deltas(context[1], s, np.zeros((2, np.size(s))))
+
+
+def estimate_on(context, support, mode):
+    """estimate_instability with a model whose support is set after the
+    model's own check, so that the estimate's check is the one that runs."""
+    sys, data, bundle = context
+    model = PerturbationModel([1, 2], 0.1)
+    object.__setattr__(model, "support", np.asarray(support))
+    return estimate_instability(sys, data, CeLqrMap(), CeLqrMap().evaluate(data), model, 10,
+                                mode, bundle=bundle)
+
+
+SUPPORT_HOLDERS = {
+    "model": lambda context, s: PerturbationModel(s, 0.1),
+    "bundle-json": lambda context, s: JacobianBundle.from_json(
+        context[2].to_json() | {"support": s}),
+    **{name: batch_on(cmap) for name, cmap in BATCH_MAPS.items()},
+    "fd": lambda context, s: fd_jacobian(PinvMap(), context[1], s),
+    "mc-exact": lambda context, s: estimate_on(context, s, MODE_EXACT),
+    "mc-first-order": lambda context, s: estimate_on(context, s, MODE_FIRST_ORDER),
+}
+
+# Holders with no record at hand: they cannot tell how long vec(X) is.
+RECORD_FREE = ("model", "bundle-json")
+
+
+class TestSupportRefusals:
+    """Every holder of a support index refuses a bad one with the one message."""
+
+    @pytest.fixture(scope="class")
+    def context(self):
+        sys = vehicle_model(0.1)
+        data = collect(sys, 1, 20, seed=0)
+        assert data.x.size == 80
+        return sys, data, fd_jacobian(CeLqrMap(), data, [1, 2]).with_b(sys.b, B_SOURCE_TRUE)
+
+    @pytest.mark.parametrize("holder, case", [
+        (holder, case) for holder in SUPPORT_HOLDERS for case in SUPPORT_CASES
+        if not (holder in RECORD_FREE and case == "past-end")])
+    def test_bad_support(self, context, holder, case):
+        support, message = SUPPORT_CASES[case]
+        message = message.format(of="" if holder in RECORD_FREE else " of length 80")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SUPPORT_HOLDERS[holder](context, support)
+
+    @pytest.mark.parametrize("holder", RECORD_FREE)
+    def test_record_free_holder_takes_any_index(self, context, holder):
+        SUPPORT_HOLDERS[holder](context, [80, 10**6])
+
+    @pytest.mark.parametrize("name", BATCH_MAPS)
+    @pytest.mark.parametrize("shape", [(2, 3), (2,), (2, 2, 1)])
+    def test_deltas_of_another_shape(self, context, name, shape):
+        message = f"deltas must have shape (N, 2) for a support of 2 indices, got {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BATCH_MAPS[name].evaluate_deltas(context[1], [1, 2], np.zeros(shape))
+
+
 class TestFdJacobian:
     def test_linear_map_is_exact(self):
         data = collect(vehicle_model(0.1), 1, 5, seed=0)
@@ -284,7 +359,7 @@ class TestFdJacobian:
         with pytest.raises(ValueError, match="distinct"):
             fd_jacobian(cmap, data, [5, 5])
         with pytest.raises(ValueError, match="distinct"):
-            evaluate_perturbed(cmap, data, [3, 9, 3], np.ones((2, 3)))
+            cmap.evaluate_deltas(data, [3, 9, 3], np.ones((2, 3)))
 
     def test_out_of_range_support(self):
         data = collect(vehicle_model(0.1), 1, 5, seed=0)
@@ -301,7 +376,7 @@ class TestFdJacobian:
         p = data.x.size
         support = support_of(p)
         with pytest.raises(ValueError, match=rf"vec\(X\) of length {p}"):
-            evaluate_perturbed(cmap, data, support, np.tile([0.3, 0.6][:len(support)], (2, 1)))
+            cmap.evaluate_deltas(data, support, np.tile([0.3, 0.6][:len(support)], (2, 1)))
 
     def test_probe_failures_recorded_per_column(self):
         data = collect(vehicle_model(0.1), 1, 10, seed=0)
@@ -373,7 +448,7 @@ def two_k_probe_bundle(cmap, data, support):
     deltas = np.zeros((2 * k, k))
     deltas[0::2][np.arange(k), np.arange(k)] = steps
     deltas[1::2][np.arange(k), np.arange(k)] = -steps
-    gains = evaluate_perturbed(cmap, data, support, deltas)
+    gains = cmap.evaluate_deltas(data, support, deltas)
     ok = np.all(np.isfinite(gains), axis=(1, 2))
     diffs = (gains[0::2] - gains[1::2]) / (2.0 * steps[:, None, None])
     columns = np.swapaxes(diffs, 1, 2).reshape((k, data.m * data.n)).T
