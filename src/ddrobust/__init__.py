@@ -41,8 +41,6 @@ from .bounds import (
     variance_params,
 )
 from .mc import (
-    MODE_EXACT,
-    MODE_FIRST_ORDER,
     MonteCarloReport,
     NoEstimateError,
     estimate_instability,

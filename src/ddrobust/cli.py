@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .lti import LtiSystem, TrainingData, collect, vehicle_model
+from .lti import LtiSystem, TrainingData, as_support, collect, vehicle_model
 from .ctrlmaps import ControllerMap, check_a1, identify, map_from_descriptor
 from .sensitivity import (
     B_SOURCE_IDENTIFIED,
@@ -41,8 +41,7 @@ from .sensitivity import (
     fd_jacobian,
 )
 from .bounds import j_max, theorem1_sweep
-from .mc import (MODE_EXACT, MODE_FIRST_ORDER, MonteCarloReport, NoEstimateError,
-                 estimate_instability, random_support)
+from .mc import MonteCarloReport, NoEstimateError, estimate_instability, random_support
 
 # Seed-derivation domains: every random decision hangs off the master seed
 # through a distinct spawn key, so commands agree on shared upstream draws
@@ -51,9 +50,6 @@ _DOM_COLLECT = 0
 _DOM_SUPPORT = 1
 _DOM_MC = 2
 _DOM_FIG2 = 3
-
-# The config's spelling of each Monte Carlo mode, and its name in ``mc``.
-_MC_MODES = {"exact": MODE_EXACT, "first-order": MODE_FIRST_ORDER}
 
 _DATA_FILE = "data.json"
 _CONTROLLER_FILE = "controller.json"
@@ -78,6 +74,14 @@ def _check_keys(doc: dict, allowed: set[str], context: str) -> None:
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown {context} key(s): {', '.join(sorted(unknown))}")
+
+
+def _as_config(key: str, func, *args):
+    """``func(*args)``, its ValueError re-raised as a ConfigError naming the config key."""
+    try:
+        return func(*args)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key}: {exc}") from exc
 
 
 def _log_grid(lo: float, hi: float, points: int) -> tuple[float, ...]:
@@ -149,7 +153,7 @@ class ExperimentConfig:
             if getattr(self, key) < least:
                 raise ConfigError(f"config key {key} must be >= {least}, "
                                   f"got {getattr(self, key)}")
-        if self.mode not in _MC_MODES:
+        if self.mode not in ("exact", "first-order"):
             raise ConfigError(f"mode must be exact or first-order, got {self.mode!r}")
         if self.b_source not in (B_SOURCE_TRUE, B_SOURCE_IDENTIFIED):
             raise ConfigError(f"b_source must be true or identified, got {self.b_source!r}")
@@ -162,10 +166,7 @@ class ExperimentConfig:
         if self.support_k is not None and self.support_k < 1:
             raise ConfigError(f"config key support.k must be >= 1, got {self.support_k}")
         if self.support_indices is not None:
-            idx = self.support_indices
-            if len(idx) == 0 or len(set(idx)) != len(idx) or min(idx) < 0:
-                raise ConfigError("config key support.indices must be nonempty, distinct "
-                                  f"and non-negative, got {list(idx)}")
+            _as_config("support.indices", as_support, self.support_indices)
         if not self.t_list or any(t < 1 for t in self.t_list):
             raise ConfigError("config key t_list must be nonempty positive integers, "
                               f"got {list(self.t_list)}")
@@ -243,18 +244,12 @@ class ExperimentConfig:
         return cls(**kwargs)
 
     def build_system(self) -> LtiSystem:
-        try:
-            if self.system_name == "vehicle":
-                return vehicle_model(self.ts)
-            return LtiSystem(np.asarray(self.a, dtype=float), np.asarray(self.b, dtype=float))
-        except ValueError as exc:
-            raise ConfigError(f"config key system: {exc}") from exc
+        if self.system_name == "vehicle":
+            return _as_config("system", vehicle_model, self.ts)
+        return _as_config("system", LtiSystem, self.a, self.b)
 
     def build_map(self) -> ControllerMap:
-        try:
-            return map_from_descriptor(self.map_name, self.map_hyper)
-        except ValueError as exc:
-            raise ConfigError(f"config key map: {exc}") from exc
+        return _as_config("map", map_from_descriptor, self.map_name, self.map_hyper)
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -360,28 +355,17 @@ def _collect(cfg: ExperimentConfig, system: LtiSystem) -> TrainingData:
                    seed=_child_seed(cfg.seed, _DOM_COLLECT))
 
 
-def _check_support(cfg: ExperimentConfig, dim: int) -> None:
-    """Refuse a configured support that does not fit in vec(X) of length dim."""
-    if cfg.support_k is not None and cfg.support_k > dim:
-        raise ConfigError(f"config key support.k must fit in vec(X) of length {dim}, "
-                          f"got {cfg.support_k}")
-    if cfg.support_indices is not None and max(cfg.support_indices) >= dim:
-        raise ConfigError(f"config key support.indices must index vec(X) of length {dim}, "
-                          f"got {max(cfg.support_indices)}")
-
-
-def _support(cfg: ExperimentConfig, data: TrainingData, seed: int) -> np.ndarray:
-    """The configured support in vec(X) of ``data``: the given indices, sorted,
-    or support.k distinct random ones drawn from ``seed``."""
-    dim = data.x.size
-    _check_support(cfg, dim)
+def _support(cfg: ExperimentConfig, dim: int, seed: int) -> np.ndarray:
+    """The configured support in vec(X) of length ``dim``: the given indices,
+    sorted, or support.k distinct random ones drawn from ``seed``."""
     if cfg.support_indices is not None:
-        return np.sort(np.asarray(cfg.support_indices, dtype=int))
-    return random_support(dim, cfg.support_k, np.random.default_rng(seed))
+        return np.sort(_as_config("support.indices", as_support, cfg.support_indices, dim))
+    return _as_config("support.k", random_support, dim, cfg.support_k,
+                      np.random.default_rng(seed))
 
 
 def _resolve_support(cfg: ExperimentConfig, data: TrainingData) -> np.ndarray:
-    return _support(cfg, data, _child_seed(cfg.seed, _DOM_SUPPORT))
+    return _support(cfg, data.x.size, _child_seed(cfg.seed, _DOM_SUPPORT))
 
 
 def _attach_b(bundle: JacobianBundle, cfg: ExperimentConfig, system: LtiSystem,
@@ -423,11 +407,13 @@ def _load_bundle(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
 def _mc_at(cfg: ExperimentConfig, system: LtiSystem, data: TrainingData,
            cmap: ControllerMap, k_nom: np.ndarray, support: np.ndarray,
            bundle: JacobianBundle | None, idx: int, sigma: float) -> MonteCarloReport:
-    """Monte Carlo estimate at grid point idx, every support entry at sigma."""
+    """Monte Carlo estimate at grid point idx, every support entry at sigma:
+    of the linearized loop of ``bundle`` in first-order mode, of the map in
+    exact mode."""
     model = PerturbationModel(support, np.full(len(support), float(sigma)))
     return estimate_instability(system, data, cmap, k_nom, model, cfg.trials,
-                                mode=_MC_MODES[cfg.mode], seed=_child_seed(cfg.seed, _DOM_MC, idx),
-                                bundle=bundle)
+                                seed=_child_seed(cfg.seed, _DOM_MC, idx),
+                                bundle=bundle if cfg.mode == "first-order" else None)
 
 
 def cmd_collect(cfg: ExperimentConfig) -> list[Path]:
@@ -576,14 +562,15 @@ def cmd_fig2(cfg: ExperimentConfig) -> list[Path]:
     out = _out_dir(cfg)
     system = cfg.build_system()
     cmap = cfg.build_map()
-    _check_support(cfg, system.n * min(cfg.t_list) * cfg.n_experiments)
+    _support(cfg, system.n * min(cfg.t_list) * cfg.n_experiments, 0)  # refuses; draw unused
     rows = []
     for t_idx, t_steps in enumerate(cfg.t_list):
         j_maxes = []
         for trial in range(cfg.fig2_trials):
             data = collect(system, cfg.n_experiments, t_steps,
                            seed=_child_seed(cfg.seed, _DOM_FIG2, t_idx, trial, 0))
-            support = _support(cfg, data, _child_seed(cfg.seed, _DOM_FIG2, t_idx, trial, 1))
+            support = _support(cfg, data.x.size,
+                               _child_seed(cfg.seed, _DOM_FIG2, t_idx, trial, 1))
             j_maxes.append(j_max(_fd_bundle(cfg, system, data, cmap, support)))
         mean = float(np.mean(j_maxes))
         std = float(np.std(j_maxes, ddof=1)) if len(j_maxes) > 1 else 0.0

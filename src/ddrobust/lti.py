@@ -8,6 +8,7 @@ experiment. ``X`` stores the states x(1..T); x(0) is kept separately in
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -126,7 +127,7 @@ class TrainingData:
                              "only full-trajectory records are supported")
         try:
             fields = {key: np.asarray(doc[key], dtype=float) for key in ("u", "x", "x0s")}
-            fields |= {key: int(doc[key]) for key in ("t", "n", "m")}
+            fields |= {key: operator.index(doc[key]) for key in ("t", "n", "m")}
         except TypeError as exc:
             raise ValueError(f"training record has a malformed field: {exc}") from exc
         return cls(**fields, seed=doc.get("seed"))

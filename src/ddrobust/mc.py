@@ -23,9 +23,6 @@ from .ctrlmaps import ControllerMap
 from .sensitivity import B_SOURCE_TRUE, JacobianBundle, PerturbationModel, fd_jacobian, first_order_acl
 from .bounds import StabilityError
 
-MODE_EXACT = "exact"
-MODE_FIRST_ORDER = "first_order"
-
 _WILSON_Z95 = 1.959963984540054
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
@@ -145,7 +142,7 @@ def sample_z(model: PerturbationModel, seed: int, trials: int) -> np.ndarray:
 def random_support(p_n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """k distinct uniform indices into vec(X), sorted ascending."""
     if k > p_n:
-        raise ValueError(f"cannot pick {k} distinct indices out of {p_n}")
+        raise ValueError(f"cannot pick {k} distinct indices out of vec(X) of length {p_n}")
     return np.sort(rng.choice(p_n, size=k, replace=False))
 
 
@@ -156,37 +153,32 @@ def estimate_instability(
     k_nom: np.ndarray,
     model: PerturbationModel,
     trials: int,
-    mode: str = MODE_EXACT,
     seed: int = 0,
     bundle: JacobianBundle | None = None,
 ) -> MonteCarloReport:
     """Estimate P[rho of the perturbed closed loop >= 1].
 
     ``k_nom`` is the map's gain on the unperturbed data, which the caller
-    has already evaluated. ``exact`` mode evaluates the controller map at
-    every perturbed vec(X) in one ``evaluate_deltas`` call (the shipped
-    maps update their nominal fit and build no perturbed record);
-    ``first_order`` tests the linearized closed loop A_cl + sum_i z_i B J_i of
-    ``bundle``, which the caller builds on the model's support with the B of
-    its choice. Numerical map failures on a sample are skipped and counted;
-    the estimate conditions on success.
+    has already evaluated. With no ``bundle`` (mode ``exact``) the controller
+    map is evaluated at every perturbed vec(X) in one ``evaluate_deltas`` call
+    (the shipped maps update their nominal fit and build no perturbed record).
+    With one (mode ``first_order``) the linearized closed loop
+    A_cl + sum_i z_i B J_i of ``bundle`` is tested, which the caller builds on
+    the model's support with the B of its choice. Numerical map failures on a
+    sample are skipped and counted; the estimate conditions on success.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if mode not in (MODE_EXACT, MODE_FIRST_ORDER):
-        raise ValueError(f"unknown mode {mode!r}")
     a_cl = sys.a + sys.b @ k_nom
     rho_nom = spectral_radius(a_cl)
     if rho_nom >= 1.0:
         raise StabilityError(f"nominal closed loop is not stable: rho = {rho_nom:.6g}")
     as_support(model.support, data.x.size)
-
-    if mode == MODE_FIRST_ORDER and (bundle is None
-                                     or not np.array_equal(bundle.support, model.support)):
-        raise ValueError("first-order mode needs a bundle on the model's support")
+    if bundle is not None and not np.array_equal(bundle.support, model.support):
+        raise ValueError("the bundle must be on the model's support")
 
     z = sample_z(model, seed, trials)
-    if mode == MODE_EXACT:
+    if bundle is None:
         # A failed evaluation is a non-finite gain, so its loop gets rho NaN.
         loops = sys.a + sys.b @ cmap.evaluate_deltas(data, model.support, z)
     else:
@@ -206,7 +198,7 @@ def estimate_instability(
         p_hat=p_hat,
         ci_low=ci_low,
         ci_high=ci_high,
-        mode=mode,
+        mode="exact" if bundle is None else "first_order",
         seed=seed,
     )
 
@@ -221,6 +213,10 @@ def expected_vec_norm(sigmas) -> float:
     Equal sigmas share one column of the log-mgf sum.
     """
     values, counts = np.unique(np.asarray(sigmas, dtype=float), return_counts=True)
+    if values.size == 0:
+        raise ValueError("expected_vec_norm needs at least one sigma")
+    if not 0.0 < values[0] <= values[-1] < math.inf:
+        raise ValueError("all sigmas must be positive and finite")
     scale = values[-1]
     u, du = np.linspace(-60.0, 60.0, 2401, retstep=True)
     log_mgf = -0.5 * (np.log1p(2.0 * np.outer(np.exp(u), (values / scale) ** 2)) @ counts)
@@ -253,8 +249,12 @@ def lemma1_residual(
     mean ||A~_exact - A~_first_order|| / sqrt(E ||vec Z||) over ``trials``
     draws of Z with sigmas scaled by s. Every scale scales the same draws
     (common random numbers), row t from trial t's stream as in ``sample_z``.
-    Numerical map failures are skipped and counted.
+    Numerical map failures are skipped and counted. Every scale must be
+    non-negative and finite.
     """
+    sigma_scales = list(sigma_scales)
+    if not all(0.0 <= scale < math.inf for scale in sigma_scales):
+        raise ValueError(f"sigma scales must be non-negative and finite, got {sigma_scales}")
     bundle = fd_jacobian(cmap, data, model.support)
     a_cl = sys.a + sys.b @ bundle.nominal_gain(cmap, data)
     bundle = bundle.with_b(sys.b, B_SOURCE_TRUE)

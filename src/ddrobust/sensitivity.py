@@ -10,6 +10,7 @@ bound downstream.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -131,8 +132,8 @@ class JacobianBundle:
                 support=as_support(doc["support"]),
                 columns=np.asarray(doc["columns"], dtype=float),
                 fd_steps=np.asarray(doc["fd_steps"], dtype=float),
-                m=int(doc["m"]),
-                n=int(doc["n"]),
+                m=operator.index(doc["m"]),
+                n=operator.index(doc["n"]),
                 failures={int(k): v for k, v in doc.get("failures", {}).items()},
                 gain=np.asarray(doc["gain"], dtype=float),
                 map=doc.get("map"),

@@ -109,7 +109,8 @@ class TestArgumentParsing:
             cli.ExperimentConfig(mode="bogus")
 
     def test_config_refuses_the_mc_name_of_a_mode(self):
-        # mc.MODE_FIRST_ORDER is not a config spelling, and it is refused once.
+        # first_order, the mode as mc.csv writes it, is not a config spelling,
+        # and it is refused once.
         with pytest.raises(cli.ConfigError, match="^mode must be exact or first-order, "
                                                   "got 'first_order'$"):
             cli.ExperimentConfig(mode="first_order")
@@ -200,15 +201,17 @@ class TestArgumentParsing:
         ({"support": {"k": 3, "indices": [1]}},
          "support needs exactly one of k or indices, got k, indices"),
         ({"support": {"k": 0}}, "support.k must be >= 1, got 0"),
+        # The support rule and its messages are lti.as_support's.
         ({"support": {"indices": [3, 3]}},
-         "support.indices must be nonempty, distinct and non-negative, got [3, 3]"),
+         "support.indices: support indices must be distinct, got [3, 3]"),
         ({"support": {"indices": [-1]}},
-         "support.indices must be nonempty, distinct and non-negative, got [-1]"),
+         "support.indices: support indices must index vec(X), got [-1]"),
+        ({"support": {"indices": []}}, "support.indices: perturbation support must be nonempty"),
         ({"t_list": [100, 0]}, "t_list must be nonempty positive integers, got [100, 0]"),
     ], ids=["log-range-order", "points", "sigma-grid", "empty-sigma-grid", "sigma-value",
             "trials", "fig2-trials", "t-steps", "n-experiments", "support-none",
             "support-both", "support-k", "support-indices-repeated",
-            "support-indices-negative", "t-list"])
+            "support-indices-negative", "support-indices-empty", "t-list"])
     def test_range_error_names_its_key(self, tmp_path, capsys, override, message):
         cfg = write_config(tmp_path, FAST_CONFIG | override)
         assert run(["collect", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -254,23 +257,25 @@ class TestArgumentParsing:
         assert not (tmp_path / "o").exists()
 
 
-    @pytest.mark.parametrize("command, support, key, length", [
-        ("jacobian", {"k": 500}, "support.k", 240),
-        ("jacobian", {"indices": [0, 999]}, "support.indices", 240),
-        ("fig2", {"k": 500}, "support.k", 80),
-        ("fig2", {"indices": list(range(81))}, "support.indices", 80),
+    @pytest.mark.parametrize("command, support, message", [
+        ("jacobian", {"k": 500},
+         "support.k: cannot pick 500 distinct indices out of vec(X) of length 240"),
+        ("jacobian", {"indices": [0, 999]},
+         "support.indices: support indices must index vec(X) of length 240, got [0, 999]"),
+        ("fig2", {"k": 500},
+         "support.k: cannot pick 500 distinct indices out of vec(X) of length 80"),
+        ("fig2", {"indices": list(range(81))}, "support.indices: support indices must index "
+         f"vec(X) of length 80, got {list(range(81))}"),
     ], ids=["k", "indices", "fig2-k", "fig2-indices"])
     def test_support_outside_vec_x_exits_2_with_one_line(self, tmp_path, capsys, command,
-                                                         support, key, length):
+                                                         support, message):
         doc = FAST_CONFIG | {"support": support, "t_list": [20], "fig2_trials": 1}
         cfg, out = write_config(tmp_path, doc), str(tmp_path / "o")
         assert run(["collect", "--config", cfg, "--out", out]) == 0
         capsys.readouterr()
         assert run([command, "--config", cfg, "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith(f"ddrobust: error: ConfigError: config key {key} must ")
-        assert f"vec(X) of length {length}, got " in err
+        assert capsys.readouterr().err == (
+            f"ddrobust: error: ConfigError: config key {message}\n")
 
 
 def test_csv_cells_are_str_at_full_precision(tmp_path):
@@ -765,6 +770,19 @@ class TestFigures:
         assert len(stacks) == 1 + len(grid) and alone == []
         assert [len(args[2]) for args in stacks] == [2 * 8 + 1] + [30] * len(grid)
 
+    @pytest.mark.parametrize("mode, given", [("exact", False), ("first-order", True)])
+    def test_fig1_hands_mc_the_bundle_in_first_order_mode_only(self, tmp_path, monkeypatch,
+                                                               mode, given):
+        # estimate_instability reads its mode off the bundle it is given.
+        bundles = []
+        original = cli.estimate_instability
+        monkeypatch.setattr(cli, "estimate_instability", lambda *args, bundle, **kwargs: (
+            bundles.append(bundle) or original(*args, bundle=bundle, **kwargs)))
+        out = tmp_path / "run"
+        doc = FAST_CONFIG | {"mode": mode}
+        assert run(["fig1", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert [bundle is not None for bundle in bundles] == [given, given]
+
     def test_fig1_failed_nominal_probe_ends_with_the_map_error(self, tmp_path, capsys,
                                                                monkeypatch):
         original = CeLqrMap.evaluate_deltas
@@ -842,8 +860,8 @@ class TestFigures:
         out = tmp_path / "o"
         assert run(["fig2", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "ddrobust: error: ConfigError: config key support.k must fit in vec(X) of "
-            "length 80, got 100\n")
+            "ddrobust: error: ConfigError: config key support.k: cannot pick 100 distinct "
+            "indices out of vec(X) of length 80\n")
         assert calls == []
         assert not (out / "fig2.csv").exists()
 

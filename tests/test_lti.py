@@ -178,6 +178,15 @@ class TestCollect:
         with pytest.raises(ValueError, match="^training record has a malformed field: "):
             TrainingData.from_json(doc | {"t": None})
 
+    @pytest.mark.parametrize("field, value", [("t", 60.7), ("n", 4.0), ("m", "2")])
+    def test_json_refuses_a_count_that_is_not_an_integer(self, tmp_path, field, value):
+        # int() would load "t": 60.7 as a record of 60 steps.
+        path = tmp_path / "data.json"
+        _write_json(path, collect(vehicle_model(0.1), 1, 5, seed=0).to_json() | {field: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: training record has "
+                                             "a malformed field: "):
+            _read_json(TrainingData, path)
+
     def test_json_rejects_other_selectors(self):
         doc = collect(vehicle_model(0.1), 1, 5, seed=0).to_json()
         assert doc["selector"] == {"kind": "full_trajectory"}

@@ -20,7 +20,7 @@ from ddrobust import (
 from ddrobust import DareError, lemma1_residual, mc
 from ddrobust.ctrlmaps import ControllerMap
 from ddrobust.lti import LtiSystem
-from ddrobust.mc import MODE_EXACT, MODE_FIRST_ORDER, NoEstimateError
+from ddrobust.mc import NoEstimateError
 
 
 class LinearMap(ControllerMap):
@@ -268,8 +268,8 @@ class TestTrialStreams:
         model = PerturbationModel(np.arange(12), np.linspace(2.0, 6.0, 12))
         bundle = fd_jacobian(cmap, data, model.support).with_b(sys.b, B_SOURCE_TRUE)
         seed, trials = 2**40 + 3, 40
-        counts = [0] + [estimate_instability(sys, data, cmap, k_nom, model, n, MODE_FIRST_ORDER,
-                                             seed=seed, bundle=bundle).unstable_count
+        counts = [0] + [estimate_instability(sys, data, cmap, k_nom, model, n, seed=seed,
+                                             bundle=bundle).unstable_count
                         for n in range(1, trials + 1)]
         z = self.oracle_z(seed, trials, 12) * model.sigmas
         loops = sys.a + sys.b @ k_nom + np.tensordot(z, bundle.bj, axes=1)
@@ -285,12 +285,12 @@ class TestEstimateInstability:
         model = PerturbationModel(support, np.full(20, 3.0))
         bundle = fd_jacobian(CeLqrMap(), data, support).with_b(sys.b, B_SOURCE_TRUE)
         first = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 100,
-                                     MODE_FIRST_ORDER, seed=5, bundle=bundle)
+                                     seed=5, bundle=bundle)
         second = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 100,
-                                      MODE_FIRST_ORDER, seed=5, bundle=bundle)
+                                      seed=5, bundle=bundle)
         assert first == second
         shifted = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 100,
-                                       MODE_FIRST_ORDER, seed=6, bundle=bundle)
+                                       seed=6, bundle=bundle)
         assert shifted.unstable_count != first.unstable_count or shifted != first
 
     def test_refuses_unstable_nominal_loop(self):
@@ -307,8 +307,6 @@ class TestEstimateInstability:
         model = PerturbationModel(support, np.full(20, 0.1))
         with pytest.raises(ValueError):
             estimate_instability(sys, data, CeLqrMap(), k_ce, model, 0)
-        with pytest.raises(ValueError):
-            estimate_instability(sys, data, CeLqrMap(), k_ce, model, 10, mode="both")
         bad = PerturbationModel(np.array([data.p * 2]), np.array([0.1]))
         with pytest.raises(ValueError):
             estimate_instability(sys, data, CeLqrMap(), k_ce, bad, 10)
@@ -317,12 +315,12 @@ class TestEstimateInstability:
         sys, data, support = vehicle_setup
         model = PerturbationModel(support, np.full(20, 1e-6))
         exact = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 200,
-                                     MODE_EXACT, seed=1)
+                                     seed=1)
         assert exact.p_hat == 0.0
         assert exact.ci_low == 0.0
         bundle = fd_jacobian(CeLqrMap(), data, support).with_b(sys.b, B_SOURCE_TRUE)
         fo = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 2000,
-                                  MODE_FIRST_ORDER, seed=1, bundle=bundle)
+                                  seed=1, bundle=bundle)
         assert fo.p_hat == 0.0
 
     def test_huge_sigma_destabilizes(self):
@@ -331,7 +329,7 @@ class TestEstimateInstability:
         support = random_support(data.p, 50, np.random.default_rng(503))
         model = PerturbationModel(support, np.full(50, 1e3))
         report = estimate_instability(sys, data, PinvMap(), PinvMap().evaluate(data),
-                                      model, 200, MODE_EXACT, seed=11)
+                                      model, 200, seed=11)
         assert report.p_hat >= 0.9
 
     def test_modes_agree_exactly_on_linear_map(self):
@@ -345,12 +343,14 @@ class TestEstimateInstability:
         cmap = LinearMap(m0, 1, 2)
         model = PerturbationModel(np.arange(12), np.full(12, 4.0))
         exact = estimate_instability(sys, data, cmap, cmap.evaluate(data), model, 200,
-                                     MODE_EXACT, seed=9)
+                                     seed=9)
         bundle = fd_jacobian(cmap, data, model.support).with_b(sys.b, B_SOURCE_TRUE)
         fo = estimate_instability(sys, data, cmap, cmap.evaluate(data), model, 200,
-                                  MODE_FIRST_ORDER, seed=9, bundle=bundle)
+                                  seed=9, bundle=bundle)
         assert exact.unstable_count == fo.unstable_count
         assert 0.0 < exact.p_hat < 1.0
+        # The mode is read off the bundle: none means the map is re-evaluated.
+        assert (exact.mode, fo.mode) == ("exact", "first_order")
 
     def test_estimate_rises_with_sigma(self, vehicle_setup, k_ce):
         sys, data, support = vehicle_setup
@@ -359,17 +359,9 @@ class TestEstimateInstability:
         for sigma in (1.0, 3.0, 10.0, 30.0):
             model = PerturbationModel(support, np.full(20, sigma))
             report = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 200,
-                                          MODE_FIRST_ORDER, seed=5, bundle=bundle)
+                                          seed=5, bundle=bundle)
             p_hats.append(report.p_hat)
         assert all(a < b for a, b in zip(p_hats, p_hats[1:]))
-
-    def test_first_order_needs_a_bundle(self, vehicle_setup, k_ce):
-        # The caller chooses the B of the linearized loop; none is built for it.
-        sys, data, support = vehicle_setup
-        model = PerturbationModel(support, np.full(20, 3.0))
-        with pytest.raises(ValueError, match="model's support"):
-            estimate_instability(sys, data, CeLqrMap(), k_ce, model, 10,
-                                 MODE_FIRST_ORDER, seed=5, bundle=None)
 
     def test_first_order_needs_b(self, vehicle_setup, k_ce):
         sys, data, support = vehicle_setup
@@ -377,7 +369,7 @@ class TestEstimateInstability:
         bundle = fd_jacobian(CeLqrMap(), data, support)  # no B attached
         with pytest.raises(ValueError):
             estimate_instability(sys, data, CeLqrMap(), k_ce, model, 10,
-                                 MODE_FIRST_ORDER, seed=5, bundle=bundle)
+                                 seed=5, bundle=bundle)
 
     def test_bundle_must_match_the_model_support(self, vehicle_setup, k_ce):
         sys, data, support = vehicle_setup
@@ -386,8 +378,7 @@ class TestEstimateInstability:
         other[0] = np.setdiff1d(np.arange(data.p), support)[0]
         model = PerturbationModel(other, np.full(support.size, 0.1))
         with pytest.raises(ValueError, match="model's support"):
-            estimate_instability(sys, data, CeLqrMap(), k_ce, model, 10, MODE_FIRST_ORDER,
-                                 seed=0, bundle=bundle)
+            estimate_instability(sys, data, CeLqrMap(), k_ce, model, 10, seed=0, bundle=bundle)
 
     def test_map_failures_are_skipped_and_counted(self, vehicle_setup, k_ce):
         sys, data, support = vehicle_setup
@@ -397,7 +388,7 @@ class TestEstimateInstability:
                          width=sigma)
         model = PerturbationModel(support, np.full(20, sigma))
         report = estimate_instability(sys, data, flaky, k_ce, model, 100,
-                                      MODE_EXACT, seed=2)
+                                      seed=2)
         assert report.trials == 100
         assert 0 < report.skipped < 100
         effective = report.trials - report.skipped
@@ -413,10 +404,10 @@ class TestEstimateInstability:
         model = PerturbationModel(support, np.full(20, 0.5))
         with pytest.raises(RuntimeError):
             estimate_instability(sys, data, always_fails, k_ce, model, 20,
-                                 MODE_EXACT, seed=2)
+                                 seed=2)
         with pytest.raises(NoEstimateError):
             estimate_instability(sys, data, always_fails, k_ce, model, 20,
-                                 MODE_EXACT, seed=2)
+                                 seed=2)
 
 
 class TestStabilityVerdict:
@@ -430,7 +421,7 @@ class TestStabilityVerdict:
         bundle = fd_jacobian(CeLqrMap(), data, support).with_b(sys.b, B_SOURCE_TRUE)
         items = spy_eigvals(monkeypatch)
         report = estimate_instability(sys, data, CeLqrMap(), k_ce, model, 1000,
-                                      MODE_FIRST_ORDER, seed=3, bundle=bundle)
+                                      seed=3, bundle=bundle)
         assert 0.0 < report.p_hat < 1.0
         assert items[0] == 1  # the nominal loop
         assert sum(items[1:]) <= 10
@@ -445,7 +436,7 @@ class TestStabilityVerdict:
         bundle = fd_jacobian(CeLqrMap(), data, model.support).with_b(sys.b, B_SOURCE_TRUE)
         items = spy_eigvals(monkeypatch)
         estimate_instability(sys, data, CeLqrMap(), k_nom, model, 200,
-                             MODE_FIRST_ORDER, seed=1, bundle=bundle)
+                             seed=1, bundle=bundle)
         assert items == [1, 200]
 
 
@@ -544,7 +535,7 @@ class TestEvaluateBatch:
             watched = int(support[0])
             cmap = FlakyMap(CeLqrMap(), watched, float(data.x_vec[watched]), width=3.0)
         model = PerturbationModel(support, np.full(20, 3.0))
-        report = estimate_instability(sys, data, cmap, k_ce, model, 60, MODE_EXACT, seed=4)
+        report = estimate_instability(sys, data, cmap, k_ce, model, 60, seed=4)
         z = sample_z(model, 4, 60)
         gains = np.concatenate([cmap.evaluate_deltas(data, support, row[None]) for row in z])
         rho = spectral_radius(sys.a + sys.b @ gains)
@@ -589,7 +580,7 @@ class TestProgrammingErrorsSurface:
         for error in self.ERRORS:
             with pytest.raises(error, match="unsupported operand"):
                 estimate_instability(sys, data, self.buggy(data, error), k_ce, model, 10,
-                                     MODE_EXACT, seed=0)
+                                     seed=0)
 
     def test_lemma1_residual(self, vehicle_setup):
         sys, data, support = vehicle_setup

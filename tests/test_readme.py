@@ -16,6 +16,7 @@ def test_library_usage_example_runs(capsys):
     lower, p_hat, upper = (float(v) for v in printed[0].split())
     assert 0.0 <= lower <= upper <= 1.0 and 0.0 <= p_hat <= 1.0
     assert namespace["z"].shape == (2000, 50)
+    assert (namespace["mc"].mode, namespace["fo"].mode) == ("exact", "first_order")
     residuals = [stat.mean_residual for stat in namespace["residuals"]]
     assert printed[1] == str(residuals)
     assert residuals[0] > residuals[1] > 0.0
