@@ -4,9 +4,16 @@ the instability probability and the Lemma-1 remainder of the linearization.
 Both draw through ``sample_z``: trial t's row comes from numpy's
 ``SeedSequence(seed, spawn_key=(t,))`` stream, a stable contract. The seeds
 of all trials are hashed in one pass that starts from the pool of
-``SeedSequence(seed)``, which the trials share. So estimates are reproducible,
-and a row depends neither on how many trials are drawn nor on their
-evaluation order. Nothing else is drawn: ``expected_vec_norm`` is exact.
+``SeedSequence(seed)``, which the trials share. On a large enough draw the
+streams are then stepped in lockstep: numpy's PCG64 (XSL-RR output; O'Neill,
+HMC-CS-2014-0905) on uint64 halves, each output decoded by the fast branch
+of numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000), whose
+layer widths are read off numpy's own sampler at import. numpy draws every
+other row itself, one ``Generator`` per trial: a row with a draw off that
+branch, and every row of a draw too small or too wide for the lockstep.
+So estimates are reproducible, and a row depends neither on how many trials
+are drawn nor on their evaluation order. Nothing else is drawn:
+``expected_vec_norm`` is exact.
 """
 
 from __future__ import annotations
@@ -28,6 +35,20 @@ _WILSON_Z95 = 1.959963984540054
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R, _POOL_SIZE, _MASK32 = 0xCA01F9DD, 0x4973F715, 4, 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64). The lockstep step
+# takes its 64-bit halves, its low half's 32-bit limbs and the limbs' shift
+# and mask as 0-d uint64 arrays, which ufuncs take faster than numpy scalars
+# (a step over 1000 trials: 16 against 20 us).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
+_MULT_HI, _MULT_LO, _MULT_LO1, _MULT_LO0, _U32, _LOW32 = (np.array(v, dtype=np.uint64) for v in (
+    _PCG_MULT >> 64, _PCG_MULT & (1 << 64) - 1, _PCG_MULT >> 32 & _MASK32, _PCG_MULT & _MASK32,
+    32, _MASK32))
+# sample_z draws in lockstep from this many trials on, on supports of at most
+# this many entries, this many trials at a time. Measured on one thread, the
+# per-trial loop is faster below about 130 trials at k = 10 and 256 at k = 20,
+# and above k = 24 at 1000 trials.
+_LOCKSTEP_MIN_TRIALS, _LOCKSTEP_MAX_K, _LOCKSTEP_MAX_CHUNK = 256, 20, 2048
 
 
 class NoEstimateError(RuntimeError):
@@ -85,6 +106,12 @@ def _successive(const: int, mult: int, start: int, n: int) -> np.ndarray:
                     dtype=np.uint32)
 
 
+# Seed-independent: the spawn key's constants for seeds of up to _POOL_SIZE
+# 32-bit words, and generate_state's.
+_SPAWN_CONSTS = _successive(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE, _POOL_SIZE)
+_STATE_CONSTS = _successive(_INIT_B, _MULT_B, 0, 8)
+
+
 def _spawn_words(seed: int, trials: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(t,)).generate_state(4, np.uint64)`` for every t
     in ``trials``, as (N, 4) uint64. numpy mixes the seed's 32-bit words into the
@@ -97,15 +124,17 @@ def _spawn_words(seed: int, trials: np.ndarray) -> np.ndarray:
         raise ValueError(f"need a seed >= 0 and trial indices in [0, 2**32), got seed {seed}")
     words = max(1, -(-seed.bit_length() // 32))
     # t mixes into pool word d at the d-th next constant: one (N, 4) step.
-    consts = _successive(_INIT_A, _MULT_A, _POOL_SIZE * max(_POOL_SIZE, words), _POOL_SIZE)
+    consts = (_SPAWN_CONSTS if words <= _POOL_SIZE
+              else _successive(_INIT_A, _MULT_A, _POOL_SIZE * words, _POOL_SIZE))
     pool = _mix(np.random.SeedSequence(seed).pool, _hashmix(lanes[:, None], consts))
-    state = _hashmix(np.tile(pool, 2), _successive(_INIT_B, _MULT_B, 0, 8), _MULT_B)
-    state = state.astype(np.uint64)
+    state = _hashmix(np.tile(pool, 2), _STATE_CONSTS, _MULT_B).astype(np.uint64)
     return state[:, 0::2] | state[:, 1::2] << 32  # little-endian word pairs
 
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """Hands PCG64 the seed words ``_spawn_words`` computed for one trial.
+    """Hands PCG64 the seed words of one stream: in ``sample_z``'s per-trial
+    loop a trial's, which ``_spawn_words`` computed; at import, to read the
+    ziggurat's widths, words whose stream starts with a chosen output.
 
     A plain class: as a frozen dataclass, whose ``__init__`` sets the field
     through ``object.__setattr__``, it made ``sample_z`` 1.6x slower (1000
@@ -125,17 +154,89 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state * _PCG_MULT + inc mod 2**128, on uint64 halves;
+    the high half of lo * _MULT_LO comes from 32-bit limbs."""
+    lo1, lo0 = lo >> _U32, lo & _LOW32
+    low = lo0 * _MULT_LO0
+    mid = lo1 * _MULT_LO0 + (low >> _U32)
+    cross = (mid & _LOW32) + lo0 * _MULT_LO1
+    hi = lo1 * _MULT_LO1 + (mid >> _U32) + (cross >> _U32) + lo * _MULT_HI + hi * _MULT_LO + inc_hi
+    lo = lo * _MULT_LO + inc_lo
+    return hi + (lo < inc_lo), lo
+
+
+def _first_output_words(output: int) -> np.ndarray:
+    """Seed words whose PCG64 stream starts with ``output``: inc = 1, and the
+    state after the first step is ``output`` (high half 0, so no rotation)."""
+    seeded = (output - 1) * _PCG_MULT_INV
+    seed = ((seeded - 1) * _PCG_MULT_INV - 1) % (1 << 128)
+    return np.array([seed >> 64, seed & (1 << 64) - 1, 0, 0], dtype=np.uint64)
+
+
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's standard-normal ziggurat fast branch, indexed by an output's low
+    9 bits (layer, then sign): the signed layer width, read off numpy's own
+    sampler by one draw whose first output has rabs = 1, and the bound below
+    which rabs is kept, floor(2**52 w[i-1] / w[i]) less 1e-12 relative (which
+    leaves the kept region inside numpy's). Layers 0-2 keep nothing: 0 is the
+    base strip, 1 has no fast region, and 2's bound needs layer 1's width."""
+    widths = np.zeros(256)
+    for layer in range(2, 256):
+        seeds = _SeedWords(_first_output_words(1 << 9 | layer))
+        widths[layer] = np.random.Generator(np.random.PCG64(seeds)).standard_normal()
+    bounds = np.zeros(256, dtype=np.uint64)
+    bounds[3:] = np.floor((1.0 - 1e-12) * 2.0**52 * widths[2:-1] / widths[3:])
+    return np.concatenate([widths, -widths]), np.tile(bounds, 2)
+
+
+_ZIG_WIDTHS, _ZIG_BOUNDS = _ziggurat_tables()
+
+
+def _lockstep_normals(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Draws ``out`` (N, k) from the N streams of ``words`` in lockstep, and
+    returns which rows are numpy's draw: those whose k draws all took the
+    ziggurat's fast branch. Each step outputs rotr64(hi ^ lo, hi >> 58)."""
+    s_hi, s_lo, q_hi, q_lo = words.T
+    inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+    lo = s_lo + inc_lo  # numpy's pcg64_set_seed: state = (inc + s) * mult + inc
+    hi, lo = _pcg_step(s_hi + inc_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+    draws = np.empty(out.shape[::-1], dtype=np.uint64)
+    for row in draws:
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        mixed, rot = hi ^ lo, hi >> 58
+        np.bitwise_or(mixed >> rot, mixed << (-rot & 63), out=row)
+    branch, rabs = draws & 0x1FF, draws >> 9 & (1 << 52) - 1
+    np.multiply(rabs.T, _ZIG_WIDTHS.take(branch.T), out=out)
+    return np.all(rabs < _ZIG_BOUNDS.take(branch), axis=0)
+
+
 def sample_z(model: PerturbationModel, seed: int, trials: int) -> np.ndarray:
     """(trials, k) perturbation values on the support, z_i ~ N(0, sigma_i^2).
 
     Row t is drawn from trial t's stream, numpy's ``SeedSequence(seed,
     spawn_key=(t,))`` stream, so it does not depend on how many rows are drawn.
+    From _LOCKSTEP_MIN_TRIALS trials on, with k <= _LOCKSTEP_MAX_K, every
+    stream is stepped in lockstep, and only the rows with a draw off the
+    ziggurat's fast branch are drawn again by numpy, one trial at a time.
     """
-    z = np.empty((trials, model.size))
+    try:
+        count = operator.index(trials)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise ValueError(f"trials must be a non-negative integer, got {trials!r}")
+    words = _spawn_words(seed, np.arange(count))
+    z = np.empty((count, model.size))
+    redo = np.ones(count, dtype=bool)
+    if count >= _LOCKSTEP_MIN_TRIALS and model.size <= _LOCKSTEP_MAX_K:
+        for start in range(0, count, _LOCKSTEP_MAX_CHUNK):
+            chunk = slice(start, start + _LOCKSTEP_MAX_CHUNK)
+            redo[chunk] = ~_lockstep_normals(words[chunk], z[chunk])
     holder = _SeedWords(None)
-    for row, words in zip(z, _spawn_words(seed, np.arange(trials))):
-        holder.words = words
-        np.random.Generator(np.random.PCG64(holder)).standard_normal(out=row)
+    for row in np.flatnonzero(redo).tolist():
+        holder.words = words[row]
+        np.random.Generator(np.random.PCG64(holder)).standard_normal(out=z[row])
     return z * model.sigmas
 
 

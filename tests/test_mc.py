@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,46 @@ class TestTrialStreams:
         assert len(np.unique(z, axis=0)) == len(z)
         assert not np.any(sample_z(model, seed + 1, 3) == z[:3])
 
+    @pytest.mark.parametrize("k", [1, mc._LOCKSTEP_MAX_K, mc._LOCKSTEP_MAX_K + 1, 50])
+    def test_both_sides_of_each_gate_match_seed_sequence(self, k, monkeypatch):
+        # The lockstep branch draws from _LOCKSTEP_MIN_TRIALS trials on, on at
+        # most _LOCKSTEP_MAX_K entries, in chunks; the per-trial loop elsewhere.
+        stepped, draw = [], mc._lockstep_normals
+        monkeypatch.setattr(mc, "_lockstep_normals",
+                            lambda words, out: stepped.append(len(words)) or draw(words, out))
+        seed, gate = 2**64 + 5, mc._LOCKSTEP_MIN_TRIALS
+        model = PerturbationModel(np.arange(k), 1.0)
+        oracle = self.oracle_z(seed, 3000, k)
+        for trials in (1, gate - 1, gate, 3000):
+            stepped.clear()
+            assert np.array_equal(sample_z(model, seed, trials), oracle[:trials])
+            lockstep = trials >= gate and k <= mc._LOCKSTEP_MAX_K
+            assert sum(stepped) == (trials if lockstep else 0)
+            assert len(stepped) == (-(-trials // mc._LOCKSTEP_MAX_CHUNK) if lockstep else 0)
+
+    def test_rows_off_the_fast_branch_are_drawn_again(self, monkeypatch):
+        # A row with a draw off the ziggurat's fast branch holds other values
+        # after the lockstep pass; the per-trial loop draws it again.
+        passes, draw = [], mc._lockstep_normals
+        monkeypatch.setattr(mc, "_lockstep_normals",
+                            lambda words, out: passes.append((draw(words, out), out.copy()))
+                            or passes[-1][0])
+        k, trials = mc._LOCKSTEP_MAX_K, 1000
+        z = sample_z(PerturbationModel(np.arange(k), 1.0), 3, trials)
+        oracle = self.oracle_z(3, trials, k)
+        assert np.array_equal(z, oracle)
+        [(kept, stepped)] = passes
+        assert 0 < np.sum(~kept) < trials
+        assert np.array_equal(stepped[kept], oracle[kept])
+        assert np.any(stepped[~kept] != oracle[~kept])
+
+    @pytest.mark.parametrize("trials", [-1, 2.5, "3"])
+    def test_trial_count_must_be_a_non_negative_integer(self, trials):
+        message = f"trials must be a non-negative integer, got {trials!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_z(PerturbationModel([0], 1.0), 0, trials)
+        assert sample_z(PerturbationModel([0, 1], 1.0), 0, np.int64(0)).shape == (0, 2)
+
     def test_negative_seed_or_trial_is_refused(self):
         with pytest.raises(ValueError):
             np.random.SeedSequence(-1)
@@ -277,6 +319,31 @@ class TestTrialStreams:
         assert np.all(np.abs(rho - 1.0) > 1e-9)  # no trial on the edge
         assert np.array_equal(np.diff(counts), rho >= 1.0)
         assert 0 < counts[-1] < trials
+
+
+class TestZigguratTables:
+    """The lockstep branch's layer widths and bounds, against numpy's sampler."""
+
+    @staticmethod
+    def bit_generator(output):
+        return np.random.PCG64(mc._SeedWords(mc._first_output_words(output)))
+
+    def test_words_give_the_chosen_first_output(self):
+        for output in (0, 1, 0x1FF, 2**63 + 12345, 2**64 - 1):
+            assert self.bit_generator(output).random_raw() == output
+
+    def test_every_kept_draw_is_numpys(self):
+        # For each layer and sign, the largest rabs that the lockstep branch
+        # keeps, bound - 1, comes back from numpy as (bound - 1) * width after
+        # one output: the kept region lies inside numpy's fast branch.
+        widths, bounds = mc._ZIG_WIDTHS, mc._ZIG_BOUNDS
+        assert not bounds[:3].any() and not bounds[256:259].any()
+        for branch in [*range(3, 256), *range(259, 512)]:
+            assert 0 < bounds[branch] < 2**52
+            rabs = int(bounds[branch]) - 1
+            bitgen, twin = (self.bit_generator(rabs << 9 | branch) for _ in range(2))
+            assert np.random.Generator(bitgen).standard_normal() == rabs * widths[branch]
+            assert bitgen.random_raw() == twin.random_raw(2)[1]
 
 
 class TestEstimateInstability:

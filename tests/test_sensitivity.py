@@ -347,18 +347,6 @@ class TestFdJacobian:
         with pytest.raises(ValueError, match="positive and finite"):
             fd_jacobian(PinvMap(), data, [5, 17], step=step)
 
-    @pytest.mark.parametrize("cmap", [PinvMap(), CeLqrMap()], ids=["pinv", "ce-lqr"])
-    @pytest.mark.parametrize("support_of", [lambda p: [p - 5, -5], lambda p: [-1], lambda p: [p]],
-                             ids=["aliased", "negative", "past-end"])
-    def test_evaluation_refuses_support_outside_vec_x(self, cmap, support_of):
-        # numpy would wrap a negative index, so p - 5 and -5 would both name
-        # entry p - 5 and pass the distinctness check.
-        data = collect(vehicle_model(0.1), 1, 200, seed=0)
-        p = data.x.size
-        support = support_of(p)
-        with pytest.raises(ValueError, match=rf"vec\(X\) of length {p}"):
-            cmap.evaluate_deltas(data, support, np.tile([0.3, 0.6][:len(support)], (2, 1)))
-
     def test_probe_failures_recorded_per_column(self):
         data = collect(vehicle_model(0.1), 1, 10, seed=0)
         cmap = FragileMap(PinvMap(), watched=3, nominal=data.x_vec[3])
