@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -151,6 +151,46 @@ def as_support(support, length: int | None = None) -> np.ndarray:
     return support
 
 
+def _roll_out(sys: LtiSystem, x0s: np.ndarray, states: np.ndarray,
+              lengths: list[int]) -> None:
+    """Roll out x(t+1) = A x(t) + B u(t) for a stack of records, in place.
+
+    Record r has ``lengths[r]`` steps, and ``lengths`` does not increase, so
+    the records active at step t are a prefix of the stack. ``x0s`` is
+    (records, n, 1). ``states`` is time-major, (T_max, records, n, 1): for
+    t < lengths[r], states[t, r] holds B u_r(t) on entry and x_r(t+1) on
+    return. The padding is neither read nor written.
+
+    Row t becomes x(t+1) when A x(t) is added in place: the same two
+    products and the same sum as the step x = A x + B u(t). np.matmul over
+    a stack makes one BLAS gemv per record, the call that ndarray.dot makes
+    for one, so every state is the step recursion's bit for bit. A step of
+    one record keeps ndarray.dot, np.dot's C product without numpy's Python
+    dispatcher, which is about 1 us a step cheaper than a one-item matmul.
+    A record that diverges comes back inf or nan without a warning;
+    TrainingData refuses it.
+    """
+    a, matmul = sys.a, np.matmul
+    prev, start = x0s, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(lengths), 0, -1):
+            stop = lengths[k - 1]
+            if stop == start:
+                continue
+            rows = states[start:stop, :k]
+            if k == 1:
+                dot, x = a.dot, prev[0, :, 0]
+                for row in rows[:, 0, :, 0]:
+                    row += dot(x)
+                    x = row
+            else:
+                prev = prev[:k]
+                for row in rows:
+                    row += matmul(a, prev)
+                    prev = row
+            start = stop
+
+
 def simulate(sys: LtiSystem, x0, u_seq) -> np.ndarray:
     """Roll out x(t+1) = A x(t) + B u(t) and return [x(1) ... x(T)] as n x T."""
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -159,22 +199,86 @@ def simulate(sys: LtiSystem, x0, u_seq) -> np.ndarray:
     u = np.asarray(u_seq, dtype=float)
     if u.ndim != 2 or u.shape[0] != sys.m:
         raise ValueError(f"input sequence has shape {u.shape}, expected {sys.m} x T")
-    # Row t starts as B u(t), one matrix-vector product per step as in
-    # B @ u[:, t], and becomes x(t+1) when A x(t) is added in place: the
-    # same two products and the same sum as the step x = A x + B u(t).
-    # ndarray.dot is np.dot's C product without numpy's Python dispatcher.
-    states = np.matmul(sys.b, u.T[:, :, None])[:, :, 0]
-    dot = sys.a.dot
-    x = x0
-    for row in states:
-        row += dot(x)
-        x = row
-    return states.T
+    # B u(t) for every t, one matrix-vector product per step as in B @ u[:, t].
+    states = np.matmul(sys.b, u.T[:, :, None])[:, None]
+    _roll_out(sys, x0[None, :, None], states, [u.shape[1]])
+    return states[:, 0, :, 0].T
 
 
 def gaussian_inputs(rng: np.random.Generator, m: int, t: int) -> np.ndarray:
     """Default input law: i.i.d. standard normal entries."""
     return rng.standard_normal((m, t))
+
+
+# collect_records rolls out its runs in groups of consecutive runs, each
+# group's padded state buffer and inputs holding at most this many floats
+# (1 MB; a longer run rolls out alone), so memory does not grow with the
+# number of runs.
+_ROLLOUT_FLOATS = 2**17
+
+
+def collect_records(
+    sys: LtiSystem,
+    n_experiments: int,
+    runs: Iterable[tuple[int, int | None]],
+    input_law: InputLaw = gaussian_inputs,
+    x0: np.ndarray | None = None,
+) -> Iterator[TrainingData]:
+    """One record of ``n_experiments`` experiments per ``(t_steps, seed)`` run.
+
+    Yields the TrainingData of each run of ``runs`` in their order, each
+    exactly the record ``collect`` makes of its length and seed: the inputs
+    of experiment after experiment are drawn from ``input_law`` with a
+    generator seeded by the run's seed, and every experiment starts at
+    ``x0`` (zero by default). The experiments of consecutive runs roll out
+    together, as far as ``_ROLLOUT_FLOATS`` allows.
+    """
+    runs = list(runs)
+    if n_experiments < 1 or any(t_steps < 1 for t_steps, _ in runs):
+        raise ValueError("collect requires N >= 1 and T >= 1")
+    x0 = np.zeros(sys.n) if x0 is None else np.asarray(x0, dtype=float).ravel()
+    if x0.size != sys.n:
+        raise ValueError(f"x0 has length {x0.size}, expected {sys.n}")
+    record_floats = n_experiments * (sys.n + sys.m)
+    group, longest = [], 0
+    for run in runs:
+        if group and max(longest, run[0]) * (len(group) + 1) * record_floats > _ROLLOUT_FLOATS:
+            yield from _collect_group(sys, n_experiments, group, input_law, x0)
+            group, longest = [], 0
+        group.append(run)
+        longest = max(longest, run[0])
+    if group:
+        yield from _collect_group(sys, n_experiments, group, input_law, x0)
+
+
+def _collect_group(sys, n_experiments, runs, input_law, x0) -> list[TrainingData]:
+    """The records of ``runs``, in their order, from one stacked rollout."""
+    # Longest run first, each run's experiments side by side in the stack.
+    order = sorted(range(len(runs)), key=lambda i: -runs[i][0])
+    first = {i: pos * n_experiments for pos, i in enumerate(order)}
+    lengths = [runs[i][0] for i in order for _ in range(n_experiments)]
+    states = np.empty((lengths[0], len(lengths), sys.n, 1))
+    u_cols = []
+    for i, (t_steps, seed) in enumerate(runs):
+        rng = np.random.default_rng(seed)
+        u_cols.append(np.empty((sys.m * t_steps, n_experiments)))
+        for e in range(n_experiments):
+            u = np.asarray(input_law(rng, sys.m, t_steps), dtype=float)
+            if u.shape != (sys.m, t_steps):
+                raise ValueError(f"input sequence has shape {u.shape}, expected {sys.m} x T")
+            np.matmul(sys.b, u.T[:, :, None], out=states[:t_steps, first[i] + e])
+            u_cols[i][:, e] = u.flatten(order="F")
+    _roll_out(sys, np.broadcast_to(x0[:, None], (len(lengths), sys.n, 1)), states, lengths)
+    records = []
+    for i, (t_steps, seed) in enumerate(runs):
+        # The run's states, (time, experiment, state), as one column per
+        # experiment with time-major rows: a copy, unless the group is one
+        # record and has no padding, so the padded buffer is freed on return.
+        x_cols = states[:t_steps, first[i]:first[i] + n_experiments, :, 0].swapaxes(1, 2)
+        records.append(TrainingData(u=u_cols[i], x=x_cols.reshape(-1, n_experiments),
+                                    x0s=np.repeat(x0[:, None], n_experiments, axis=1),
+                                    t=t_steps, n=sys.n, m=sys.m, seed=seed))
+    return records
 
 
 def collect(
@@ -189,31 +293,10 @@ def collect(
 
     Inputs are drawn from ``input_law`` (standard normal by default) with a
     generator seeded by ``seed``, so the record is reproducible bit for bit.
-    Initial states default to zero.
+    Initial states default to zero. The one-run call of ``collect_records``.
     """
-    if n_experiments < 1 or t_steps < 1:
-        raise ValueError("collect requires N >= 1 and T >= 1")
-    rng = np.random.default_rng(seed)
-    x0 = np.zeros(sys.n) if x0 is None else np.asarray(x0, dtype=float).ravel()
-
-    u_cols = np.empty((sys.m * t_steps, n_experiments))
-    x_cols = np.empty((sys.n * t_steps, n_experiments))
-    x0_cols = np.empty((sys.n, n_experiments))
-    for i in range(n_experiments):
-        u = input_law(rng, sys.m, t_steps)
-        states = simulate(sys, x0, u)
-        u_cols[:, i] = u.flatten(order="F")
-        x_cols[:, i] = states.flatten(order="F")
-        x0_cols[:, i] = x0
-    return TrainingData(
-        u=u_cols,
-        x=x_cols,
-        x0s=x0_cols,
-        t=t_steps,
-        n=sys.n,
-        m=sys.m,
-        seed=seed,
-    )
+    [data] = collect_records(sys, n_experiments, [(t_steps, seed)], input_law, x0)
+    return data
 
 
 def snapshots(data: TrainingData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

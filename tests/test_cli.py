@@ -10,7 +10,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ddrobust import CeLqrMap, TrainingData, bounds, cli, collect, ctrlmaps, fd_jacobian
+from ddrobust import (
+    CeLqrMap,
+    TrainingData,
+    bounds,
+    cli,
+    collect,
+    ctrlmaps,
+    fd_jacobian,
+    random_support,
+)
 
 
 FAST_CONFIG = {
@@ -71,6 +80,19 @@ class TestArgumentParsing:
         assert err.count("\n") == 1
         assert err.startswith("ddrobust: error: ConfigError: ")
         assert not (tmp_path / "o").exists()
+
+    def test_a_flag_holds_for_its_call_only(self, tmp_path, monkeypatch):
+        # One parser serves every call of the process.
+        trials = []
+        load = cli.load_config
+        monkeypatch.setattr(cli, "load_config",
+                            lambda args: trials.append(args.trials) or load(args))
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        out = str(tmp_path / "o")
+        assert run(["collect", "--config", cfg, "--out", out, "--trials", "5"]) == 0
+        assert run(["collect", "--config", cfg, "--out", out]) == 0
+        assert trials == [5, None]
+        assert cli.build_parser() is cli.build_parser()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_CONFIG | {"sigmas": {"value": 1.0}})
@@ -662,6 +684,16 @@ class TestCustomSystem:
         assert rows[1][0] == "pinv"
         assert read_csv(out / "collect.csv")[1][2] == "1"  # n = 1
 
+    @pytest.mark.parametrize("command, t_list", [("collect", None), ("fig2", [1200])])
+    def test_diverging_record_exits_2_with_one_line(self, tmp_path, capsys, command, t_list):
+        # x(t) = 2 x(t-1) + u(t-1) overflows to inf within 1200 steps.
+        doc = {"system": {"a": [[2.0]], "b": [[1.0]]}, "t_steps": 1200, "support": {"k": 2}}
+        doc |= {"t_list": t_list, "fig2_trials": 2} if t_list else {}
+        cfg = write_config(tmp_path, doc)
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "ddrobust: error: ValueError: X contains non-finite entries\n")
+
     def test_custom_system_needs_both_matrices(self, tmp_path, capsys):
         doc = FAST_CONFIG | {"system": {"a": [[0.5]]}}
         cfg = write_config(tmp_path, doc)
@@ -831,24 +863,33 @@ class TestFigures:
         assert (out_a / "fig2.csv").read_bytes() == (out_b / "fig2.csv").read_bytes()
 
     def test_fig2_uses_the_configured_indices(self, tmp_path):
-        doc = FAST_CONFIG | {"t_list": [20], "fig2_trials": 2, "map": {"name": "pinv"}}
+        doc = FAST_CONFIG | {"t_list": [20, 40], "fig2_trials": 3, "map": {"name": "pinv"}}
         written = []
         for name, support in (("indices", {"indices": [2, 0, 1]}), ("k", {"k": 3})):
             cfg = write_config(tmp_path, doc | {"support": support}, name=f"{name}.json")
             assert run(["fig2", "--config", cfg, "--out", str(tmp_path / name)]) == 0
             written.append((tmp_path / name / "fig2.csv").read_bytes())
         assert written[0] != written[1]
-        # The same records, each with the FD bundle on entries 0, 1 and 2.
-        cfg = cli.ExperimentConfig.from_json(doc | {"support": {"indices": [0, 1, 2]}})
+        # Each record as collect makes it alone, with the FD bundle on entries
+        # 0, 1 and 2, or on support.k entries drawn from the record's own seed.
+        cfg = cli.ExperimentConfig.from_json(doc)
         system, cmap = cfg.build_system(), cfg.build_map()
-        j_maxes = []
-        for trial in range(2):
-            seed = cli._child_seed(cfg.seed, cli._DOM_FIG2, 0, trial, 0)
-            data = collect(system, 1, 20, seed=seed)
-            bundle = fd_jacobian(cmap, data, np.array([0, 1, 2]))
-            j_maxes.append(bounds.j_max(bundle.with_b(system.b, cli.B_SOURCE_TRUE)))
-        row = read_csv(tmp_path / "indices" / "fig2.csv")[1]
-        assert float(row[1]) == float(np.mean(j_maxes))
+        for name in ("indices", "k"):
+            rows = []
+            for t_idx, t_steps in enumerate(cfg.t_list):
+                j_maxes = []
+                for trial in range(3):
+                    seed = cli._child_seed(cfg.seed, cli._DOM_FIG2, t_idx, trial, 0)
+                    data = collect(system, 1, t_steps, seed=seed)
+                    rng = np.random.default_rng(
+                        cli._child_seed(cfg.seed, cli._DOM_FIG2, t_idx, trial, 1))
+                    support = (np.array([0, 1, 2]) if name == "indices"
+                               else random_support(data.x.size, 3, rng))
+                    bundle = fd_jacobian(cmap, data, support)
+                    j_maxes.append(bounds.j_max(bundle.with_b(system.b, cli.B_SOURCE_TRUE)))
+                rows.append([str(t_steps), str(float(np.mean(j_maxes))),
+                             str(float(np.std(j_maxes, ddof=1)))])
+            assert read_csv(tmp_path / name / "fig2.csv")[1:] == rows
 
     def test_fig2_refuses_oversized_support_before_any_work(self, tmp_path, capsys,
                                                             monkeypatch):

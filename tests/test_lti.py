@@ -8,11 +8,12 @@ from ddrobust import (
     LtiSystem,
     TrainingData,
     collect,
+    lti,
     simulate,
     vehicle_model,
 )
 from ddrobust.cli import _read_json, _write_json
-from ddrobust.lti import snapshots
+from ddrobust.lti import _roll_out, collect_records, snapshots
 
 
 def zero_inputs(rng, m, t):
@@ -117,6 +118,108 @@ class TestSimulate:
         for u in (np.zeros((4, 2)), np.zeros(4)):
             with pytest.raises(ValueError):
                 simulate(sys, np.zeros(4), u)
+
+
+def roll_out_stack(sys, x0s, us):
+    """Each record's states as n x T from one _roll_out of the records stacked
+    longest first, whatever order ``us`` gives them in."""
+    order = sorted(range(len(us)), key=lambda r: -us[r].shape[1])
+    lengths = [us[r].shape[1] for r in order]
+    states = np.full((lengths[0], len(us), sys.n, 1), np.nan)
+    for pos, r in enumerate(order):
+        states[:lengths[pos], pos] = np.matmul(sys.b, us[r].T[:, :, None])
+    _roll_out(sys, np.array([x0s[r] for r in order])[:, :, None], states, lengths)
+    return {r: states[:lengths[pos], pos, :, 0].T for pos, r in enumerate(order)}
+
+
+class TestRollOut:
+    """The stacked rollout is the step recursion of each record, bit for bit:
+    a stack of k records makes one gemv per record per step, as ndarray.dot
+    makes for one."""
+
+    @pytest.mark.parametrize("n", [1, 4, 20])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("lengths", [
+        [1, 400, 2, 7], [7, 2, 400, 1, 400, 7], [7, 7, 7], [400], [1],
+    ], ids=["ragged", "ragged-pairs", "equal", "one-long", "one-step"])
+    def test_matches_step_recursion_bit_for_bit(self, n, m, lengths):
+        sys = random_plant(100 * n + m, n, m)
+        rng = np.random.default_rng(len(lengths))
+        x0s = rng.standard_normal((len(lengths), n))
+        us = [rng.standard_normal((m, t)) for t in lengths]
+        states = roll_out_stack(sys, x0s, us)
+        for r, (x0, u) in enumerate(zip(x0s, us)):
+            assert np.array_equal(states[r], step_oracle(sys, x0, u))
+
+
+def fields(data):
+    return (data.u, data.x, data.x0s, data.t, data.n, data.m, data.seed)
+
+
+def assert_same_records(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        for x, y in zip(fields(a), fields(b)):
+            assert np.array_equal(x, y) and np.shape(x) == np.shape(y)
+
+
+RUNS = [(7, 3), (400, 1), (1, 4), (400, 9), (2, 0), (7, 5)]
+
+
+class TestCollectRecords:
+    @pytest.mark.parametrize("n_experiments", [1, 2])
+    @pytest.mark.parametrize("sys, nonzero_x0", PLANTS[:3])
+    def test_each_run_is_its_collect(self, sys, nonzero_x0, n_experiments):
+        x0 = np.linspace(-1.0, 1.0, sys.n) if nonzero_x0 else None
+        records = list(collect_records(sys, n_experiments, RUNS, x0=x0))
+        assert_same_records(records, [collect(sys, n_experiments, t, seed=seed, x0=x0)
+                                      for t, seed in RUNS])
+
+    def test_a_small_budget_splits_the_runs_into_groups(self, monkeypatch):
+        sys = vehicle_model(0.1)
+        expected = list(collect_records(sys, 2, RUNS))
+        stacks = []
+        roll_out = lti._roll_out
+        monkeypatch.setattr(lti, "_roll_out", lambda sys, x0s, states, lengths:
+                            stacks.append(lengths) or roll_out(sys, x0s, states, lengths))
+        # The budget holds four records of 400 steps: two runs of two experiments.
+        monkeypatch.setattr(lti, "_ROLLOUT_FLOATS", 400 * 2 * 2 * (sys.n + sys.m))
+        assert_same_records(list(collect_records(sys, 2, RUNS)), expected)
+        # Consecutive runs, each group's records longest first.
+        assert stacks == [[400, 400, 7, 7], [400, 400, 1, 1], [7, 7, 2, 2]]
+
+    def test_a_run_longer_than_the_budget_rolls_out_alone(self, monkeypatch):
+        sys = vehicle_model(0.1)
+        expected = list(collect_records(sys, 1, RUNS))
+        monkeypatch.setattr(lti, "_ROLLOUT_FLOATS", 1)
+        assert_same_records(list(collect_records(sys, 1, RUNS)), expected)
+
+    def test_no_runs_make_no_records(self):
+        assert list(collect_records(vehicle_model(0.1), 1, [])) == []
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"runs": [(10, 0), (0, 1)]}, "collect requires N >= 1 and T >= 1"),
+        ({"n_experiments": 0}, "collect requires N >= 1 and T >= 1"),
+        ({"x0": np.zeros(3)}, "x0 has length 3, expected 4"),
+        ({"input_law": lambda rng, m, t: np.zeros((3, t))},
+         "input sequence has shape (3, 10), expected 2 x T"),
+        ({"input_law": lambda rng, m, t: np.zeros((m, t - 1))},
+         "input sequence has shape (2, 9), expected 2 x T"),
+        ({"input_law": lambda rng, m, t: np.zeros(m * t)},
+         "input sequence has shape (20,), expected 2 x T"),
+    ], ids=["t", "n", "x0", "input-rows", "input-steps", "input-flat"])
+    def test_refusals(self, kwargs, message):
+        args = {"n_experiments": 1, "runs": [(10, 0)]} | kwargs
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            list(collect_records(vehicle_model(0.1), **args))
+
+    def test_a_diverging_record_is_refused_without_a_warning(self):
+        # pytest turns warnings into errors here, so numpy's overflow warning
+        # would replace the refusal.
+        sys = LtiSystem(np.array([[2.0]]), np.array([[1.0]]))
+        with pytest.raises(ValueError, match="^X contains non-finite entries$"):
+            collect(sys, 2, 1200)
+        assert not np.all(np.isfinite(simulate(sys, [1.0], np.ones((1, 1200)))))
 
 
 class TestCollect:

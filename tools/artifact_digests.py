@@ -6,11 +6,12 @@ For each master seed it runs, each in a fresh directory under one temporary
 directory, through ``ddrobust.cli.main`` of this checkout's ``src``:
 
 * every command of each workload in ``bench/workloads.py``, on its config;
-* ``collect`` + ``fig1`` on the default config;
+* ``collect``, ``fig1`` and ``fig2`` on the default config;
 * a first-order chain with the identified B,
   ``collect design jacobian bounds mc fig1``;
 * the exact stage chain ``collect design jacobian bounds mc`` at 300 trials;
-* the same chain on a record of two experiments of 100 steps, 200 trials.
+* the same chain and ``fig2`` on records of two experiments, the chain's of
+  100 steps at 200 trials.
 
 It prints one ``config seed file sha256`` line per artifact, sorted. Runs of
 two checkouts, or two processes of one, write the same artifacts exactly
@@ -34,13 +35,13 @@ ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("collect", "design", "jacobian", "bounds", "mc")
 
 EXTRA_RUNS = {
-    "default": ({}, ("collect", "fig1")),
+    "default": ({}, ("collect", "fig1", "fig2")),
     "first-order-identified": ({"mode": "first-order", "b_source": "identified"},
                                (*STAGES, "fig1")),
     "exact-stages": ({"mode": "exact", "trials": 300}, STAGES),
     "two-experiments": ({"n_experiments": 2, "t_steps": 100, "support": {"k": 20},
                          "sigma": {"log_range": [0.01, 3.0], "points": 4}, "trials": 200},
-                        STAGES),
+                        (*STAGES, "fig2")),
 }
 
 
