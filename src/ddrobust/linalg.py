@@ -136,30 +136,30 @@ def unstable(stack) -> np.ndarray:
 def _schur_cohn(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the items whose roots all lie inside / not all inside |z| = 1.
 
-    Faddeev-LeVerrier gives det(zI - A) = sum_k p_k z^(n-k), and the
-    Schur-Cohn recursion its reflection coefficients: every root is inside
-    iff each coefficient has modulus < 1 before the first that does not.
-    An item is decided only if its coefficients clear 1 by the margin, which
-    scales with the coefficients' rounding error, and are all finite.
+    The power sums s_k = tr(A^k), k <= 4, come from A and A^2, and Newton's
+    identities k p_k = -(s_k + p_1 s_(k-1) + ... + p_(k-1) s_1) give
+    det(zI - A) = sum_k p_k z^(n-k). The Schur-Cohn recursion gives its
+    reflection coefficients: every root is inside iff each coefficient has
+    modulus < 1 before the first that does not. An item is decided only if
+    its coefficients clear 1 by the margin, which scales with the
+    coefficients' rounding error, and are all finite.
     """
     count, n = len(stack), stack.shape[-1]
-    p = np.ones((count, n + 1))
-    am = stack.copy()  # A M_k, with M_1 = I and M_(k+1) = A M_k + p_k I
+    square = stack @ stack
+    sums = [np.einsum("ijj->i", stack), np.einsum("ijj->i", square),
+            np.einsum("ijk,ikj->i", stack, square), np.einsum("ijk,ikj->i", square, square)]
+    p = np.ones((n + 1, count))  # coefficient-major: p[k] holds every item's p_k
     for k in range(1, n + 1):
-        diag = am.reshape(count, n * n)[:, :: n + 1]  # a view: am is C-contiguous
-        p[:, k] = diag.sum(axis=1) / -k
-        if k < n:
-            diag += p[:, k, None]
-            am = stack @ am
+        p[k] = -sum(p[j] * sums[k - 1 - j] for j in range(k)) / k
     frobenius = np.sqrt(np.einsum("ijk,ijk->i", stack, stack))
     margin = _POLY_MARGIN * np.maximum(1.0, frobenius) ** n
-    inside = np.all(np.isfinite(p), axis=1)  # every coefficient so far below 1 - margin
+    inside = np.all(np.isfinite(p), axis=0)  # every coefficient so far below 1 - margin
     outside = np.zeros(count, dtype=bool)
     for deg in range(n, 0, -1):
-        refl = p[:, deg] / p[:, 0]
+        refl = p[deg] / p[0]
         outside |= inside & (np.abs(refl) > 1.0 + margin)
         inside &= np.abs(refl) < 1.0 - margin
-        p = p[:, :deg] - refl[:, None] * p[:, deg:0:-1]
+        p = p[:deg] - refl * p[deg:0:-1]
     return inside, outside
 
 

@@ -8,9 +8,11 @@ of all trials are hashed in one pass that starts from the pool of
 streams are then stepped in lockstep: numpy's PCG64 (XSL-RR output; O'Neill,
 HMC-CS-2014-0905) on uint64 halves, each output decoded by the fast branch
 of numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000), whose
-layer widths are read off numpy's own sampler at import. numpy draws every
-other row itself, one ``Generator`` per trial: a row with a draw off that
-branch, and every row of a draw too small or too wide for the lockstep.
+layer widths are read off numpy's own sampler at import; every layer but
+layer 1, which numpy never keeps, has one. numpy draws every other row
+itself, one ``Generator`` per trial: a row with a draw off that branch
+(about 14% of the rows at k = 10), and every row of a draw too small or too
+wide for the lockstep.
 So estimates are reproducible, and a row depends neither on how many trials
 are drawn nor on their evaluation order. Nothing else is drawn:
 ``expected_vec_norm`` is exact.
@@ -46,9 +48,11 @@ _MULT_HI, _MULT_LO, _MULT_LO1, _MULT_LO0, _U32, _LOW32 = (np.array(v, dtype=np.u
     32, _MASK32))
 # sample_z draws in lockstep from this many trials on, on supports of at most
 # this many entries, this many trials at a time. Measured on one thread, the
-# per-trial loop is faster below about 130 trials at k = 10 and 256 at k = 20,
-# and above k = 24 at 1000 trials.
+# per-trial loop is faster below about 100 trials at k = 10 and 280 at k = 20,
+# and above k = 33 at 1000 trials.
 _LOCKSTEP_MIN_TRIALS, _LOCKSTEP_MAX_K, _LOCKSTEP_MAX_CHUNK = 256, 20, 2048
+# The right edge of the ziggurat's base strip (numpy's ziggurat_nor_r).
+_ZIG_NOR_R = 3.6541528853610088
 
 
 class NoEstimateError(RuntimeError):
@@ -178,15 +182,18 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
     """numpy's standard-normal ziggurat fast branch, indexed by an output's low
     9 bits (layer, then sign): the signed layer width, read off numpy's own
     sampler by one draw whose first output has rabs = 1, and the bound below
-    which rabs is kept, floor(2**52 w[i-1] / w[i]) less 1e-12 relative (which
-    leaves the kept region inside numpy's). Layers 0-2 keep nothing: 0 is the
-    base strip, 1 has no fast region, and 2's bound needs layer 1's width."""
-    widths = np.zeros(256)
-    for layer in range(2, 256):
+    which rabs is kept, less 1e-12 relative (which leaves the kept region
+    inside numpy's). Layer 0, the base strip, keeps rabs below
+    floor(_ZIG_NOR_R / w[0]), and layer i >= 2 below floor(2**52 w[i-1] / w[i]).
+    Layer 1 keeps nothing, as numpy's own bound there is 0; its draw at
+    rabs = 1 still returns its width, through the wedge test."""
+    widths = np.empty(256)
+    for layer in range(256):
         seeds = _SeedWords(_first_output_words(1 << 9 | layer))
         widths[layer] = np.random.Generator(np.random.PCG64(seeds)).standard_normal()
     bounds = np.zeros(256, dtype=np.uint64)
-    bounds[3:] = np.floor((1.0 - 1e-12) * 2.0**52 * widths[2:-1] / widths[3:])
+    bounds[0] = math.floor((1.0 - 1e-12) * _ZIG_NOR_R / widths[0])
+    bounds[2:] = np.floor((1.0 - 1e-12) * 2.0**52 * widths[1:-1] / widths[2:])
     return np.concatenate([widths, -widths]), np.tile(bounds, 2)
 
 

@@ -218,9 +218,27 @@ EDGE = np.concatenate([-np.logspace(-16, -3, 27), [0.0], np.logspace(-16, -3, 27
 class TestUnstable:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_random_stacks_match_the_radius(self, n):
+        # At large scales the power sums tr(A^k) grow like ||A||^k and cancel
+        # in Newton's identities; the margin, ~||A||_F^n, must cover that.
         rng = np.random.default_rng(30 + n)
-        for count, scale in [(2000, 0.3), (2000, 1.0), (2000, 3.0), (10, 1.0)]:
+        for count, scale in [(2000, 0.3), (2000, 1.0), (2000, 3.0), (10, 1.0),
+                             (2000, 10.0), (2000, 1e3), (2000, 1e5)]:
             stack = rng.standard_normal((count, n, n)) * scale / math.sqrt(n)
+            np.testing.assert_array_equal(unstable(stack), radius_verdict(stack))
+
+    @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cancelling_power_sums_near_the_edge(self, n, cond):
+        # Real spectra of both signs and complex pairs, behind eigenvectors of
+        # condition number cond, scaled to rho = 1 +- 1e-7 and 1 +- 1e-3.
+        rng = np.random.default_rng(80 + n)
+        count = 250
+        u = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+        basis = u * np.logspace(0, math.log10(cond), n) @ v
+        lam = rng.uniform(-1.0, 1.0, (count, n))
+        for inner in (basis * lam[:, None, :], basis @ rng.standard_normal((count, n, n))):
+            stack = on_the_edge(inner @ np.linalg.inv(basis), [-1e-3, -1e-7, 1e-7, 1e-3])
             np.testing.assert_array_equal(unstable(stack), radius_verdict(stack))
 
     def test_vehicle_lqr_loop_on_the_edge(self):

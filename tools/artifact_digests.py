@@ -11,7 +11,10 @@ directory, through ``ddrobust.cli.main`` of this checkout's ``src``:
   ``collect design jacobian bounds mc fig1``;
 * the exact stage chain ``collect design jacobian bounds mc`` at 300 trials;
 * the same chain and ``fig2`` on records of two experiments, the chain's of
-  100 steps at 200 trials.
+  100 steps at 200 trials;
+* a first-order ``fig1`` on the edges of ``sample_z``'s lockstep draw: a
+  support of 20 entries, its largest, and 2100 trials, two chunks of 2048,
+  at sigmas where every trial count is non-zero.
 
 It prints one ``config seed file sha256`` line per artifact, sorted. Runs of
 two checkouts, or two processes of one, write the same artifacts exactly
@@ -42,6 +45,9 @@ EXTRA_RUNS = {
     "two-experiments": ({"n_experiments": 2, "t_steps": 100, "support": {"k": 20},
                          "sigma": {"log_range": [0.01, 3.0], "points": 4}, "trials": 200},
                         (*STAGES, "fig2")),
+    "first-order-lockstep-edges": ({"mode": "first-order", "support": {"k": 20},
+                                    "sigma": {"log_range": [3.0, 30.0], "points": 4},
+                                    "trials": 2100}, ("fig1",)),
 }
 
 
