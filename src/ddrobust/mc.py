@@ -15,7 +15,9 @@ itself, one ``Generator`` per trial: a row with a draw off that branch
 wide for the lockstep.
 So estimates are reproducible, and a row depends neither on how many trials
 are drawn nor on their evaluation order. Nothing else is drawn:
-``expected_vec_norm`` is exact.
+``expected_vec_norm`` is exact. First-order loops are one matrix product
+(``first_order_acl``), equal to the support-order sum to rounding only; the
+draws, verdicts and counts stay bit-stable, bar a loop within that of rho = 1.
 """
 
 from __future__ import annotations

@@ -192,19 +192,22 @@ def fd_jacobian(cmap, data: TrainingData, support, step: float | None = None) ->
 def first_order_acl(a_cl, bundle: JacobianBundle, z) -> np.ndarray:
     """Linearized perturbed closed loop A_cl + sum_i z_i B J_i.
 
-    ``z`` is one draw (length k) or a stack of draws (N x k, giving an
-    (N, n, n) stack). The terms are added in support order, entry by entry,
-    so a draw's result does not depend on the rest of the stack.
+    ``z`` is one draw (length k, a one-row stack) or a stack of draws (N x k,
+    giving an (N, n, n) stack), formed in one product A_cl + Z [vec B J_i]'.
+    BLAS picks the summation order, so a loop equals the support-order sum to
+    rounding only, (k + 1) eps (|A_cl| + sum_i |z_i| |B J_i|) entrywise, and
+    its last bits may depend on the stack; the draws, verdicts and artifacts
+    stay bit-stable unless a loop lies within that rounding of rho = 1.
     """
     a_cl = as_matrix(a_cl, "A_cl")
     if bundle.bj is None:
         raise ValueError("bundle has no B attached; call with_b first")
+    k, shape = bundle.size, bundle.bj.shape[1:]
+    if a_cl.shape != shape:
+        raise ValueError(f"A_cl has shape {a_cl.shape}, but the bundle's B J_i are {shape}")
     z = np.asarray(z, dtype=float)
-    if z.ndim not in (1, 2) or z.shape[-1] != bundle.size:
-        raise ValueError(f"z has shape {z.shape}, expected (..., {bundle.size})")
-    acl = np.empty((*z.shape[:-1], *a_cl.shape))
-    acl[...] = a_cl
-    term = np.empty_like(acl)
-    for z_i, bj_i in zip(np.moveaxis(z, -1, 0), bundle.bj):
-        acl += np.multiply(z_i[..., None, None], bj_i, out=term)
+    if z.ndim not in (1, 2) or z.shape[-1] != k:
+        raise ValueError(f"z has shape {z.shape}, expected (..., {k})")
+    acl = (z.reshape(-1, k) @ bundle.bj.reshape(k, -1)).reshape(*z.shape[:-1], *shape)
+    acl += a_cl
     return acl

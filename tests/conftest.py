@@ -3,8 +3,9 @@
 These deliberately avoid the code paths used by the package (LAPACK eig/svd,
 erfc): an inverse by Gauss-Jordan elimination, a spectral norm by power
 iteration, cubic roots by the depressed-cubic formula, and the Gaussian tail
-by Simpson quadrature. Slow and simple on purpose. ``spy_eigvals`` records
-which stacks reach ``np.linalg.eigvals``.
+by Simpson quadrature, and the linearized loop summed entry by entry. Slow
+and simple on purpose. ``spy_eigvals`` records which stacks reach
+``np.linalg.eigvals``.
 """
 
 from __future__ import annotations
@@ -120,6 +121,17 @@ def q_quadrature(x: float, steps: int = 100_000) -> float:
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return float((t[1] - t[0]) / 3.0 * (weights @ pdf))
+
+
+def left_to_right_acl(a_cl, bj, z) -> np.ndarray:
+    """A_cl + z_1 BJ_1 + ... + z_k BJ_k, added in support order, one support
+    entry at a time over the whole stack of draws ``z`` (k or N x k)."""
+    z = np.asarray(z, dtype=float)
+    acl = np.empty((*z.shape[:-1], *np.shape(a_cl)))
+    acl[...] = a_cl
+    for z_i, bj_i in zip(np.moveaxis(z, -1, 0), bj):
+        acl += z_i[..., None, None] * bj_i
+    return acl
 
 
 def spy_eigvals(monkeypatch) -> list[int]:

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import spy_eigvals
+from conftest import left_to_right_acl, spy_eigvals
 from ddrobust import (
     B_SOURCE_TRUE,
     CeLqrMap,
@@ -13,9 +13,11 @@ from ddrobust import (
     collect,
     estimate_instability,
     fd_jacobian,
+    first_order_acl,
     random_support,
     sample_z,
     spectral_radius,
+    unstable,
     vehicle_model,
     wilson_interval,
 )
@@ -517,6 +519,51 @@ class TestStabilityVerdict:
         estimate_instability(sys, data, CeLqrMap(), k_nom, model, 200,
                              seed=1, bundle=bundle)
         assert items == [1, 200]
+
+
+class TestFirstOrderVerdicts:
+    """first_order_acl forms the loops in one matrix product, equal to the
+    entry-by-entry sum only to rounding; the verdicts on them must not move."""
+
+    @staticmethod
+    def bundle_on(record, k):
+        """Vehicle record ``record``, a random support of k entries and the
+        ce-lqr bundle on it with the true B."""
+        sys = vehicle_model(0.1)
+        data = collect(sys, 1, 100, seed=record)
+        support = random_support(data.p, k, np.random.default_rng(k + record))
+        bundle = fd_jacobian(CeLqrMap(), data, support).with_b(sys.b, B_SOURCE_TRUE)
+        return sys, data, support, bundle
+
+    def test_product_and_left_to_right_loops_get_the_same_verdicts(self):
+        # 24 000 trials on two vehicle records, at sigmas where some but
+        # not all trials are unstable; BLAS keeps its default threads.
+        compared = 0
+        for record in (0, 1):
+            for k, sigmas in ((10, (1.0, 3.0, 10.0)), (50, (0.3, 1.0, 3.0))):
+                sys, data, support, bundle = self.bundle_on(record, k)
+                a_cl = sys.a + sys.b @ bundle.gain
+                for sigma in sigmas:
+                    z = sample_z(PerturbationModel(support, np.full(k, sigma)), record, 2000)
+                    verdict = unstable(first_order_acl(a_cl, bundle, z))
+                    oracle = unstable(left_to_right_acl(a_cl, bundle.bj, z))
+                    assert 0 < np.sum(oracle) < z.shape[0]
+                    assert np.array_equal(verdict, oracle, equal_nan=True)
+                    compared += z.shape[0]
+        assert compared == 24_000
+
+    @pytest.mark.parametrize("k, sigmas, counts", [
+        (10, (1.0, 3.0, 10.0), [26, 977, 1777]),
+        (50, (0.3, 1.0, 3.0), [120, 971, 1702]),
+    ], ids=["k10", "k50"])
+    def test_first_order_counts_are_pinned(self, k, sigmas, counts):
+        # The counts the entry-by-entry sum gave, on a fixed record and seed.
+        sys, data, support, bundle = self.bundle_on(0, k)
+        reports = [estimate_instability(sys, data, CeLqrMap(), bundle.gain,
+                                        PerturbationModel(support, np.full(k, sigma)), 2000,
+                                        seed=5, bundle=bundle) for sigma in sigmas]
+        assert [r.unstable_count for r in reports] == counts
+        assert [r.skipped for r in reports] == [0] * len(sigmas)
 
 
 class TestEvaluateBatch:

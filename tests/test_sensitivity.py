@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import left_to_right_acl
 from ddrobust import (
     CeLqrMap,
     DareError,
@@ -532,30 +533,45 @@ class TestFirstOrderAcl:
         assert np.allclose(first_order_acl(a_cl, bundle, z), oracle, atol=1e-12)
 
     def test_stack_rows_are_the_left_to_right_sum(self):
-        # Bit for bit: every row is its one-draw result and the sum
-        # a_cl + z_1 BJ_1 + ... + z_k BJ_k in support order, and neither
-        # a_cl nor the bundle's products are written to.
+        # To rounding: the loops are one matrix product, whose BLAS kernel
+        # picks its own summation order and blocking. A row of the stack, the
+        # same draw alone and as a one-row stack lie within 2 gamma_(k+1)
+        # (|A_cl| + sum |z_i| |BJ_i|) of the sum a_cl + z_1 BJ_1 + ... +
+        # z_k BJ_k in support order and of each other, entry by entry,
+        # gamma_j = j u / (1 - j u) with u = eps / 2: each is within
+        # gamma_(k+1) of the exact sum. Neither a_cl nor the bundle's
+        # products are written to.
         rng = np.random.default_rng(17)
-        bundle = synthetic_bundle(rng.standard_normal((7, 3, 3)))
-        a_cl = rng.standard_normal((3, 3)) * 0.3
-        z = rng.standard_normal((50, 7))
-        a_saved, bj_saved = a_cl.copy(), bundle.bj.copy()
-        acl = first_order_acl(a_cl, bundle, z)
-        assert acl.shape == (50, 3, 3)
-        for row, z_t in zip(acl, z):
-            oracle = a_cl
-            for z_i, bj_i in zip(z_t, bundle.bj):
-                oracle = oracle + z_i * bj_i
-            assert np.array_equal(row, oracle)
-            assert np.array_equal(row, first_order_acl(a_cl, bundle, z_t))
-        assert np.array_equal(a_cl, a_saved) and np.array_equal(bundle.bj, bj_saved)
+        eps = np.finfo(float).eps
+        for n, k, trials in ((3, 7, 50), (1, 5, 40), (4, 50, 1000), (2, 1, 3)):
+            bundle = synthetic_bundle(rng.standard_normal((k, n, n)))
+            a_cl = rng.standard_normal((n, n)) * 0.3
+            z = rng.standard_normal((trials, k)) * np.logspace(-3, 3, k)
+            a_saved, bj_saved = a_cl.copy(), bundle.bj.copy()
+            acl = first_order_acl(a_cl, bundle, z)
+            assert acl.shape == (trials, n, n)
+            oracle = left_to_right_acl(a_cl, bundle.bj, z)
+            scale = np.abs(a_cl) + np.tensordot(np.abs(z), np.abs(bundle.bj), axes=1)
+            bound = (k + 1) * eps / (1.0 - (k + 1) * eps / 2.0) * scale
+            assert np.all(np.abs(acl - oracle) <= bound)
+            for t in range(0, trials, max(1, trials // 25)):
+                draw = first_order_acl(a_cl, bundle, z[t])
+                one_row = first_order_acl(a_cl, bundle, z[t:t + 1])
+                assert draw.shape == (n, n) and one_row.shape == (1, n, n)
+                assert np.all(np.abs(draw - one_row[0]) <= bound[t])
+                assert np.all(np.abs(draw - acl[t]) <= bound[t])
+            assert np.array_equal(a_cl, a_saved) and np.array_equal(bundle.bj, bj_saved)
 
-    @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 4, 2)], ids=["draw", "stack", "3-d"])
-    def test_refuses_draws_of_another_shape(self, shape):
+    @pytest.mark.parametrize("a_cl, shape, message", [
+        (np.eye(2), (3,), "z has shape (3,), expected (..., 2)"),
+        (np.eye(2), (4, 3), "z has shape (4, 3), expected (..., 2)"),
+        (np.eye(2), (2, 4, 2), "z has shape (2, 4, 2), expected (..., 2)"),
+        (np.eye(3), (2,), "A_cl has shape (3, 3), but the bundle's B J_i are (2, 2)"),
+    ], ids=["draw", "stack", "3-d", "a_cl"])
+    def test_refuses_draws_of_another_shape(self, a_cl, shape, message):
         bundle = synthetic_bundle(np.stack([np.eye(2), np.eye(2)]))
-        with pytest.raises(ValueError, match=re.escape(
-                f"z has shape {shape}, expected (..., 2)")):
-            first_order_acl(np.eye(2), bundle, np.zeros(shape))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            first_order_acl(a_cl, bundle, np.zeros(shape))
 
     def test_needs_b_attached(self):
         data = collect(vehicle_model(0.1), 1, 10, seed=0)

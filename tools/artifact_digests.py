@@ -14,7 +14,10 @@ directory, through ``ddrobust.cli.main`` of this checkout's ``src``:
   100 steps at 200 trials;
 * a first-order ``fig1`` on the edges of ``sample_z``'s lockstep draw: a
   support of 20 entries, its largest, and 2100 trials, two chunks of 2048,
-  at sigmas where every trial count is non-zero.
+  at sigmas where every trial count is non-zero;
+* a first-order ``fig1`` at the default support of 50 entries and 2000
+  trials, where the loops are one matrix product per sigma, at sigmas where
+  every trial count is non-zero and below the trial count.
 
 It prints one ``config seed file sha256`` line per artifact, sorted. Runs of
 two checkouts, or two processes of one, write the same artifacts exactly
@@ -48,6 +51,9 @@ EXTRA_RUNS = {
     "first-order-lockstep-edges": ({"mode": "first-order", "support": {"k": 20},
                                     "sigma": {"log_range": [3.0, 30.0], "points": 4},
                                     "trials": 2100}, ("fig1",)),
+    "first-order-default-support": ({"mode": "first-order",
+                                     "sigma": {"log_range": [1.5, 15.0], "points": 4}},
+                                    ("fig1",)),
 }
 
 
