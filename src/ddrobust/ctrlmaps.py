@@ -17,16 +17,18 @@ plugin maps use it. Both shipped maps are least-squares fits theta = Y pinv(W)
 that see the record only through G = W W' and Y W' (``pinv``: W = X0,
 Y = U0; ``ce-lqr``: W = [X0; U0], Y = X1), so they override it with one Gram
 kernel: a perturbed entry of vec(X) moves one column of X0 and one of X1,
-and each fit is a rank-few update of G, at a cost that does not depend on T.
-Chunks of items run the whole kernel in turn, so its memory does not grow
-with the item count. An item whose perturbed G fails the ``_GRAM_RCOND``
-test takes the record path.
+and each fit is a rank-few update of G. The nominal fit (one SVD) and the
+support's columns are kept on the record, so only the first call on a
+record and support does work that grows with T. Chunks of items run the
+whole kernel in turn, so its memory does not grow with the item count. An
+item whose perturbed G fails the ``_GRAM_RCOND`` test takes the record path.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -291,7 +293,9 @@ class ControllerMap(ABC):
             raise ValueError(f"deltas must have shape (N, {support.size}) for a support of "
                              f"{support.size} indices, got {deltas.shape}")
         k = np.full((len(deltas), data.m, data.n), np.nan)
-        rows = np.all(np.isfinite(data.x_vec[support] + deltas), axis=1)
+        # Entry i of vec(X) is X[i % p, i // p]; no copy of vec(X) is made.
+        nominal = data.x[support % data.p, support // data.p]
+        rows = np.all(np.isfinite(nominal + deltas), axis=1)
         if rows.any():
             k[rows] = self._evaluate_finite(data, support, deltas[rows])
         return k
@@ -303,6 +307,7 @@ class ControllerMap(ABC):
         for i, delta in enumerate(deltas):
             x_vec = data.x_vec
             x_vec[support] += delta
+            x_vec.flags.writeable = False  # so the perturbed record keeps it uncopied
             try:
                 k[i] = self.evaluate(data.with_x_vec(x_vec))
             except _TRIAL_FAILURES:
@@ -319,14 +324,79 @@ class ControllerMap(ABC):
         return {"name": self.name, "hyperparameters": {}}
 
 
-def _gram_gains(cmap: ControllerMap, data: TrainingData, w, y, x1_rows, support, deltas,
+class _GramFit(NamedTuple):
+    """What the Gram kernel keeps of one regressor in a record's slot: the
+    nominal fit theta = Y pinv(W), G = W W' and its extreme eigenvalues (0
+    when G is not finite), and the rows of Y that hold X1; then, for the last
+    support (``key``), each entry's state, whether it moves W (``inner``) and
+    Y (``in_y``), its positions among the q columns the support touches, and
+    the nominal W and Y on those columns."""
+
+    theta: np.ndarray
+    gram: np.ndarray
+    lmin: float
+    lmax: float
+    x1_rows: np.ndarray
+    key: bytes
+    state: np.ndarray
+    inner: np.ndarray
+    in_y: np.ndarray
+    w_pos: np.ndarray
+    y_pos: np.ndarray
+    w_q: np.ndarray
+    y_q: np.ndarray
+
+
+def _pinv_regressor(x0, x1, u0):
+    """W = X0 and Y = U0, of which no row moves."""
+    return x0, u0, np.arange(0)
+
+
+def _ce_lqr_regressor(x0, x1, u0):
+    """W = [X0; U0] and Y = X1, all of whose rows move."""
+    return np.vstack([x0, u0]), x1, np.arange(len(x1))
+
+
+def _gram_fit(data: TrainingData, regressor, support) -> _GramFit:
+    """The :class:`_GramFit` of ``regressor`` on the record and ``support``,
+    read from the record's slot. Only the first call on a record makes the
+    SVD, and only a support other than the last one builds its columns;
+    either reads the snapshots, the one step that grows with T. The slot
+    holds (n+m)^2 + (n+m) q floats per regressor and no T-long array."""
+    fit, key = data._fits.get(regressor), support.astype(np.intp).tobytes()
+    if fit is not None and fit.key == key:
+        return fit
+    w, y, x1_rows = regressor(*snapshots(data))
+    if fit is None:
+        # A G that overflowed fails every item's finiteness test, and eigvalsh
+        # may not converge on it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = w @ w.T
+        lmin, lmax = np.linalg.eigvalsh(gram)[[0, -1]] if np.isfinite(gram).all() else (0, 0)
+        nominal = (y @ pseudoinverse(w)[0], gram, lmin, lmax, x1_rows)
+    else:
+        nominal = fit[:5]
+    n, t = data.n, data.t
+    state, col = support % n, support // n
+    inner = (col + 1) % t != 0
+    # Every entry moves Y too when Y holds X1.
+    in_y = np.full(support.size, x1_rows.size > 0)
+    cols, pos = np.unique(np.concatenate([col[inner] + 1, col[in_y]]), return_inverse=True)
+    w_pos, y_pos = np.split(pos, [inner.sum()])
+    fit = data._fits[regressor] = _GramFit(*nominal, key, state, inner, in_y, w_pos, y_pos,
+                                           w[:, cols], y[:, cols])
+    return fit
+
+
+def _gram_gains(cmap: ControllerMap, data: TrainingData, regressor, support, deltas,
                 gains_of) -> np.ndarray:
     """:meth:`ControllerMap._evaluate_finite` for a map whose gains are
     ``gains_of`` of the least-squares fits theta = Y pinv(W), by a low-rank
     update of the Gram matrix G = W W', with no perturbed record and no SVD
     per item.
 
-    W holds X0 in its first n rows, and Y holds X1 in the rows ``x1_rows``
+    ``regressor`` builds (W, Y, x1_rows) from the snapshots (X0, X1, U0): W
+    holds X0 in its first n rows, and Y holds X1 in the rows ``x1_rows``
     (none if no row of Y moves). Entry i of vec(X) is state i % n of X1
     column c = i // n and of X0 column c + 1, unless c + 1 starts an
     experiment, as x(T) is in no column of X0. With D_w and D_y the
@@ -340,50 +410,41 @@ def _gram_gains(cmap: ControllerMap, data: TrainingData, w, y, x1_rows, support,
     the pseudoinverse at any rank. This residual form adds to theta a
     correction of the size of D, so the rounding of theta and G is not
     divided by h in a finite-difference column, as it is when Y' W'' G'^-1
-    is formed directly; a zero delta gives theta exactly. An item whose G'
-    fails the ``_GRAM_RCOND`` test takes the record path; by Weyl, one with
+    is formed directly; a zero delta gives theta exactly. theta, G, its
+    extreme eigenvalues and the support's columns come from
+    :func:`_gram_fit`, once per record and support, so a later call does no
+    work that grows with T. An item whose G' fails the ``_GRAM_RCOND`` test
+    takes the record path; by Weyl, one with
     lambda_min(G) - ||dG||_F > 2 _GRAM_RCOND (lambda_max(G) + ||dG||_F) passes
     it with a margin far above rounding and needs no eigvalsh. Chunks of items
     of at most ``_GRAM_CHUNK_FLOATS`` floats run the whole kernel in turn.
     """
-    n, t = data.n, data.t
-    x1_rows = np.asarray(x1_rows, dtype=int)
-    theta = y @ pseudoinverse(w)[0]
-    state, col = support % n, support // n
-    inner = (col + 1) % t != 0
-    # Every entry moves Y too when Y holds X1.
-    in_y = np.full(support.size, x1_rows.size > 0)
-    cols, pos = np.unique(np.concatenate([col[inner] + 1, col[in_y]]), return_inverse=True)
-    w_pos, y_pos = np.split(pos, [inner.sum()])
-    count, w_q, y_q = len(deltas), w[:, cols], y[:, cols]
-    # A G that overflowed fails every item's finiteness test, and eigvalsh
-    # may not converge on it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = w @ w.T
-    lmin, lmax = np.linalg.eigvalsh(gram)[[0, -1]] if np.isfinite(gram).all() else (0, 0)
-    gains = np.empty((count, data.m, n))
+    fit = _gram_fit(data, regressor, support)
+    theta, x1_rows, w_q = fit.theta, fit.x1_rows, fit.w_q
+    count, (y_rows, w_rows), q = len(deltas), theta.shape, w_q.shape[1]
+    gains = np.empty((count, data.m, data.n))
     # The items are independent, so chunking them changes no float. An item
     # holds D_w and D_y, G' and the correction or fit.
-    item_floats = (len(w) + x1_rows.size) * cols.size + len(w) * (len(w) + len(y))
+    item_floats = (w_rows + x1_rows.size) * q + w_rows * (w_rows + y_rows)
     step = max(1, _GRAM_CHUNK_FLOATS // item_floats)
     for start in range(0, count, step):
         part, out = deltas[start:start + step], gains[start:start + step]
-        d_w = np.zeros((len(part), len(w), cols.size))
-        d_w[:, state[inner], w_pos] = part[:, inner]
-        d_y = np.zeros((len(part), x1_rows.size, cols.size))
-        d_y[:, state[in_y], y_pos] = part[:, in_y]
+        d_w = np.zeros((len(part), w_rows, q))
+        d_w[:, fit.state[fit.inner], fit.w_pos] = part[:, fit.inner]
+        d_y = np.zeros((len(part), x1_rows.size, q))
+        d_y[:, fit.state[fit.in_y], fit.y_pos] = part[:, fit.in_y]
         # An item that overflows here fails the finiteness test below and
         # takes the record path, so its overflow is not worth a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):
             d_gram = d_w @ _t(w_q)
             d_gram = d_gram + _t(d_gram) + d_w @ _t(d_w)
-            gram_new = gram + d_gram
-            correction = y_q @ _t(d_w) - theta @ d_gram
+            gram_new = fit.gram + d_gram
+            correction = fit.y_q @ _t(d_w) - theta @ d_gram
             correction[:, x1_rows] += d_y @ _t(np.add(d_w, w_q, out=d_w))  # d_w now holds W'_q
             d_norm = np.linalg.norm(d_gram, axis=(1, 2))
         del d_w, d_y, d_gram  # so that they and the arrays of gains_of never coexist
         good = np.all(np.isfinite(gram_new), axis=(1, 2))
-        check = good & ~(lmin - d_norm > 2 * _GRAM_RCOND * (lmax + d_norm))
+        check = good & ~(fit.lmin - d_norm > 2 * _GRAM_RCOND * (fit.lmax + d_norm))
         if check.any():
             lam = np.linalg.eigvalsh(gram_new[check])
             good[check] = lam[:, 0] > _GRAM_RCOND * lam[:, -1]
@@ -405,8 +466,7 @@ class PinvMap(ControllerMap):
     def _evaluate_finite(self, data: TrainingData, support, deltas) -> np.ndarray:
         """K' = U0 pinv(X0') per row of ``deltas``: the Gram kernel with
         W = X0 and Y = U0, of which no row moves."""
-        x0, _, u0 = snapshots(data)
-        return _gram_gains(self, data, x0, u0, [], support, deltas, lambda k: k)
+        return _gram_gains(self, data, _pinv_regressor, support, deltas, lambda k: k)
 
     def rank_deficient(self, data: TrainingData) -> bool:
         """Does X0 have rank below n?"""
@@ -433,9 +493,8 @@ class CeLqrMap(ControllerMap):
         """The design per row of ``deltas``: the Gram kernel with W = [X0; U0]
         and Y = X1 gives each identified pair [A B], then one doubling Riccati
         solve and one stacked gain solve. A failed solve is all NaN."""
-        x0, x1, u0 = snapshots(data)
         n = data.n
-        return _gram_gains(self, data, np.vstack([x0, u0]), x1, np.arange(n), support, deltas,
+        return _gram_gains(self, data, _ce_lqr_regressor, support, deltas,
                            lambda ab: self._gains(data, ab[..., :n], ab[..., n:]))
 
     def _gains(self, data: TrainingData, a, b) -> np.ndarray:

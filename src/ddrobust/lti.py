@@ -3,13 +3,15 @@
 A training record holds the stacked input sequences ``U`` (mT x N), the
 stacked state trajectories ``X`` (nT x N) and the initial states of each
 experiment. ``X`` stores the states x(1..T); x(0) is kept separately in
-``x0s`` so that X has exactly p = n*T rows.
+``x0s`` so that X has exactly p = n*T rows. A record's arrays are read-only,
+so that what ``ctrlmaps`` fits on a record once stays the fit of that record.
 """
 
 from __future__ import annotations
 
+import contextlib
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -23,13 +25,42 @@ InputLaw = Callable[[np.random.Generator, int, int], np.ndarray]
 _FULL_TRAJECTORY = {"kind": "full_trajectory"}
 
 
-def check_fields(doc, keys, what: str) -> None:
-    """Reject a loaded artifact that is not a JSON object holding ``keys``."""
+def check_fields(doc, keys, what: str, counts=()) -> list[int]:
+    """Reject a loaded artifact that is not a JSON object holding ``keys``.
+    Return its fields ``counts`` as ints, refused unless they are integers
+    (a boolean is none)."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
     missing = [key for key in keys if key not in doc]
     if missing:
         raise ValueError(f"{what} lacks key(s): {', '.join(missing)}")
+    return [_count(doc[key], what, key) for key in counts]
+
+
+def _count(value, what: str, key: str) -> int:
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{what} has a malformed field: {key!r} must be an integer, got {value!r}")
+
+
+def _frozen(a, name: str) -> np.ndarray:
+    """``a`` as a read-only matrix (see ``as_matrix``) that no writeable array
+    can change. An array that is read-only, as is every array it views, is
+    kept; any other is copied, in its own memory layout."""
+    m = owner = as_matrix(a, name)
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if owner is not None:
+        m = m.copy(order="K")
+        m.flags.writeable = False
+    return m
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, which its maker holds alone, marked read-only for a record to keep."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -64,6 +95,13 @@ class TrainingData:
 
     ``u`` stacks each experiment's inputs column-wise (u(0..T-1), length mT);
     ``x`` its states (x(1..T), length nT); ``x0s`` the initial states.
+
+    The three arrays are read-only: the Gram kernel of ``ctrlmaps`` keeps the
+    record's nominal fit in the private slot ``_fits`` and reuses it on every
+    later call, which is right only while the record cannot change. A given
+    array is kept when it and every array it views are read-only, and copied
+    otherwise. ``replace`` and ``with_x_vec`` make a new record, whose slot
+    starts empty, so a fit never outlives its record.
     """
 
     u: np.ndarray
@@ -73,11 +111,12 @@ class TrainingData:
     n: int
     m: int
     seed: int | None = None
+    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        u = as_matrix(self.u, "U")
-        x = as_matrix(self.x, "X")
-        x0s = as_matrix(self.x0s, "x0s")
+        u = _frozen(self.u, "U")
+        x = _frozen(self.x, "X")
+        x0s = _frozen(self.x0s, "x0s")
         if u.shape[0] != self.m * self.t:
             raise ValueError(f"U has {u.shape[0]} rows, expected m*T = {self.m * self.t}")
         if u.shape[1] != x.shape[1] or x0s.shape[1] != x.shape[1]:
@@ -121,16 +160,24 @@ class TrainingData:
 
     @classmethod
     def from_json(cls, doc) -> "TrainingData":
-        check_fields(doc, ("u", "x", "x0s", "t", "n", "m", "selector"), "training record")
+        what = "training record"
+        t, n, m = check_fields(doc, ("u", "x", "x0s", "t", "n", "m", "selector"), what,
+                               counts=("t", "n", "m"))
         if doc["selector"] != _FULL_TRAJECTORY:
             raise ValueError(f"unsupported selector {doc['selector']!r}; "
                              "only full-trajectory records are supported")
+        seed = doc.get("seed")
+        if seed is not None:
+            seed = _count(seed, what, "seed")
+            if seed < 0:
+                raise ValueError(f"{what} has a malformed field: 'seed' must be null or an "
+                                 f"integer >= 0, got {seed}")
         try:
-            fields = {key: np.asarray(doc[key], dtype=float) for key in ("u", "x", "x0s")}
-            fields |= {key: operator.index(doc[key]) for key in ("t", "n", "m")}
+            arrays = {key: _read_only(np.array(doc[key], dtype=float))
+                      for key in ("u", "x", "x0s")}
         except TypeError as exc:
-            raise ValueError(f"training record has a malformed field: {exc}") from exc
-        return cls(**fields, seed=doc.get("seed"))
+            raise ValueError(f"{what} has a malformed field: {exc}") from exc
+        return cls(**arrays, t=t, n=n, m=m, seed=seed)
 
 
 def as_support(support, length: int | None = None) -> np.ndarray:
@@ -271,12 +318,13 @@ def _collect_group(sys, n_experiments, runs, input_law, x0) -> list[TrainingData
     _roll_out(sys, np.broadcast_to(x0[:, None], (len(lengths), sys.n, 1)), states, lengths)
     records = []
     for i, (t_steps, seed) in enumerate(runs):
-        # The run's states, (time, experiment, state), as one column per
-        # experiment with time-major rows: a copy, unless the group is one
-        # record and has no padding, so the padded buffer is freed on return.
-        x_cols = states[:t_steps, first[i]:first[i] + n_experiments, :, 0].swapaxes(1, 2)
-        records.append(TrainingData(u=u_cols[i], x=x_cols.reshape(-1, n_experiments),
-                                    x0s=np.repeat(x0[:, None], n_experiments, axis=1),
+        # The run's states, (time, experiment, state), copied to one column per
+        # experiment with time-major rows, so the padded buffer is freed on return.
+        x = np.empty((t_steps * sys.n, n_experiments))
+        x.reshape(t_steps, sys.n, n_experiments)[:] = (
+            states[:t_steps, first[i]:first[i] + n_experiments, :, 0].swapaxes(1, 2))
+        records.append(TrainingData(u=_read_only(u_cols[i]), x=_read_only(x),
+                                    x0s=_read_only(np.repeat(x0[:, None], n_experiments, axis=1)),
                                     t=t_steps, n=sys.n, m=sys.m, seed=seed))
     return records
 

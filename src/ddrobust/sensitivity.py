@@ -10,7 +10,6 @@ bound downstream.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,15 +124,15 @@ class JacobianBundle:
 
     @classmethod
     def from_json(cls, doc) -> "JacobianBundle":
-        check_fields(doc, ("support", "columns", "fd_steps", "m", "n", "gain"),
-                     "Jacobian bundle")
+        m, n = check_fields(doc, ("support", "columns", "fd_steps", "m", "n", "gain"),
+                            "Jacobian bundle", counts=("m", "n"))
         try:
             return cls(
                 support=as_support(doc["support"]),
                 columns=np.asarray(doc["columns"], dtype=float),
                 fd_steps=np.asarray(doc["fd_steps"], dtype=float),
-                m=operator.index(doc["m"]),
-                n=operator.index(doc["n"]),
+                m=m,
+                n=n,
                 failures={int(k): v for k, v in doc.get("failures", {}).items()},
                 gain=np.asarray(doc["gain"], dtype=float),
                 map=doc.get("map"),

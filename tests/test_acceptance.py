@@ -14,8 +14,9 @@ gain, 50-entry random perturbation support):
 5.  the coarse variance envelope dominates v_bar on every bundle the sweeps
     produce,
 6.  the closed-form instability rate agrees with its erf restatement,
-7.  the numerical kernels match independent oracles (fixed-point Riccati
-    value, characteristic-polynomial eigenvalues, Gaussian tail values),
+7.  the numerical kernels match independent oracles (the doubling
+    Riccati solver, with its residual gate, against the closed-form golden
+    ratio; characteristic-polynomial eigenvalues; Gaussian tail values),
 8.  the spectral perturbation inequality holds on the designed loop,
 9.  the experiment commands are byte-for-byte deterministic.
 

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: pair order and the summary of paired runs."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,3 +51,48 @@ def test_one_pair_has_no_spread_and_zero_has_no_ratio(bench_pairs):
 
 def test_uses_the_standard_library_only():
     assert set(imported_modules(TOOL)) <= set(sys.stdlib_module_names) | {"__future__"}
+
+
+def test_trace_picks_the_per_layer_metrics(bench_pairs):
+    doc = {"end_to_end": [{"name": "wall_s"}], "per_layer": [{"name": "lti.calls"}]}
+    assert bench_pairs.metric_list(doc, 0) == [{"name": "wall_s"}]
+    assert bench_pairs.metric_list(doc, 1) == [{"name": "lti.calls"}]
+
+
+@pytest.fixture()
+def roots(tmp_path):
+    for side in ("a", "b"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").touch()
+        (tmp_path / side / "src").mkdir()
+    return [str(tmp_path / "a"), str(tmp_path / "b")]
+
+
+@pytest.mark.parametrize("flags, trace", [([], 0), (["--trace", "0"], 0), (["--trace", "1"], 1)],
+                         ids=["default", "0", "1"])
+def test_trace_defaults_to_0(bench_pairs, roots, flags, trace):
+    args = bench_pairs.parse_args([*roots, "--workload", "stages", "--pairs", "1",
+                                   "--seconds", "1", "--first-seed", "0", *flags])
+    assert args.trace == trace
+
+
+def test_trace_takes_0_or_1_only(bench_pairs, roots):
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args([*roots, "--workload", "stages", "--pairs", "1",
+                                "--seconds", "1", "--first-seed", "0", "--trace", "2"])
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_each_run_gets_the_trace_flag(bench_pairs, monkeypatch, tmp_path, trace):
+    seen = []
+
+    def fake_run(argv, **kwargs):
+        seen.append(argv)
+        return subprocess.CompletedProcess(argv, 0, stdout='{"correct": true}\n', stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    result, _ = bench_pairs.run_once(tmp_path, "fig1-exact", 3, 2.0, trace)
+    assert result == {"correct": True}
+    [argv] = seen
+    assert argv[argv.index("--trace") + 1] == str(trace)
+    assert argv[argv.index("--seed") + 1] == "3"

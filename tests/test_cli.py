@@ -477,6 +477,28 @@ class TestMalformedArtifacts:
         assert err.count("\n") == 1
         assert err.startswith(f"ddrobust: error: ValueError: {out / name}: {expected}")
 
+    @pytest.mark.parametrize("name, field, value, expected", [
+        ("data.json", "seed", "abc", "training record has a malformed field: 'seed' must be "
+                                     "an integer, got 'abc'"),
+        ("data.json", "seed", -3, "training record has a malformed field: 'seed' must be null "
+                                  "or an integer >= 0, got -3"),
+        ("data.json", "t", True, "training record has a malformed field: 't' must be an "
+                                 "integer, got True"),
+        ("jacobian.json", "n", True, "Jacobian bundle has a malformed field: 'n' must be an "
+                                     "integer, got True"),
+    ], ids=["seed-string", "seed-negative", "t-bool", "n-bool"])
+    def test_malformed_field_exits_2_naming_the_file(self, tmp_path, capsys, name, field,
+                                                     value, expected):
+        cfg = write_config(tmp_path, FAST_CONFIG)
+        out = tmp_path / "run"
+        for stage in ("collect", "jacobian"):
+            assert run([stage, "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / name).read_text())
+        (out / name).write_text(json.dumps(doc | {field: value}))
+        capsys.readouterr()
+        assert run(["bounds", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"ddrobust: error: ValueError: {out / name}: {expected}\n"
+
     @pytest.mark.parametrize("command", ["bounds", "mc"])
     def test_stale_jacobian_exits_2_with_one_line(self, tmp_path, capsys, command):
         # A bundle saved for another support must not answer for this one.
@@ -801,6 +823,15 @@ class TestFigures:
         assert run(["fig1", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
         assert len(stacks) == 1 + len(grid) and alone == []
         assert [len(args[2]) for args in stacks] == [2 * 8 + 1] + [30] * len(grid)
+
+    def test_exact_fig1_makes_one_svd_per_run(self, tmp_path, monkeypatch):
+        # The FD stack fits the record once; every sigma's stack reuses that fit.
+        svds, original = [], ctrlmaps.pseudoinverse
+        monkeypatch.setattr(ctrlmaps, "pseudoinverse", lambda w: svds.append(w) or original(w))
+        doc = FAST_CONFIG | {"mode": "exact", "sigma": {"grid": [1e-4, 1e-3, 1e-2]}}
+        out = tmp_path / "run"
+        assert run(["fig1", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert len(svds) == 1
 
     @pytest.mark.parametrize("mode, given", [("exact", False), ("first-order", True)])
     def test_fig1_hands_mc_the_bundle_in_first_order_mode_only(self, tmp_path, monkeypatch,

@@ -11,9 +11,11 @@ from ddrobust import (
     LqrWeights,
     LtiSystem,
     PinvMap,
+    TrainingData,
     check_a1,
     collect,
     dare_solve,
+    fd_jacobian,
     identify,
     lqr_gain,
     map_from_descriptor,
@@ -314,6 +316,85 @@ class TestGramKernel:
         monkeypatch.setattr(ctrlmaps, "_GRAM_CHUNK_FLOATS", 2**40)
         assert np.array_equal(gains, cmap.evaluate_deltas(data, support, deltas))
         assert peak <= 30e6
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that counts its calls in the
+    returned list."""
+    calls, original = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+@MAPS
+class TestFitSlot:
+    """The nominal fit a record keeps for the Gram kernel: every call after the
+    first equals the call on a fresh copy of the record, and a repeat on the
+    same support derives nothing again."""
+
+    @staticmethod
+    def rows(support, seed):
+        """FD probes at +-h, dense Gaussian draws and a zero row."""
+        k = support.size
+        rng = np.random.default_rng(seed)
+        return np.vstack([6e-6 * np.eye(k), -6e-6 * np.eye(k),
+                          0.05 * rng.standard_normal((6, k)), np.zeros((1, k))])
+
+    def test_later_calls_equal_a_fresh_record(self, cmap):
+        data = collect(vehicle_model(0.1), 2, 60, seed=5)
+        support = np.array([3, 40, 121, 238, 300, 477])
+        other = np.array([0, 7, 250])
+        deltas = self.rows(support, seed=1)
+
+        def fresh():
+            return cmap.evaluate_deltas(TrainingData.from_json(data.to_json()), support, deltas)
+
+        first = cmap.evaluate_deltas(data, support, deltas)
+        assert np.array_equal(first, fresh())
+        for _ in range(2):
+            assert np.array_equal(cmap.evaluate_deltas(data, support, deltas), fresh())
+        # After a call on another support, whose columns replace the slot's,
+        # and one of the other map, which keeps a fit of its own there.
+        cmap.evaluate_deltas(data, other, self.rows(other, seed=2))
+        assert np.array_equal(cmap.evaluate_deltas(data, support, deltas), fresh())
+        other_map = CeLqrMap() if cmap.name == "pinv" else PinvMap()
+        other_map.evaluate_deltas(data, support, deltas)
+        assert np.array_equal(cmap.evaluate_deltas(data, support, deltas), fresh())
+
+    def test_a_repeat_makes_no_svd_and_reads_no_snapshots(self, cmap, monkeypatch):
+        data = collect(vehicle_model(0.1), 1, 80, seed=2)
+        support, other = np.array([5, 9, 100, 301]), np.array([6, 200])
+        svds = counting(monkeypatch, ctrlmaps, "pseudoinverse")
+        reads = counting(monkeypatch, ctrlmaps, "snapshots")
+        counts = []
+        # The same support twice, then by content in another dtype; then a
+        # new support, which builds its column map from the snapshots alone.
+        for sup in (support, support, support.astype(np.int32), other, other):
+            before = len(svds), len(reads)
+            cmap.evaluate_deltas(data, sup, self.rows(sup, seed=3))
+            counts.append((len(svds) - before[0], len(reads) - before[1]))
+        assert counts == [(1, 1), (0, 0), (0, 0), (0, 1), (0, 0)]
+
+    def test_slot_holds_no_t_long_array(self, cmap):
+        data = collect(vehicle_model(0.1), 1, 1600, seed=0)
+        support = np.arange(0, data.p, 400)
+        cmap.evaluate_deltas(data, support, self.rows(support, seed=4))
+        arrays = [a for fit in data._fits.values() for a in fit if isinstance(a, np.ndarray)]
+        assert arrays
+        width = data.n + data.m
+        # theta, G, and W and Y on the at most 2k columns the support touches.
+        assert max(a.size for a in arrays) <= width * max(width, 2 * support.size)
+
+
+def test_evaluate_after_fd_jacobian_identifies_and_solves_anew(monkeypatch):
+    # The record path does not read the Gram kernel's slot: the nominal
+    # evaluate after an FD bundle on the record fits it again.
+    data = collect(vehicle_model(0.1), 1, 40, seed=0)
+    fd_jacobian(CeLqrMap(), data, [0, 5])
+    identified = counting(monkeypatch, ctrlmaps, "identify")
+    svds = counting(monkeypatch, ctrlmaps, "pseudoinverse")
+    CeLqrMap().evaluate(data)
+    assert (len(identified), len(svds)) == (1, 1)
 
 
 class TestIdentify:

@@ -6,6 +6,7 @@ import pytest
 
 from ddrobust import (
     LtiSystem,
+    PinvMap,
     TrainingData,
     collect,
     lti,
@@ -281,7 +282,8 @@ class TestCollect:
         with pytest.raises(ValueError, match="^training record has a malformed field: "):
             TrainingData.from_json(doc | {"t": None})
 
-    @pytest.mark.parametrize("field, value", [("t", 60.7), ("n", 4.0), ("m", "2")])
+    @pytest.mark.parametrize("field, value", [("t", 60.7), ("n", 4.0), ("m", "2"),
+                                              ("t", True), ("n", True), ("m", False)])
     def test_json_refuses_a_count_that_is_not_an_integer(self, tmp_path, field, value):
         # int() would load "t": 60.7 as a record of 60 steps.
         path = tmp_path / "data.json"
@@ -289,6 +291,20 @@ class TestCollect:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: training record has "
                                              "a malformed field: "):
             _read_json(TrainingData, path)
+
+    @pytest.mark.parametrize("seed", ["abc", 1.5, -1, True, [3]],
+                             ids=["string", "float", "negative", "bool", "list"])
+    def test_json_refuses_a_seed_that_is_not_a_count(self, tmp_path, seed):
+        path = tmp_path / "data.json"
+        _write_json(path, collect(vehicle_model(0.1), 1, 5, seed=0).to_json() | {"seed": seed})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: training record has "
+                                             "a malformed field: 'seed' must be "):
+            _read_json(TrainingData, path)
+
+    @pytest.mark.parametrize("seed", [None, 0, 2**64 - 1])
+    def test_json_keeps_a_seed_that_is_null_or_a_count(self, seed):
+        doc = collect(vehicle_model(0.1), 1, 5, seed=0).to_json() | {"seed": seed}
+        assert TrainingData.from_json(doc).to_json() == doc
 
     def test_json_rejects_other_selectors(self):
         doc = collect(vehicle_model(0.1), 1, 5, seed=0).to_json()
@@ -311,6 +327,62 @@ class TestCollect:
         other = data.with_x_vec(bumped)
         assert other.x[7, 0] == bumped[7]
         assert np.count_nonzero(other.x != data.x) == 1
+
+
+class TestReadOnly:
+    """A record cannot change, so the fit the Gram kernel keeps on it cannot
+    go stale."""
+
+    @pytest.mark.parametrize("field", ["x", "u", "x0s"])
+    def test_writing_into_a_record_raises(self, field):
+        data = collect(vehicle_model(0.1), 2, 10, seed=0)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(data, field)[0, 0] = 1.0
+        loaded = TrainingData.from_json(data.to_json())
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(loaded, field)[0, 0] = 1.0
+
+    def test_the_vector_given_to_with_x_vec_is_copied(self):
+        data = collect(vehicle_model(0.1), 1, 10, seed=2)
+        v = data.x_vec
+        other = data.with_x_vec(v)
+        v[3] += 1.0
+        assert np.array_equal(other.x_vec, data.x_vec)
+
+    def test_a_writeable_array_is_copied_and_a_read_only_one_kept(self):
+        data = collect(vehicle_model(0.1), 1, 10, seed=2)
+        u = np.array(data.u)
+        other = replace(data, u=u)
+        u[0, 0] += 1.0
+        assert np.array_equal(other.u, data.u)
+        # The record's own arrays own their memory and are read-only: kept.
+        assert other.x is data.x and other.x0s is data.x0s
+
+    def test_a_read_only_view_of_writeable_memory_is_copied(self):
+        data = collect(vehicle_model(0.1), 1, 10, seed=2)
+        x = np.array(data.x)
+        view = x[:]
+        view.flags.writeable = False
+        other = replace(data, x=view)
+        x[0, 0] += 1.0
+        assert np.array_equal(other.x, data.x)
+
+    def test_a_read_only_view_of_read_only_memory_is_kept_in_its_layout(self):
+        data = collect(vehicle_model(0.1), 2, 10, seed=2)
+        v = data.x_vec
+        v.flags.writeable = False
+        other = data.with_x_vec(v)
+        assert np.shares_memory(other.x, v) and other.x.flags.f_contiguous
+        # A writeable vector's copy keeps the column-major layout of vec(X) too.
+        assert data.with_x_vec(data.x_vec).x.flags.f_contiguous
+
+    def test_new_records_start_with_no_fit(self):
+        data = collect(vehicle_model(0.1), 1, 30, seed=1)
+        PinvMap().evaluate_deltas(data, [1, 6], np.ones((1, 2)))
+        assert data._fits
+        assert data.with_x_vec(data.x_vec)._fits == {}
+        assert replace(data, seed=3)._fits == {}
+        assert TrainingData.from_json(data.to_json())._fits == {}
 
 
 class TestVecX:

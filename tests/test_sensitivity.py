@@ -386,7 +386,7 @@ class TestFdJacobian:
         with pytest.raises(ValueError, match="^Jacobian bundle has a malformed field: "):
             JacobianBundle.from_json(bundle.to_json() | {"m": None})
 
-    @pytest.mark.parametrize("field, value", [("m", 2.5), ("n", 4.0)])
+    @pytest.mark.parametrize("field, value", [("m", 2.5), ("n", 4.0), ("m", True), ("n", True)])
     def test_json_refuses_a_shape_that_is_not_an_integer(self, tmp_path, field, value):
         bundle = fd_jacobian(PinvMap(), collect(vehicle_model(0.1), 1, 20, seed=4), np.array([1]))
         path = tmp_path / "jacobian.json"
