@@ -9,7 +9,7 @@ from .linalg import (
     spectral_radius,
     unstable,
 )
-from .lti import LtiSystem, TrainingData, collect, simulate, vehicle_model
+from .lti import LtiSystem, TrainingData, collect, vehicle_model
 from .ctrlmaps import (
     CeLqrMap,
     ControllerMap,

@@ -20,7 +20,7 @@ from .linalg import (
     q_function,
     spectral_radius,
 )
-from .sensitivity import JacobianBundle
+from .sensitivity import JacobianBundle, _checked_loop, _require_bj
 
 
 class StabilityError(RuntimeError):
@@ -47,12 +47,6 @@ class BoundsReport:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-def _require_bj(bundle: JacobianBundle) -> np.ndarray:
-    if bundle.bj is None:
-        raise ValueError("bundle has no B attached; call with_b first")
-    return bundle.bj
 
 
 def _checked(bundle: JacobianBundle, sigmas) -> tuple[np.ndarray, np.ndarray]:
@@ -109,12 +103,13 @@ def theorem1_sweep(a_cl, bundle: JacobianBundle, scales) -> list[BoundsReport]:
     lower = Q((n+mu)/sqrt(v_lower)) + Q((n-mu)/sqrt(v_lower)) and
     upper = 2n exp(-(1-rho)^2 / (2 v_bar kappa^2)) bound P[rho(A_cl + Delta) >= 1],
     with (v_bar, v_lower) = ``variance_params(bundle, sigmas)`` at sigmas all s,
-    after ``jmax_envelope``'s test. An unstable or singular A_cl is refused
-    once, before any scale; rho, kappa, mu and J_max are computed once. The
-    raw upper bound may exceed one and is reported both raw and clamped; a
-    tail that underflows is reported as computed, 0 or subnormal.
+    after ``jmax_envelope``'s test. An A_cl not of the shape of the bundle's
+    B J_i, unstable or singular is refused once, before any scale; rho,
+    kappa, mu and J_max are computed once. The raw upper bound may exceed one
+    and is reported both raw and clamped; a tail that underflows is reported
+    as computed, 0 or subnormal.
     """
-    a_cl = as_matrix(a_cl, "A_cl")
+    a_cl = _checked_loop(a_cl, bundle)
     rho = spectral_radius(a_cl)
     if rho >= 1.0:
         raise StabilityError(f"nominal closed loop is not stable: rho = {rho:.6g}")

@@ -98,10 +98,6 @@ class LqrWeights:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
 
-    @classmethod
-    def identity(cls, n: int, m: int) -> "LqrWeights":
-        return cls(q=np.eye(n), r=np.eye(m))
-
 
 @dataclass(frozen=True)
 class IdentifiedModel:

@@ -161,8 +161,9 @@ class TrainingData:
     @classmethod
     def from_json(cls, doc) -> "TrainingData":
         what = "training record"
-        t, n, m = check_fields(doc, ("u", "x", "x0s", "t", "n", "m", "selector"), what,
-                               counts=("t", "n", "m"))
+        t, n, m, n_experiments = check_fields(
+            doc, ("u", "x", "x0s", "t", "n", "m", "n_experiments", "selector"), what,
+            counts=("t", "n", "m", "n_experiments"))
         if doc["selector"] != _FULL_TRAJECTORY:
             raise ValueError(f"unsupported selector {doc['selector']!r}; "
                              "only full-trajectory records are supported")
@@ -177,7 +178,11 @@ class TrainingData:
                       for key in ("u", "x", "x0s")}
         except TypeError as exc:
             raise ValueError(f"{what} has a malformed field: {exc}") from exc
-        return cls(**arrays, t=t, n=n, m=m, seed=seed)
+        data = cls(**arrays, t=t, n=n, m=m, seed=seed)
+        if data.n_experiments != n_experiments:
+            raise ValueError(f"{what} has a malformed field: 'n_experiments' is {n_experiments}, "
+                             f"but the arrays hold {data.n_experiments} experiments")
+        return data
 
 
 def as_support(support, length: int | None = None) -> np.ndarray:
@@ -236,20 +241,6 @@ def _roll_out(sys: LtiSystem, x0s: np.ndarray, states: np.ndarray,
                     row += matmul(a, prev)
                     prev = row
             start = stop
-
-
-def simulate(sys: LtiSystem, x0, u_seq) -> np.ndarray:
-    """Roll out x(t+1) = A x(t) + B u(t) and return [x(1) ... x(T)] as n x T."""
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.size != sys.n:
-        raise ValueError(f"x0 has length {x0.size}, expected {sys.n}")
-    u = np.asarray(u_seq, dtype=float)
-    if u.ndim != 2 or u.shape[0] != sys.m:
-        raise ValueError(f"input sequence has shape {u.shape}, expected {sys.m} x T")
-    # B u(t) for every t, one matrix-vector product per step as in B @ u[:, t].
-    states = np.matmul(sys.b, u.T[:, :, None])[:, None]
-    _roll_out(sys, x0[None, :, None], states, [u.shape[1]])
-    return states[:, 0, :, 0].T
 
 
 def gaussian_inputs(rng: np.random.Generator, m: int, t: int) -> np.ndarray:

@@ -138,9 +138,8 @@ def _spawn_words(seed: int, trials: np.ndarray) -> np.ndarray:
 
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """Hands PCG64 the seed words of one stream: in ``sample_z``'s per-trial
-    loop a trial's, which ``_spawn_words`` computed; at import, to read the
-    ziggurat's widths, words whose stream starts with a chosen output.
+    """Hands PCG64 the seed words of one trial's stream, which ``_spawn_words``
+    computed, in ``sample_z``'s per-trial loop.
 
     A plain class: as a frozen dataclass, whose ``__init__`` sets the field
     through ``object.__setattr__``, it made ``sample_z`` 1.6x slower (1000
@@ -172,12 +171,12 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return hi + (lo < inc_lo), lo
 
 
-def _first_output_words(output: int) -> np.ndarray:
-    """Seed words whose PCG64 stream starts with ``output``: inc = 1, and the
-    state after the first step is ``output`` (high half 0, so no rotation)."""
-    seeded = (output - 1) * _PCG_MULT_INV
-    seed = ((seeded - 1) * _PCG_MULT_INV - 1) % (1 << 128)
-    return np.array([seed >> 64, seed & (1 << 64) - 1, 0, 0], dtype=np.uint64)
+def _set_next_output(bitgen: np.random.PCG64, output: int) -> None:
+    """Set ``bitgen``'s documented state so that its next output is ``output``:
+    inc = 1, and the state after the step is ``output`` (high half 0, so no
+    rotation)."""
+    bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                    "state": {"state": (output - 1) * _PCG_MULT_INV % (1 << 128), "inc": 1}}
 
 
 def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -189,10 +188,12 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
     floor(_ZIG_NOR_R / w[0]), and layer i >= 2 below floor(2**52 w[i-1] / w[i]).
     Layer 1 keeps nothing, as numpy's own bound there is 0; its draw at
     rabs = 1 still returns its width, through the wedge test."""
+    bitgen = np.random.PCG64(0)
+    normal = np.random.Generator(bitgen).standard_normal
     widths = np.empty(256)
     for layer in range(256):
-        seeds = _SeedWords(_first_output_words(1 << 9 | layer))
-        widths[layer] = np.random.Generator(np.random.PCG64(seeds)).standard_normal()
+        _set_next_output(bitgen, 1 << 9 | layer)
+        widths[layer] = normal()
     bounds = np.zeros(256, dtype=np.uint64)
     bounds[0] = math.floor((1.0 - 1e-12) * _ZIG_NOR_R / widths[0])
     bounds[2:] = np.floor((1.0 - 1e-12) * 2.0**52 * widths[1:-1] / widths[2:])

@@ -142,23 +142,17 @@ class JacobianBundle:
             raise ValueError(f"Jacobian bundle has a malformed field: {exc}") from exc
 
 
-def fd_jacobian(cmap, data: TrainingData, support, step: float | None = None) -> JacobianBundle:
+def fd_jacobian(cmap, data: TrainingData, support) -> JacobianBundle:
     """Central-difference Jacobian columns of the map on the given support.
 
-    The step follows h = cbrt(eps) * max(1, |x_i|) per entry unless a fixed
-    positive, finite ``step`` is forced (step-halving studies). All 2k + 1
-    probes, the unperturbed record first, go through one batched evaluation;
-    the first gives ``gain``. A numerical map failure at a probe is recorded
-    per column instead of aborting the whole bundle.
+    The step of entry i is h = cbrt(eps) * max(1, |x_i|). All 2k + 1 probes,
+    the unperturbed record first, go through one batched evaluation; the
+    first gives ``gain``. A numerical map failure at a probe is recorded per
+    column instead of aborting the whole bundle.
     """
     support = as_support(support, data.x.size)
     k = support.size
-    if step is None:
-        steps = _FD_STEP_SCALE * np.maximum(1.0, np.abs(data.x_vec[support]))
-    elif 0.0 < step < np.inf:
-        steps = np.full(k, float(step))
-    else:
-        raise ValueError(f"a forced FD step must be positive and finite, got {step!r}")
+    steps = _FD_STEP_SCALE * np.maximum(1.0, np.abs(data.x_vec[support]))
     # Probe 0 is the unperturbed record; probe 2j + 1 moves entry j by +h_j,
     # probe 2j + 2 by -h_j.
     deltas = np.zeros((2 * k + 1, k))
@@ -198,15 +192,28 @@ def first_order_acl(a_cl, bundle: JacobianBundle, z) -> np.ndarray:
     its last bits may depend on the stack; the draws, verdicts and artifacts
     stay bit-stable unless a loop lies within that rounding of rho = 1.
     """
-    a_cl = as_matrix(a_cl, "A_cl")
-    if bundle.bj is None:
-        raise ValueError("bundle has no B attached; call with_b first")
-    k, shape = bundle.size, bundle.bj.shape[1:]
-    if a_cl.shape != shape:
-        raise ValueError(f"A_cl has shape {a_cl.shape}, but the bundle's B J_i are {shape}")
+    a_cl = _checked_loop(a_cl, bundle)
+    k, shape = bundle.size, a_cl.shape
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != k:
         raise ValueError(f"z has shape {z.shape}, expected (..., {k})")
     acl = (z.reshape(-1, k) @ bundle.bj.reshape(k, -1)).reshape(*z.shape[:-1], *shape)
     acl += a_cl
     return acl
+
+
+def _require_bj(bundle: JacobianBundle) -> np.ndarray:
+    """The bundle's B J_i stack, refused when no B is attached."""
+    if bundle.bj is None:
+        raise ValueError("bundle has no B attached; call with_b first")
+    return bundle.bj
+
+
+def _checked_loop(a_cl, bundle: JacobianBundle) -> np.ndarray:
+    """``a_cl`` as a matrix, refused unless it is of the shape of the bundle's
+    B J_i, so that the perturbed loop A_cl + sum_i z_i B J_i is defined."""
+    a_cl = as_matrix(a_cl, "A_cl")
+    shape = _require_bj(bundle).shape[1:]
+    if a_cl.shape != shape:
+        raise ValueError(f"A_cl has shape {a_cl.shape}, but the bundle's B J_i are {shape}")
+    return a_cl

@@ -10,6 +10,7 @@ from ddrobust import (
     bauer_fike_check,
     collect,
     fd_jacobian,
+    first_order_acl,
     jmax_envelope,
     q_function,
     theorem1_sweep,
@@ -222,6 +223,16 @@ class TestTheorem1Sweep:
             with pytest.raises(StabilityError) as got:
                 theorem1_sweep(a_cl, bundle, scales)
             assert str(got.value) == message
+
+    def test_refuses_a_loop_of_another_shape_as_first_order_acl_does(self):
+        # A 2x2 loop against 4x4 B J_i was certified as a loop of n = 2.
+        bundle, _ = vehicle_bundle(t_steps=80, k=10)
+        a_cl = np.diag([0.5, 0.5])
+        message = "A_cl has shape (2, 2), but the bundle's B J_i are (4, 4)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            first_order_acl(a_cl, bundle, np.zeros(bundle.size))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            theorem1_sweep(a_cl, bundle, [0.1])
 
     def test_refuses_a_broken_envelope_as_jmax_envelope_does(self, monkeypatch):
         bundle = synthetic_bundle(np.stack([np.array([[0.5, 0.1], [0.0, 0.2]])]))

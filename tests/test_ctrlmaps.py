@@ -627,20 +627,20 @@ class TestCeLqr:
         sys = vehicle_model(0.1)
         for seed in range(5):
             data = collect(sys, 1, 200, seed=seed)
-            k = CeLqrMap(LqrWeights.identity(4, 2)).evaluate(data)
+            k = CeLqrMap(LqrWeights(np.eye(4), np.eye(2))).evaluate(data)
             assert check_a1(sys, k).stable
 
     def test_scalar_gain_via_exact_identification(self):
         sys = LtiSystem(np.array([[1.0]]), np.array([[1.0]]))
         data = collect(sys, 1, 10, seed=0)
-        k = CeLqrMap(LqrWeights.identity(1, 1)).evaluate(data)
+        k = CeLqrMap(LqrWeights(np.eye(1), np.eye(1))).evaluate(data)
         assert abs(k[0, 0] + 1.0 / GOLDEN) <= 1e-6
 
     def test_zero_input_data_degenerates_to_zero_gain(self):
         sys = vehicle_model(0.1)
         data = collect(sys, 1, 30, input_law=zero_inputs, seed=0,
                        x0=np.array([1.0, -0.5, 2.0, 0.25]))
-        cmap = CeLqrMap(LqrWeights.identity(4, 2))
+        cmap = CeLqrMap(LqrWeights(np.eye(4), np.eye(2)))
         assert cmap.rank_deficient(data)
         k = cmap.evaluate(data)
         assert np.allclose(k, np.zeros((2, 4)), atol=1e-12)

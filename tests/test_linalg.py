@@ -246,7 +246,7 @@ class TestUnstable:
         from ddrobust import LqrWeights, lqr_gain, vehicle_model
 
         sys = vehicle_model(0.1)
-        w = LqrWeights.identity(4, 2)
+        w = LqrWeights(np.eye(4), np.eye(2))
         stack = on_the_edge((sys.a + sys.b @ lqr_gain(sys.a, sys.b, w.q, w.r))[None], EDGE)
         np.testing.assert_array_equal(unstable(stack), radius_verdict(stack))
 

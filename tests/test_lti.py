@@ -10,7 +10,6 @@ from ddrobust import (
     TrainingData,
     collect,
     lti,
-    simulate,
     vehicle_model,
 )
 from ddrobust.cli import _read_json, _write_json
@@ -73,33 +72,39 @@ PLANTS = [
      for n in (3, 4, 5) for m in (2, 3)]
 
 
+def one_run(sys, x0, u):
+    """The states x(1..T) of one experiment of ``collect`` with inputs ``u``, n x T."""
+    data = collect(sys, 1, u.shape[1], input_law=lambda rng, m, t: u, x0=x0)
+    return data.x.reshape((sys.n, -1), order="F")
+
+
 class TestSimulate:
+    """One experiment of ``collect``, which rolls out alone through
+    ``_roll_out``'s one-record branch, is the step recursion."""
+
     @pytest.mark.parametrize("sys, nonzero_x0", PLANTS)
     @pytest.mark.parametrize("t_steps", [1, 400])
     def test_matches_step_recursion_bit_for_bit(self, sys, nonzero_x0, t_steps):
         rng = np.random.default_rng(t_steps)
         x0 = rng.standard_normal(sys.n) if nonzero_x0 else np.zeros(sys.n)
         u = rng.standard_normal((sys.m, t_steps))
-        states = simulate(sys, x0, u)
+        states = one_run(sys, x0, u)
         assert states.shape == (sys.n, t_steps)
         assert np.array_equal(states, step_oracle(sys, x0, u))
 
     def test_zero_everything(self):
-        sys = vehicle_model(0.1)
-        states = simulate(sys, np.zeros(4), np.zeros((2, 5)))
-        assert states.shape == (4, 5)
-        assert np.array_equal(states, np.zeros((4, 5)))
+        data = collect(vehicle_model(0.1), 1, 5, input_law=zero_inputs)
+        assert np.array_equal(data.x, np.zeros((20, 1)))
 
     def test_vehicle_single_step(self):
-        sys = vehicle_model(0.1)
-        states = simulate(sys, np.zeros(4), np.array([[1.0], [0.0]]))
+        states = one_run(vehicle_model(0.1), np.zeros(4), np.array([[1.0], [0.0]]))
         assert np.array_equal(states[:, 0], [0.0, 0.1, 0.0, 0.0])
 
     def test_memoryless_plant(self):
         rng = np.random.default_rng(0)
         sys = LtiSystem(np.zeros((3, 3)), rng.standard_normal((3, 2)))
         u = rng.standard_normal((2, 6))
-        states = simulate(sys, rng.standard_normal(3), u)
+        states = one_run(sys, rng.standard_normal(3), u)
         for t in range(6):
             assert np.allclose(states[:, t], sys.b @ u[:, t], atol=1e-14)
 
@@ -107,18 +112,9 @@ class TestSimulate:
         rng = np.random.default_rng(1)
         sys = vehicle_model(0.1)
         u = rng.standard_normal((2, 10))
-        full = simulate(sys, np.zeros(4), u)
-        half = simulate(sys, np.zeros(4), u[:, :5])
+        full = one_run(sys, np.zeros(4), u)
+        half = one_run(sys, np.zeros(4), u[:, :5])
         assert np.array_equal(full[:, :5], half)
-
-    def test_dimension_mismatch(self):
-        sys = vehicle_model(0.1)
-        with pytest.raises(ValueError):
-            simulate(sys, np.zeros(3), np.zeros((2, 4)))
-        # Inputs are m x T only; a T x m or flat sequence is rejected.
-        for u in (np.zeros((4, 2)), np.zeros(4)):
-            with pytest.raises(ValueError):
-                simulate(sys, np.zeros(4), u)
 
 
 def roll_out_stack(sys, x0s, us):
@@ -218,9 +214,10 @@ class TestCollectRecords:
         # pytest turns warnings into errors here, so numpy's overflow warning
         # would replace the refusal.
         sys = LtiSystem(np.array([[2.0]]), np.array([[1.0]]))
-        with pytest.raises(ValueError, match="^X contains non-finite entries$"):
-            collect(sys, 2, 1200)
-        assert not np.all(np.isfinite(simulate(sys, [1.0], np.ones((1, 1200)))))
+        # One experiment takes the rollout's one-record branch, two its stacked one.
+        for n_experiments in (1, 2):
+            with pytest.raises(ValueError, match="^X contains non-finite entries$"):
+                collect(sys, n_experiments, 1200)
 
 
 class TestCollect:
@@ -291,6 +288,17 @@ class TestCollect:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: training record has "
                                              "a malformed field: "):
             _read_json(TrainingData, path)
+
+    @pytest.mark.parametrize("value, message", [
+        (7, "'n_experiments' is 7, but the arrays hold 1 experiments"),
+        ("x", "'n_experiments' must be an integer, got 'x'"),
+        (True, "'n_experiments' must be an integer, got True"),
+    ], ids=["mismatch", "string", "bool"])
+    def test_json_refuses_an_experiment_count_that_is_not_the_arrays(self, value, message):
+        doc = collect(vehicle_model(0.1), 1, 5, seed=0).to_json() | {"n_experiments": value}
+        with pytest.raises(ValueError, match=f"^training record has a malformed field: "
+                                             f"{re.escape(message)}$"):
+            TrainingData.from_json(doc)
 
     @pytest.mark.parametrize("seed", ["abc", 1.5, -1, True, [3]],
                              ids=["string", "float", "negative", "bool", "list"])
