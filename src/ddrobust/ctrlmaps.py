@@ -303,7 +303,6 @@ class ControllerMap(ABC):
         for i, delta in enumerate(deltas):
             x_vec = data.x_vec
             x_vec[support] += delta
-            x_vec.flags.writeable = False  # so the perturbed record keeps it uncopied
             try:
                 k[i] = self.evaluate(data.with_x_vec(x_vec))
             except _TRIAL_FAILURES:

@@ -44,23 +44,22 @@ def _count(value, what: str, key: str) -> int:
     raise ValueError(f"{what} has a malformed field: {key!r} must be an integer, got {value!r}")
 
 
+def array_field(doc, key: str, what: str) -> np.ndarray:
+    """The field ``key`` of a loaded artifact as a float array, refused as a
+    malformed field when it is not a (rectangular) array of numbers."""
+    try:
+        return np.array(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} has a malformed field: {key!r} must be an array of "
+                         f"numbers: {exc}") from exc
+
+
 def _frozen(a, name: str) -> np.ndarray:
-    """``a`` as a read-only matrix (see ``as_matrix``) that no writeable array
-    can change. An array that is read-only, as is every array it views, is
-    kept; any other is copied, in its own memory layout."""
-    m = owner = as_matrix(a, name)
-    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-        owner = owner.base
-    if owner is not None:
-        m = m.copy(order="K")
-        m.flags.writeable = False
+    """A read-only copy of ``a`` in its own memory layout, checked as
+    ``as_matrix`` checks it, so that no array given to a record can change it."""
+    m = as_matrix(a, name).copy(order="K")
+    m.flags.writeable = False
     return m
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """``a``, which its maker holds alone, marked read-only for a record to keep."""
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -96,12 +95,13 @@ class TrainingData:
     ``u`` stacks each experiment's inputs column-wise (u(0..T-1), length mT);
     ``x`` its states (x(1..T), length nT); ``x0s`` the initial states.
 
-    The three arrays are read-only: the Gram kernel of ``ctrlmaps`` keeps the
+    The three arrays are read-only copies of the arrays given, each in the
+    memory layout of its source: the Gram kernel of ``ctrlmaps`` keeps the
     record's nominal fit in the private slot ``_fits`` and reuses it on every
-    later call, which is right only while the record cannot change. A given
-    array is kept when it and every array it views are read-only, and copied
-    otherwise. ``replace`` and ``with_x_vec`` make a new record, whose slot
-    starts empty, so a fit never outlives its record.
+    later call, which is right only while the record cannot change, and a
+    record shares memory with nothing it was given. ``replace`` and
+    ``with_x_vec`` make a new record, whose slot starts empty, so a fit never
+    outlives its record.
     """
 
     u: np.ndarray
@@ -173,11 +173,7 @@ class TrainingData:
             if seed < 0:
                 raise ValueError(f"{what} has a malformed field: 'seed' must be null or an "
                                  f"integer >= 0, got {seed}")
-        try:
-            arrays = {key: _read_only(np.array(doc[key], dtype=float))
-                      for key in ("u", "x", "x0s")}
-        except TypeError as exc:
-            raise ValueError(f"{what} has a malformed field: {exc}") from exc
+        arrays = {key: array_field(doc, key, what) for key in ("u", "x", "x0s")}
         data = cls(**arrays, t=t, n=n, m=m, seed=seed)
         if data.n_experiments != n_experiments:
             raise ValueError(f"{what} has a malformed field: 'n_experiments' is {n_experiments}, "
@@ -309,13 +305,11 @@ def _collect_group(sys, n_experiments, runs, input_law, x0) -> list[TrainingData
     _roll_out(sys, np.broadcast_to(x0[:, None], (len(lengths), sys.n, 1)), states, lengths)
     records = []
     for i, (t_steps, seed) in enumerate(runs):
-        # The run's states, (time, experiment, state), copied to one column per
-        # experiment with time-major rows, so the padded buffer is freed on return.
-        x = np.empty((t_steps * sys.n, n_experiments))
-        x.reshape(t_steps, sys.n, n_experiments)[:] = (
-            states[:t_steps, first[i]:first[i] + n_experiments, :, 0].swapaxes(1, 2))
-        records.append(TrainingData(u=_read_only(u_cols[i]), x=_read_only(x),
-                                    x0s=_read_only(np.repeat(x0[:, None], n_experiments, axis=1)),
+        # The run's states, (time, experiment, state), as one column per
+        # experiment with time-major rows.
+        x = states[:t_steps, first[i]:first[i] + n_experiments, :, 0].swapaxes(1, 2)
+        records.append(TrainingData(u=u_cols[i], x=x.reshape(t_steps * sys.n, n_experiments),
+                                    x0s=np.repeat(x0[:, None], n_experiments, axis=1),
                                     t=t_steps, n=sys.n, m=sys.m, seed=seed))
     return records
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lti import TrainingData, as_support, check_fields
+from .lti import TrainingData, array_field, as_support, check_fields
 from .linalg import as_matrix
 
 # Optimal central-difference step scale for O(h^2) schemes.
@@ -100,13 +100,34 @@ class JacobianBundle:
         b = as_matrix(b, "B")
         if b.shape != (self.n, self.m):
             raise ValueError(f"B must be {self.n}x{self.m}, got {b.shape}")
-        if self.columns.shape != (self.m * self.n, self.size):
-            raise ValueError(f"columns must be {self.m * self.n}x{self.size}, "
-                             f"got {self.columns.shape}")
+        self._check_columns()
         # Column j is vec(J_j), stacked column by column: read as n x m it is J_j'.
         # Contiguous J_j let matmul make the BLAS call of a single product.
         j = np.swapaxes(self.columns.T.reshape((self.size, self.n, self.m)), 1, 2)
         return replace(self, bj=b @ np.ascontiguousarray(j), b_source=source)
+
+    def _check_columns(self) -> None:
+        """Refuse columns that are not one vec(K) column per support entry."""
+        if self.columns.shape != (self.m * self.n, self.size):
+            raise ValueError(f"columns must be {self.m * self.n}x{self.size}, "
+                             f"got {self.columns.shape}")
+
+    def _check_saved(self) -> None:
+        """Refuse arrays that ``fd_jacobian`` cannot have made: columns of
+        another shape or not finite outside the columns ``failures`` names,
+        steps that are not k finite positive numbers, and a gain that is not
+        m x n and finite, or all NaN where the nominal probe failed."""
+        self._check_columns()
+        kept = [index not in self.failures for index in self.support.tolist()]
+        if not np.isfinite(self.columns[:, kept]).all():
+            raise ValueError("columns must be finite outside the columns 'failures' names")
+        steps = self.fd_steps
+        if steps.shape != (self.size,) or not (np.isfinite(steps) & (steps > 0)).all():
+            raise ValueError(f"fd_steps must be {self.size} finite positive steps")
+        gain = self.gain
+        if gain.shape != (self.m, self.n) or not (
+                np.isfinite(gain).all() or np.isnan(gain).all()):
+            raise ValueError(f"gain must be {self.m}x{self.n}, finite or all NaN")
 
     def to_json(self) -> dict:
         return {
@@ -124,22 +145,30 @@ class JacobianBundle:
 
     @classmethod
     def from_json(cls, doc) -> "JacobianBundle":
+        what = "Jacobian bundle"
         m, n = check_fields(doc, ("support", "columns", "fd_steps", "m", "n", "gain"),
-                            "Jacobian bundle", counts=("m", "n"))
+                            what, counts=("m", "n"))
         try:
-            return cls(
-                support=as_support(doc["support"]),
-                columns=np.asarray(doc["columns"], dtype=float),
-                fd_steps=np.asarray(doc["fd_steps"], dtype=float),
-                m=m,
-                n=n,
-                failures={int(k): v for k, v in doc.get("failures", {}).items()},
-                gain=np.asarray(doc["gain"], dtype=float),
-                map=doc.get("map"),
-                record=doc.get("record"),
-            )
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"Jacobian bundle has a malformed field: {exc}") from exc
+            failures = {int(k): v for k, v in doc.get("failures", {}).items()}
+        except (TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(f"{what} has a malformed field: 'failures' must map support "
+                             f"indices to reasons: {exc}") from exc
+        bundle = cls(
+            support=as_support(doc["support"]),
+            columns=array_field(doc, "columns", what),
+            fd_steps=array_field(doc, "fd_steps", what),
+            m=m,
+            n=n,
+            failures=failures,
+            gain=array_field(doc, "gain", what),
+            map=doc.get("map"),
+            record=doc.get("record"),
+        )
+        try:
+            bundle._check_saved()
+        except ValueError as exc:
+            raise ValueError(f"{what} has a malformed field: {exc}") from exc
+        return bundle
 
 
 def fd_jacobian(cmap, data: TrainingData, support) -> JacobianBundle:

@@ -34,6 +34,15 @@ FAST_CONFIG = {
 }
 
 
+def numpy_refusal(value) -> str:
+    """numpy's own text for a value that is not an array of numbers."""
+    try:
+        np.array(value, dtype=float)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"numpy reads {value!r} as an array")
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -486,7 +495,19 @@ class TestMalformedArtifacts:
                                  "integer, got True"),
         ("jacobian.json", "n", True, "Jacobian bundle has a malformed field: 'n' must be an "
                                      "integer, got True"),
-    ], ids=["seed-string", "seed-negative", "t-bool", "n-bool"])
+        ("jacobian.json", "columns", lambda c: [[None, *c[0][1:]], *c[1:]],
+         "Jacobian bundle has a malformed field: columns must be finite outside the columns "
+         "'failures' names"),
+        ("jacobian.json", "columns", "abc", "Jacobian bundle has a malformed field: 'columns' "
+                                            "must be an array of numbers: could not convert "
+                                            "string to float: 'abc'"),
+        ("data.json", "x", [[1.0], [2.0, 3.0]], "training record has a malformed field: 'x' "
+                                                "must be an array of numbers: "
+                                                + numpy_refusal([[1.0], [2.0, 3.0]])),
+        ("data.json", "x", [["a"]], "training record has a malformed field: 'x' must be an "
+                                    "array of numbers: could not convert string to float: 'a'"),
+    ], ids=["seed-string", "seed-negative", "t-bool", "n-bool", "columns-null", "columns-string",
+            "x-ragged", "x-string"])
     def test_malformed_field_exits_2_naming_the_file(self, tmp_path, capsys, name, field,
                                                      value, expected):
         cfg = write_config(tmp_path, FAST_CONFIG)
@@ -494,10 +515,14 @@ class TestMalformedArtifacts:
         for stage in ("collect", "jacobian"):
             assert run([stage, "--config", cfg, "--out", str(out)]) == 0
         doc = json.loads((out / name).read_text())
-        (out / name).write_text(json.dumps(doc | {field: value}))
+        (out / name).write_text(json.dumps(doc | {field: value(doc[field]) if callable(value)
+                                                  else value}))
         capsys.readouterr()
-        assert run(["bounds", "--config", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"ddrobust: error: ValueError: {out / name}: {expected}\n"
+        # FAST_CONFIG is first-order, so mc reads jacobian.json as bounds does.
+        for command in ("bounds", "mc"):
+            assert run([command, "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"ddrobust: error: ValueError: {out / name}: {expected}\n"
 
     @pytest.mark.parametrize("command", ["bounds", "mc"])
     def test_stale_jacobian_exits_2_with_one_line(self, tmp_path, capsys, command):

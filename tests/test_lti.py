@@ -289,6 +289,17 @@ class TestCollect:
                                              "a malformed field: "):
             _read_json(TrainingData, path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("x", [[1.0], [2.0, 3.0]]), ("x", [["a"]]), ("u", "abc"), ("x0s", {"a": 1.0})],
+        ids=["x-ragged", "x-string", "u-string", "x0s-object"])
+    def test_json_names_an_array_that_is_not_numbers(self, tmp_path, field, value):
+        path = tmp_path / "data.json"
+        _write_json(path, collect(vehicle_model(0.1), 1, 5, seed=0).to_json() | {field: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: training record has a "
+                                             f"malformed field: '{field}' must be an array of "
+                                             "numbers: "):
+            _read_json(TrainingData, path)
+
     @pytest.mark.parametrize("value, message", [
         (7, "'n_experiments' is 7, but the arrays hold 1 experiments"),
         ("x", "'n_experiments' must be an integer, got 'x'"),
@@ -357,14 +368,16 @@ class TestReadOnly:
         v[3] += 1.0
         assert np.array_equal(other.x_vec, data.x_vec)
 
-    def test_a_writeable_array_is_copied_and_a_read_only_one_kept(self):
-        data = collect(vehicle_model(0.1), 1, 10, seed=2)
-        u = np.array(data.u)
-        other = replace(data, u=u)
-        u[0, 0] += 1.0
+    def test_a_record_shares_memory_with_nothing_it_was_given(self):
+        data = collect(vehicle_model(0.1), 2, 10, seed=2)
+        given = {"u": np.array(data.u), "x": data.x, "x0s": data.x0s}
+        assert not given["x"].flags.writeable  # read-only arrays are copied too
+        other = replace(data, **given)
+        for field, a in given.items():
+            assert not np.shares_memory(getattr(other, field), a)
+            assert np.array_equal(getattr(other, field), a)
+        given["u"][0, 0] += 1.0
         assert np.array_equal(other.u, data.u)
-        # The record's own arrays own their memory and are read-only: kept.
-        assert other.x is data.x and other.x0s is data.x0s
 
     def test_a_read_only_view_of_writeable_memory_is_copied(self):
         data = collect(vehicle_model(0.1), 1, 10, seed=2)
@@ -375,14 +388,14 @@ class TestReadOnly:
         x[0, 0] += 1.0
         assert np.array_equal(other.x, data.x)
 
-    def test_a_read_only_view_of_read_only_memory_is_kept_in_its_layout(self):
+    @pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
+    def test_a_vector_is_copied_and_x_stays_column_major(self, writeable):
         data = collect(vehicle_model(0.1), 2, 10, seed=2)
         v = data.x_vec
-        v.flags.writeable = False
+        v.flags.writeable = writeable
         other = data.with_x_vec(v)
-        assert np.shares_memory(other.x, v) and other.x.flags.f_contiguous
-        # A writeable vector's copy keeps the column-major layout of vec(X) too.
-        assert data.with_x_vec(data.x_vec).x.flags.f_contiguous
+        assert not np.shares_memory(other.x, v)
+        assert other.x.flags.f_contiguous and not other.x.flags.c_contiguous
 
     def test_new_records_start_with_no_fit(self):
         data = collect(vehicle_model(0.1), 1, 30, seed=1)

@@ -387,6 +387,44 @@ class TestFdJacobian:
                                              "a malformed field: "):
             _read_json(JacobianBundle, path)
 
+    @pytest.mark.parametrize("field, edit, message", [
+        ("columns", lambda c: [[None, *c[0][1:]], *c[1:]],
+         "columns must be finite outside the columns 'failures' names"),
+        ("columns", lambda c: np.transpose(c).tolist(), "columns must be 8x2, got (2, 8)"),
+        ("columns", lambda c: "abc", "'columns' must be an array of numbers: could not "
+                                     "convert string to float: 'abc'"),
+        ("columns", lambda c: [c[0][:1], *c[1:]], "'columns' must be an array of numbers: "),
+        ("fd_steps", lambda h: h[:1], "fd_steps must be 2 finite positive steps"),
+        ("fd_steps", lambda h: [h[0], 0.0], "fd_steps must be 2 finite positive steps"),
+        ("fd_steps", lambda h: [h[0], None], "fd_steps must be 2 finite positive steps"),
+        ("gain", lambda g: [[None, *g[0][1:]], *g[1:]], "gain must be 2x4, finite or all NaN"),
+        ("gain", lambda g: np.transpose(g).tolist(), "gain must be 2x4, finite or all NaN"),
+        ("gain", lambda g: None, "gain must be 2x4, finite or all NaN"),
+        ("gain", lambda g: [["a"] * 4] * 2, "'gain' must be an array of numbers: could not "
+                                            "convert string to float: 'a'"),
+        ("failures", lambda f: {"one": "?"}, "'failures' must map support indices to reasons: "),
+    ], ids=["columns-null", "columns-transposed", "columns-string", "columns-ragged",
+            "steps-short", "steps-zero", "steps-null", "gain-null-entry", "gain-transposed",
+            "gain-null", "gain-string", "failures-key"])
+    def test_json_refuses_arrays_fd_jacobian_cannot_make(self, tmp_path, field, edit, message):
+        bundle = fd_jacobian(PinvMap(), collect(vehicle_model(0.1), 1, 20, seed=4), [1, 7])
+        doc = bundle.to_json()
+        path = tmp_path / "jacobian.json"
+        _write_json(path, doc | {field: edit(doc[field])})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: Jacobian bundle has "
+                                             f"a malformed field: {re.escape(message)}"):
+            _read_json(JacobianBundle, path)
+
+    def test_json_keeps_the_nan_columns_failures_names(self, tmp_path):
+        data = collect(vehicle_model(0.1), 1, 10, seed=0)
+        cmap = FragileMap(PinvMap(), watched=3, nominal=data.x_vec[3])
+        bundle = fd_jacobian(cmap, data, np.array([2, 3, 8]))
+        path = tmp_path / "jacobian.json"
+        _write_json(path, bundle.to_json())
+        back = _read_json(JacobianBundle, path)
+        assert back.failures == bundle.failures and list(back.failures) == [3]
+        assert np.array_equal(back.columns, bundle.columns, equal_nan=True)
+
     def test_with_b_refuses_columns_of_another_shape(self):
         # Two support entries of a 2 x 4 gain: columns must be 8 x 2. Their
         # transpose holds as many numbers and must not be read as columns.
