@@ -23,6 +23,10 @@ from .linalg import (
 from .sensitivity import JacobianBundle, _checked_loop, _require_bj
 
 
+# The largest sigma whose square is finite.
+_SIGMA_MAX = math.sqrt(np.finfo(float).max)
+
+
 class StabilityError(RuntimeError):
     """The nominal closed loop violates the standing stability assumption."""
 
@@ -50,10 +54,15 @@ class BoundsReport:
 
 
 def _checked(bundle: JacobianBundle, sigmas) -> tuple[np.ndarray, np.ndarray]:
-    """The B J_i stack and the sigmas as a vector, one per support entry."""
+    """The B J_i stack and the sigmas as a vector, one per support entry,
+    refused unless every sigma is >= 0 with a finite variance sigma^2."""
     sigmas = np.asarray(sigmas, dtype=float).ravel()
     if sigmas.size != bundle.size:
         raise ValueError(f"need {bundle.size} sigmas, got {sigmas.size}")
+    bad = ~((sigmas >= 0.0) & (sigmas <= _SIGMA_MAX))
+    if bad.any():
+        raise ValueError("sigmas must be >= 0 with a finite variance sigma^2, "
+                         f"got sigma = {float(sigmas[bad][0])!r}")
     return _require_bj(bundle), sigmas
 
 

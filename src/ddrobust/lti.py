@@ -185,7 +185,10 @@ def as_support(support, length: int | None = None) -> np.ndarray:
     """``support`` as an array, refused unless it holds distinct indices into
     vec(X) of length ``length`` (any index >= 0 when that is None), one per
     entry of a nonempty 1-D integer array. Every holder of a support calls it."""
-    support = np.asarray(support)
+    try:
+        support = np.asarray(support)
+    except ValueError:  # ragged: its items, which the index rule refuses
+        support = np.fromiter(support, dtype=object)
     if support.size == 0:
         raise ValueError("perturbation support must be nonempty")
     if (support.ndim != 1 or support.dtype.kind not in "iu" or support.min() < 0
@@ -286,7 +289,8 @@ def collect_records(
 
 
 def _collect_group(sys, n_experiments, runs, input_law, x0) -> list[TrainingData]:
-    """The records of ``runs``, in their order, from one stacked rollout."""
+    """The records of ``runs``, in their order, from one stacked rollout.
+    Each run's input buffer is dropped once its record holds a copy."""
     # Longest run first, each run's experiments side by side in the stack.
     order = sorted(range(len(runs)), key=lambda i: -runs[i][0])
     first = {i: pos * n_experiments for pos, i in enumerate(order)}
@@ -311,6 +315,7 @@ def _collect_group(sys, n_experiments, runs, input_law, x0) -> list[TrainingData
         records.append(TrainingData(u=u_cols[i], x=x.reshape(t_steps * sys.n, n_experiments),
                                     x0s=np.repeat(x0[:, None], n_experiments, axis=1),
                                     t=t_steps, n=sys.n, m=sys.m, seed=seed))
+        u_cols[i] = None
     return records
 
 

@@ -10,7 +10,8 @@ bound downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +58,10 @@ class JacobianBundle:
     """FD columns of the map on the support, plus cached B J_i products.
 
     ``columns[:, j]`` is the length-(m*n) derivative of vec(K) with respect
-    to vec(X) at support index ``support[j]``. ``gain`` is the m x n gain of
-    the map on the unperturbed record, all NaN where that probe failed.
+    to vec(X) at support index ``support[j]``, finite unless ``failures``
+    names that index with its reason. ``fd_steps`` holds the k steps,
+    finite and positive. ``gain`` is the m x n gain of the map on the
+    unperturbed record, all NaN where that probe failed or none was given.
     ``map`` is the descriptor of the differentiated map and ``record`` names
     the training record it was differentiated on. ``bj`` is filled by
     :meth:`with_b` and holds the stacked n x n products.
@@ -76,14 +79,35 @@ class JacobianBundle:
     bj: np.ndarray | None = None
     b_source: str | None = None
 
+    def __post_init__(self):
+        support = as_support(self.support)
+        k, shape = support.size, (self.m, self.n)
+        columns = np.asarray(self.columns, dtype=float)
+        if columns.shape != (self.m * self.n, k):
+            raise ValueError(f"columns must be {self.m * self.n}x{k}, got {columns.shape}")
+        indices = support.tolist()
+        outside = [key for key in self.failures if key not in indices]
+        if outside:
+            raise ValueError(f"failures must name support indices, got {outside}")
+        broken = support[~np.isfinite(columns).all(axis=0)].tolist()
+        if any(index not in self.failures for index in broken):
+            raise ValueError("columns must be finite outside the columns 'failures' names")
+        steps = np.asarray(self.fd_steps, dtype=float)
+        if steps.shape != (k,) or not (np.isfinite(steps) & (steps > 0)).all():
+            raise ValueError(f"fd_steps must be {k} finite positive steps")
+        gain = np.full(shape, np.nan) if self.gain is None else np.asarray(self.gain, dtype=float)
+        if gain.shape != shape or not (np.isfinite(gain).all() or np.isnan(gain).all()):
+            raise ValueError(f"gain must be {self.m}x{self.n}, finite or all NaN")
+        vars(self).update(support=support, columns=columns, fd_steps=steps, gain=gain)
+
     @property
     def size(self) -> int:
         return self.support.size
 
     def nominal_gain(self, cmap, data: TrainingData) -> np.ndarray:
         """The gain of the map on the record the bundle was taken on: ``gain``,
-        or, where that probe failed, ``cmap.evaluate(data)``, which raises the
-        map's own error."""
+        or, where that probe failed or none was given, ``cmap.evaluate(data)``,
+        which raises the map's own error."""
         if np.isfinite(self.gain).all():
             return self.gain
         return cmap.evaluate(data)
@@ -100,34 +124,14 @@ class JacobianBundle:
         b = as_matrix(b, "B")
         if b.shape != (self.n, self.m):
             raise ValueError(f"B must be {self.n}x{self.m}, got {b.shape}")
-        self._check_columns()
         # Column j is vec(J_j), stacked column by column: read as n x m it is J_j'.
         # Contiguous J_j let matmul make the BLAS call of a single product.
         j = np.swapaxes(self.columns.T.reshape((self.size, self.n, self.m)), 1, 2)
-        return replace(self, bj=b @ np.ascontiguousarray(j), b_source=source)
-
-    def _check_columns(self) -> None:
-        """Refuse columns that are not one vec(K) column per support entry."""
-        if self.columns.shape != (self.m * self.n, self.size):
-            raise ValueError(f"columns must be {self.m * self.n}x{self.size}, "
-                             f"got {self.columns.shape}")
-
-    def _check_saved(self) -> None:
-        """Refuse arrays that ``fd_jacobian`` cannot have made: columns of
-        another shape or not finite outside the columns ``failures`` names,
-        steps that are not k finite positive numbers, and a gain that is not
-        m x n and finite, or all NaN where the nominal probe failed."""
-        self._check_columns()
-        kept = [index not in self.failures for index in self.support.tolist()]
-        if not np.isfinite(self.columns[:, kept]).all():
-            raise ValueError("columns must be finite outside the columns 'failures' names")
-        steps = self.fd_steps
-        if steps.shape != (self.size,) or not (np.isfinite(steps) & (steps > 0)).all():
-            raise ValueError(f"fd_steps must be {self.size} finite positive steps")
-        gain = self.gain
-        if gain.shape != (self.m, self.n) or not (
-                np.isfinite(gain).all() or np.isnan(gain).all()):
-            raise ValueError(f"gain must be {self.m}x{self.n}, finite or all NaN")
+        # Gaining B keeps a bundle well-formed, so the copy skips the
+        # construction checks that replace() would run again.
+        bundle = copy(self)
+        vars(bundle).update(bj=b @ np.ascontiguousarray(j), b_source=source)
+        return bundle
 
     def to_json(self) -> dict:
         return {
@@ -153,22 +157,13 @@ class JacobianBundle:
         except (TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"{what} has a malformed field: 'failures' must map support "
                              f"indices to reasons: {exc}") from exc
-        bundle = cls(
-            support=as_support(doc["support"]),
-            columns=array_field(doc, "columns", what),
-            fd_steps=array_field(doc, "fd_steps", what),
-            m=m,
-            n=n,
-            failures=failures,
-            gain=array_field(doc, "gain", what),
-            map=doc.get("map"),
-            record=doc.get("record"),
-        )
+        support = as_support(doc["support"])
+        arrays = {key: array_field(doc, key, what) for key in ("columns", "fd_steps", "gain")}
         try:
-            bundle._check_saved()
+            return cls(support=support, **arrays, m=m, n=n, failures=failures,
+                       map=doc.get("map"), record=doc.get("record"))
         except ValueError as exc:
             raise ValueError(f"{what} has a malformed field: {exc}") from exc
-        return bundle
 
 
 def fd_jacobian(cmap, data: TrainingData, support) -> JacobianBundle:
@@ -176,8 +171,9 @@ def fd_jacobian(cmap, data: TrainingData, support) -> JacobianBundle:
 
     The step of entry i is h = cbrt(eps) * max(1, |x_i|). All 2k + 1 probes,
     the unperturbed record first, go through one batched evaluation; the
-    first gives ``gain``. A numerical map failure at a probe is recorded per
-    column instead of aborting the whole bundle.
+    first gives ``gain``. A numerical map failure at a probe, or a central
+    difference that overflows, is recorded per column with its reason
+    instead of aborting the whole bundle.
     """
     support = as_support(support, data.x.size)
     k = support.size
@@ -191,13 +187,15 @@ def fd_jacobian(cmap, data: TrainingData, support) -> JacobianBundle:
     ok = np.all(np.isfinite(gains), axis=(1, 2))
     m, n = data.m, data.n
     # Column j is vec(K+ - K-) / 2h_j, vec stacking columns as TrainingData.x_vec does.
-    diffs = (gains[1::2] - gains[2::2]) / (2.0 * steps[:, None, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = (gains[1::2] - gains[2::2]) / (2.0 * steps[:, None, None])
     columns = np.swapaxes(diffs, 1, 2).reshape((k, m * n)).T
     failures: dict = {}
-    for j in np.flatnonzero(~(ok[1::2] & ok[2::2])):
+    for j in np.flatnonzero(~np.all(np.isfinite(diffs), axis=(1, 2))):
         failed = [sign for sign, good in (("+h", ok[2 * j + 1]), ("-h", ok[2 * j + 2]))
                   if not good]
-        failures[int(support[j])] = f"map evaluation failed at the {' and '.join(failed)} probe"
+        reason = f"map evaluation failed at the {' and '.join(failed)} probe"
+        failures[int(support[j])] = reason if failed else "the central difference overflowed"
         columns[:, j] = np.nan
     return JacobianBundle(
         support=support,

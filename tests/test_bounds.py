@@ -76,7 +76,10 @@ class TestVarianceParams:
     @pytest.mark.parametrize("with_b, sigmas, message", [
         (False, [1.0, 1.0], "bundle has no B attached; call with_b first"),
         (True, [1.0], "need 2 sigmas, got 1"),
-    ], ids=["no-b", "sigma-count"])
+        # Just past sqrt(float max), the largest sigma whose square is finite.
+        (True, [1.0, 1.4e154], "sigmas must be >= 0 with a finite variance sigma^2, "
+                               "got sigma = 1.4e+154"),
+    ], ids=["no-b", "sigma-count", "sigma-square-overflows"])
     def test_refuses_with_its_reason(self, with_b, sigmas, message):
         bundle = synthetic_bundle(np.stack([np.eye(2), np.eye(2)]))
         if not with_b:
@@ -137,6 +140,23 @@ class TestTheorem1:
     def test_rejects_unstable_nominal(self):
         with pytest.raises(StabilityError):
             report_at_unit_scale(np.eye(2), 0.1, 0.1)
+
+    @pytest.mark.parametrize("scale, shown", [(-1.0, "-1.0"), (math.nan, "nan"),
+                                              (1e160, "1e+160")])
+    def test_refuses_a_scale_without_a_finite_variance(self, scale, shown):
+        # -1 would pass for 1 and NaN end in LinAlgError; 1e160 squared
+        # overflows. Zero stays allowed (test_zero_scale_gives_zero_bounds).
+        bundle, a_cl = vehicle_bundle(t_steps=80, k=10)
+        message = f"sigmas must be >= 0 with a finite variance sigma^2, got sigma = {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            theorem1_sweep(a_cl, bundle, [1.0, scale])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            variance_params(bundle, np.full(10, scale))
+
+    def test_zero_scale_gives_zero_bounds(self):
+        bundle, a_cl = vehicle_bundle(t_steps=80, k=10)
+        [report] = theorem1_sweep(a_cl, bundle, [0.0])
+        assert (report.v_bar, report.v_lower, report.upper_raw, report.lower) == (0, 0, 0, 0)
 
     def test_rejects_singular_nominal(self):
         # Stable but singular: the condition number is infinite.

@@ -501,13 +501,16 @@ class TestMalformedArtifacts:
         ("jacobian.json", "columns", "abc", "Jacobian bundle has a malformed field: 'columns' "
                                             "must be an array of numbers: could not convert "
                                             "string to float: 'abc'"),
+        ("jacobian.json", "failures", {"9999": "?"}, "Jacobian bundle has a malformed field: "
+                                                     "failures must name support indices, "
+                                                     "got [9999]"),
         ("data.json", "x", [[1.0], [2.0, 3.0]], "training record has a malformed field: 'x' "
                                                 "must be an array of numbers: "
                                                 + numpy_refusal([[1.0], [2.0, 3.0]])),
         ("data.json", "x", [["a"]], "training record has a malformed field: 'x' must be an "
                                     "array of numbers: could not convert string to float: 'a'"),
     ], ids=["seed-string", "seed-negative", "t-bool", "n-bool", "columns-null", "columns-string",
-            "x-ragged", "x-string"])
+            "failures-outside", "x-ragged", "x-string"])
     def test_malformed_field_exits_2_naming_the_file(self, tmp_path, capsys, name, field,
                                                      value, expected):
         cfg = write_config(tmp_path, FAST_CONFIG)
@@ -1116,6 +1119,21 @@ def test_one_entry_support_at_large_sigma(tmp_path):
     assert len(rows) == 4 and all(math.isfinite(float(v)) for row in rows for v in row)
     assert run(["collect", "--config", cfg, "--out", str(out)]) == 0
     assert run(["bounds", "--config", cfg, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["bounds", "fig1"])
+def test_sigma_whose_square_overflows_exits_2_with_one_line(tmp_path, capsys, command):
+    # The suite turns warnings into errors, so a numpy overflow warning
+    # would be the line.
+    cfg = write_config(tmp_path, FAST_CONFIG)
+    out = str(tmp_path / "o")
+    for stage in ("collect", "jacobian"):
+        assert run([stage, "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+    assert run([command, "--config", cfg, "--out", out, "--sigma", "1e160"]) == 2
+    assert capsys.readouterr().err == (
+        "ddrobust: error: ValueError: sigmas must be >= 0 with a finite variance sigma^2, "
+        "got sigma = 1e+160\n")
 
 
 def test_badly_scaled_trials_pass_the_riccati_gate(tmp_path):

@@ -64,6 +64,41 @@ class FragileMap(ControllerMap):
         return self.inner.evaluate(data)
 
 
+# A field of a saved bundle, an edit of its JSON value that fd_jacobian
+# cannot have made, and the refusal.
+MALFORMED_BUNDLES = {
+    "columns-null": ("columns", lambda c: [[None, *c[0][1:]], *c[1:]],
+                     "columns must be finite outside the columns 'failures' names"),
+    # Two support entries of a 2 x 4 gain: columns must be 8 x 2. Their
+    # transpose holds as many numbers and must not be read as columns.
+    "columns-transposed": ("columns", lambda c: np.transpose(c).tolist(),
+                           "columns must be 8x2, got (2, 8)"),
+    "columns-string": ("columns", lambda c: "abc", "'columns' must be an array of numbers: "
+                                                   "could not convert string to float: 'abc'"),
+    "columns-ragged": ("columns", lambda c: [c[0][:1], *c[1:]],
+                       "'columns' must be an array of numbers: "),
+    "steps-short": ("fd_steps", lambda h: h[:1], "fd_steps must be 2 finite positive steps"),
+    "steps-zero": ("fd_steps", lambda h: [h[0], 0.0], "fd_steps must be 2 finite positive steps"),
+    "steps-null": ("fd_steps", lambda h: [h[0], None], "fd_steps must be 2 finite positive steps"),
+    "gain-null-entry": ("gain", lambda g: [[None, *g[0][1:]], *g[1:]],
+                        "gain must be 2x4, finite or all NaN"),
+    "gain-transposed": ("gain", lambda g: np.transpose(g).tolist(),
+                        "gain must be 2x4, finite or all NaN"),
+    "gain-null": ("gain", lambda g: None, "gain must be 2x4, finite or all NaN"),
+    "gain-string": ("gain", lambda g: [["a"] * 4] * 2, "'gain' must be an array of numbers: "
+                                                       "could not convert string to float: 'a'"),
+    "failures-key": ("failures", lambda f: {"one": "?"},
+                     "'failures' must map support indices to reasons: "),
+    "failures-outside": ("failures", lambda f: {"9": "?"},
+                         "failures must name support indices, got [9]"),
+}
+
+# The cases a bundle built by hand can carry: the others are JSON conversions,
+# and a gain of None is the all-NaN gain of a bundle built without one.
+BUILT_MALFORMED = ["columns-null", "columns-transposed", "steps-short", "steps-zero",
+                   "steps-null", "gain-null-entry", "gain-transposed", "failures-outside"]
+
+
 def synthetic_bundle(bj_stack) -> JacobianBundle:
     """Bundle whose B J_i products are given directly (B = I)."""
     bj = np.asarray(bj_stack, dtype=float)
@@ -155,6 +190,7 @@ SUPPORT_CASES = {
     "empty": ([], "perturbation support must be nonempty"),
     "float": ([3.7], "support indices must index vec(X){of}, got [3.7]"),
     "2-D": ([[1, 2]], "support indices must index vec(X){of}, got [[1, 2]]"),
+    "ragged": ([[1], [2, 3]], "support indices must index vec(X){of}, got [[1], [2, 3]]"),
     # A repeated entry would be perturbed once, by its last delta; these
     # repeats are not side by side.
     "repeated": ([3, 9, 3], "support indices must be distinct, got [3, 9, 3]"),
@@ -170,7 +206,7 @@ BATCH_MAPS = {"pinv": PinvMap(), "ce-lqr": CeLqrMap(),
 
 def batch_on(cmap):
     """A holder that hands ``cmap.evaluate_deltas`` two zero rows of deltas."""
-    return lambda context, s: cmap.evaluate_deltas(context[1], s, np.zeros((2, np.size(s))))
+    return lambda context, s: cmap.evaluate_deltas(context[1], s, np.zeros((2, len(s))))
 
 
 def estimate_on(context, support, first_order):
@@ -179,7 +215,7 @@ def estimate_on(context, support, first_order):
     check is the one that runs."""
     sys, data, bundle = context
     model = PerturbationModel([1, 2], 0.1)
-    object.__setattr__(model, "support", np.asarray(support))
+    object.__setattr__(model, "support", support)
     return estimate_instability(sys, data, CeLqrMap(), CeLqrMap().evaluate(data), model, 10,
                                 bundle=bundle if first_order else None)
 
@@ -387,25 +423,8 @@ class TestFdJacobian:
                                              "a malformed field: "):
             _read_json(JacobianBundle, path)
 
-    @pytest.mark.parametrize("field, edit, message", [
-        ("columns", lambda c: [[None, *c[0][1:]], *c[1:]],
-         "columns must be finite outside the columns 'failures' names"),
-        ("columns", lambda c: np.transpose(c).tolist(), "columns must be 8x2, got (2, 8)"),
-        ("columns", lambda c: "abc", "'columns' must be an array of numbers: could not "
-                                     "convert string to float: 'abc'"),
-        ("columns", lambda c: [c[0][:1], *c[1:]], "'columns' must be an array of numbers: "),
-        ("fd_steps", lambda h: h[:1], "fd_steps must be 2 finite positive steps"),
-        ("fd_steps", lambda h: [h[0], 0.0], "fd_steps must be 2 finite positive steps"),
-        ("fd_steps", lambda h: [h[0], None], "fd_steps must be 2 finite positive steps"),
-        ("gain", lambda g: [[None, *g[0][1:]], *g[1:]], "gain must be 2x4, finite or all NaN"),
-        ("gain", lambda g: np.transpose(g).tolist(), "gain must be 2x4, finite or all NaN"),
-        ("gain", lambda g: None, "gain must be 2x4, finite or all NaN"),
-        ("gain", lambda g: [["a"] * 4] * 2, "'gain' must be an array of numbers: could not "
-                                            "convert string to float: 'a'"),
-        ("failures", lambda f: {"one": "?"}, "'failures' must map support indices to reasons: "),
-    ], ids=["columns-null", "columns-transposed", "columns-string", "columns-ragged",
-            "steps-short", "steps-zero", "steps-null", "gain-null-entry", "gain-transposed",
-            "gain-null", "gain-string", "failures-key"])
+    @pytest.mark.parametrize("field, edit, message", MALFORMED_BUNDLES.values(),
+                             ids=MALFORMED_BUNDLES.keys())
     def test_json_refuses_arrays_fd_jacobian_cannot_make(self, tmp_path, field, edit, message):
         bundle = fd_jacobian(PinvMap(), collect(vehicle_model(0.1), 1, 20, seed=4), [1, 7])
         doc = bundle.to_json()
@@ -414,6 +433,21 @@ class TestFdJacobian:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: Jacobian bundle has "
                                              f"a malformed field: {re.escape(message)}"):
             _read_json(JacobianBundle, path)
+
+    @pytest.mark.parametrize("field, edit, message", [
+        MALFORMED_BUNDLES[case] for case in BUILT_MALFORMED], ids=BUILT_MALFORMED)
+    def test_construction_refuses_arrays_fd_jacobian_cannot_make(self, field, edit, message):
+        # The loader's cases that a bundle built by hand can carry too: the
+        # edited arrays as numpy makes them of the JSON lists, null as NaN.
+        bundle = fd_jacobian(PinvMap(), collect(vehicle_model(0.1), 1, 20, seed=4), [1, 7])
+        doc = bundle.to_json()
+        fields = {key: np.array(doc[key], dtype=float) for key in ("columns", "fd_steps", "gain")}
+        fields["failures"] = {}
+        edited = edit(doc[field])
+        fields[field] = ({int(key): reason for key, reason in edited.items()}
+                         if field == "failures" else np.array(edited, dtype=float))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            JacobianBundle(support=bundle.support, m=2, n=4, **fields)
 
     def test_json_keeps_the_nan_columns_failures_names(self, tmp_path):
         data = collect(vehicle_model(0.1), 1, 10, seed=0)
@@ -425,15 +459,46 @@ class TestFdJacobian:
         assert back.failures == bundle.failures and list(back.failures) == [3]
         assert np.array_equal(back.columns, bundle.columns, equal_nan=True)
 
-    def test_with_b_refuses_columns_of_another_shape(self):
-        # Two support entries of a 2 x 4 gain: columns must be 8 x 2. Their
-        # transpose holds as many numbers and must not be read as columns.
+    def test_overflowing_central_difference_is_a_failed_column(self):
+        # Finite gains of opposite sign near the float maximum: K+ - K- is inf.
+        data = collect(vehicle_model(0.1), 1, 10, seed=0)
+        nominal = data.x_vec[3]
+
+        class CliffMap(ControllerMap):
+            name = "cliff-test"
+
+            def evaluate(self, record):
+                return np.full((2, 4), 1e308 if record.x_vec[3] >= nominal else -1e308)
+
+        bundle = fd_jacobian(CliffMap(), data, np.array([2, 3]))  # and no numpy warning
+        assert bundle.failures == {3: "the central difference overflowed"}
+        assert np.isnan(bundle.columns[:, 1]).all() and np.isfinite(bundle.columns[:, 0]).all()
+
+    def test_with_b_keeps_the_checked_arrays_and_forms_each_product(self):
         data = collect(vehicle_model(0.1), 1, 20, seed=4)
-        bundle = fd_jacobian(PinvMap(), data, np.array([1, 7]))
-        flipped = JacobianBundle(support=bundle.support, columns=bundle.columns.T,
-                                 fd_steps=bundle.fd_steps, m=2, n=4, failures={})
-        with pytest.raises(ValueError, match="columns must be 8x2"):
-            flipped.with_b(vehicle_model(0.1).b, B_SOURCE_TRUE)
+        bundle = fd_jacobian(CeLqrMap(), data, np.array([1, 7, 30]))
+        b = vehicle_model(0.1).b
+        attached = bundle.with_b(b, B_SOURCE_TRUE)
+        assert (attached.bj.shape, attached.b_source, bundle.bj) == ((3, 4, 4), "true", None)
+        for j in range(3):
+            assert np.array_equal(attached.bj[j],
+                                  b @ bundle.columns[:, j].reshape((2, 4), order="F"))
+        for name in ("support", "columns", "fd_steps", "gain", "failures", "map"):
+            assert getattr(attached, name) is getattr(bundle, name)
+
+    def test_gainless_bundle_is_saved_and_falls_back_to_the_map(self, tmp_path):
+        # Built as the acceptance tests build one: no gain, so an all-NaN one.
+        data = collect(vehicle_model(0.1), 1, 20, seed=4)
+        full = fd_jacobian(PinvMap(), data, np.array([1, 7]))
+        bundle = JacobianBundle(support=full.support, columns=full.columns,
+                                fd_steps=full.fd_steps, m=2, n=4, failures={})
+        assert bundle.gain.shape == (2, 4) and np.isnan(bundle.gain).all()
+        path = tmp_path / "jacobian.json"
+        _write_json(path, bundle.to_json())
+        back = _read_json(JacobianBundle, path)
+        assert np.array_equal(back.gain, bundle.gain, equal_nan=True)
+        assert np.array_equal(back.columns, bundle.columns)
+        assert np.array_equal(back.nominal_gain(PinvMap(), data), PinvMap().evaluate(data))
 
     def test_identified_b_close_to_true_b(self):
         sys = vehicle_model(0.1)
